@@ -7,8 +7,10 @@ deterministic text report, or JSON with --json.  Output never contains
 timestamps or machine details, so identical invocations produce
 identical bytes regardless of worker count.
 
-Exit codes: 0 success, 1 failed check or internal error, 2 usage error,
-3 invalid fraction or continued fraction, 4 enumeration budget exceeded.
+Exit codes: 0 success, 1 failed check or internal error (including
+"error: resource-exhausted:" when a computation runs out of recursion
+depth or memory), 2 usage error, 3 invalid fraction or continued
+fraction, 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def _cmd_ek(args, budget: int, workers: int):
 def _cmd_enumerate(args, budget: int, workers: int):
     if args.n > budget:
         raise BudgetExceededError(args.n, budget)
-    catalog = enumerate_knots(args.n, engine=args.engine, workers=workers)
+    catalog = enumerate_knots(args.n, workers=workers)
     lines = [f"n: {catalog.crossing_number}", f"count: {len(catalog.entries)}", f"ek: {catalog.ek}"]
     for entry in catalog.entries:
         below = ";".join(str(k.canonical) for k in entry.smaller) or "-"
@@ -472,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="catalog of all 2-bridge knots with n crossings")
     p.add_argument("n", type=int)
-    p.add_argument("--engine", choices=("compositions", "vectors"), default="compositions")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("seams", parents=[common], help="common cut positions over all parsings of a vector")
@@ -528,6 +529,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: resource-exhausted: {detail}", file=sys.stderr)
         return 1
 
     rendered = json.dumps(payload, indent=2, sort_keys=True) if as_json else text

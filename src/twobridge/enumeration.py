@@ -5,15 +5,12 @@ any single 2-bridge knot with crossing number n.  Exact values come from
 enumerating every knot class with that crossing number and taking the
 maximum size of its strictly-smaller set.
 
-Two interchangeable enumeration engines are provided and cross-checked:
-
-* ``compositions``: positive integer compositions a_1 + ... + a_k = n
-  with a_1, a_k >= 2 evaluate as continued fractions to alternating
-  diagrams with n crossings; keeping the odd-denominator values and
-  deduplicating by knot class yields every knot with crossing number n.
-* ``vectors``: expanded even vectors of every even length between
-  ceil(n/2) and n - 1, filtered by crossing number and deduplicated by
-  vector class, cover the same knots through the vector bijection.
+Knot classes come from positive integer compositions a_1 + ... + a_k = n
+with a_1, a_k >= 2: they evaluate as continued fractions to alternating
+diagrams with n crossings, and keeping the odd-denominator values and
+deduplicating by knot class yields every knot with crossing number n.
+The test suite cross-checks this against a direct generator of
+expanded even vectors.
 
 Exact enumeration is budgeted: past the budget EK(n) is refused rather
 than estimated.  The assisted mode instead squeezes EK(n)
@@ -31,7 +28,7 @@ from typing import Iterator, Optional
 from .bounds import least_odd_with_divisors, nontrivial_proper_divisor_count
 from .parsing import smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction, evaluate_terms
-from .vectors import SEvenVector, VectorClass, crossing_number, vector_from_knot
+from .vectors import VectorClass, crossing_number, vector_from_knot
 
 __all__ = [
     "BudgetExceededError",
@@ -119,54 +116,11 @@ def _classes_by_compositions(n: int, workers: int = 1) -> set[KnotClass]:
     return {KnotClass(Fraction(p, q)) for p, q in pairs}
 
 
-def _s_even_vectors(length: int) -> Iterator[SEvenVector]:
-    """Every expanded even vector of the given even length."""
-    if length % 2:
-        return
-    if length == 0:
-        yield SEvenVector(())
-        return
-    acc: list[int] = []
-
-    def rec(i: int, forced: Optional[int]) -> Iterator[SEvenVector]:
-        if i == length:
-            yield SEvenVector(tuple(acc))
-            return
-        if forced is not None:
-            choices: tuple[int, ...] = (forced,)
-        elif i == 0 or i == length - 1:
-            choices = (2, -2)
-        elif acc[-1] == 0:
-            choices = (2, -2)  # unreachable: zeros force their successor
-        else:
-            choices = (2, -2, 0)
-        for a in choices:
-            acc.append(a)
-            yield from rec(i + 1, acc[-2] if a == 0 else None)
-            acc.pop()
-
-    yield from rec(0, None)
-
-
-def _classes_by_vectors(n: int) -> set[KnotClass]:
-    out: set[KnotClass] = set()
-    lengths = [l for l in range((n + 1) // 2, n) if l % 2 == 0]
-    for length in lengths:
-        for v in _s_even_vectors(length):
-            if crossing_number(v) == n:
-                out.add(canonical_fraction(evaluate_terms(v.entries)))
-    return out
-
-
-def knot_classes(n: int, engine: str = "compositions", workers: int = 1) -> set[KnotClass]:
+def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
     """All 2-bridge knot classes with crossing number exactly n."""
     if n < 3:
         raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
-    if engine == "compositions":
-        return _classes_by_compositions(n, workers)
-    if engine == "vectors":
-        return _classes_by_vectors(n)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _classes_by_compositions(n, workers)
 
 
 @dataclass(frozen=True)
@@ -203,16 +157,16 @@ class KnotCatalog:
         }
 
 
-def enumerate_knots(n: int, engine: str = "compositions", workers: int = 1) -> KnotCatalog:
+def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     """The full catalog at n crossings, strictly-smaller sets included."""
-    classes = knot_classes(n, engine=engine, workers=workers)
+    classes = knot_classes(n, workers=workers)
     entries = []
     for knot in sorted(classes, key=lambda k: k.sort_key):
         vc = vector_from_knot(knot)
         got = crossing_number(vc.representative)
         if got != n:
             raise AssertionError(
-                f"engine produced {knot} with crossing number {got}, expected {n}"
+                f"enumeration produced {knot} with crossing number {got}, expected {n}"
             )
         below = sorted(smaller_knots(vc.representative), key=lambda k: k.sort_key)
         entries.append(CatalogEntry(knot, vc, tuple(below)))

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, canonical_vector, knot_from_vector
+from .vectors import (
+    SEvenVector,
+    VectorClass,
+    connector_vector,
+    entry_orbit,
+    knot_from_vector,
+)
 
 __all__ = [
     "Parsing",
@@ -48,25 +54,6 @@ __all__ = [
     "smaller_knots",
     "two_connector_decompose",
 ]
-
-
-def connector_vector(c: int) -> tuple[int, ...]:
-    """The vector form of an even connector value."""
-    if c % 2:
-        raise ValueError(f"connector {c} is odd")
-    if c == 0:
-        return (0,)
-    s = 2 if c > 0 else -2
-    out = []
-    for j in range(abs(c) // 2):
-        if j:
-            out.append(0)
-        out.append(s)
-    return tuple(out)
-
-
-def _neg(entries: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-a for a in entries)
 
 
 @dataclass(frozen=True)
@@ -107,7 +94,7 @@ class Parsing:
         bwd = fwd[::-1]
         for i, s in enumerate(self.signs, 1):
             tile = fwd if i % 2 else bwd
-            yield tile if s == 1 else _neg(tile)
+            yield tile if s == 1 else tuple(-a for a in tile)
 
     def blocks(self) -> Iterator[tuple[int, ...]]:
         """Tiles and connector vectors in assembly order."""
@@ -165,55 +152,83 @@ def _connector_reads(entries: tuple[int, ...], pos: int, limit: int) -> list[tup
     return out
 
 
-def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
-    """All parsings of a with respect to b, including the 1-fold a = b.
+def _parse_chains(ea: tuple[int, ...], eb: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every parsing of ea with respect to eb, one chain at a time.
 
-    Backtracking over connector reads and tile matches, with suffix
-    completions memoized on (position, tile orientation, last sign).
+    A chain lists (connector, sign) for each tile after the first, so its
+    fold is len(chain) + 1.  The search is an iterative depth-first walk
+    over states (position, parity of the tile count, last sign), which
+    are all a suffix's completions depend on.  A state whose subtree
+    yielded nothing is remembered and never entered again, so the walk
+    up to the first chain enters each state at most once.
     """
-    ea, eb = a.entries, b.entries
     la, lb = len(ea), len(eb)
     if lb == 0:
         raise ValueError("parsing base must be nonempty")
     if lb > la or ea[:lb] != eb:
-        return ()
+        return
+    rev = eb[::-1]
+    # next tile, keyed by (parity of the tile count so far, sign)
     tiles = {
-        (1, 1): eb,
-        (1, -1): _neg(eb),
-        (0, 1): eb[::-1],
-        (0, -1): _neg(eb[::-1]),
+        (0, 1): eb,
+        (0, -1): tuple(-x for x in eb),
+        (1, 1): rev,
+        (1, -1): tuple(-x for x in rev),
     }
-    memo: dict[tuple[int, int, int], tuple[tuple[tuple[int, int], ...], ...]] = {}
+    dead: set[tuple[int, int, int]] = set()
 
-    def completions(pos: int, idx: int, prev_sign: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Ways to extend past tile #idx ending at pos, as ((connector, sign), ...) chains."""
-        key = (pos, idx % 2, prev_sign)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: list[tuple[tuple[int, int], ...]] = []
-        if pos == la and idx % 2 == 1:
-            out.append(())
-        parity = (idx + 1) % 2
+    def moves(pos: int, parity: int, sign: int) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
         for c, clen in _connector_reads(ea, pos, la - lb):
             npos = pos + clen
             for s in (1, -1):
-                if c == 0 and s != prev_sign:
+                if c == 0 and s != sign:
                     continue
-                if ea[npos : npos + lb] != tiles[(parity, s)]:
-                    continue
-                for rest in completions(npos + lb, idx + 1, s):
-                    out.append(((c, s),) + rest)
-        result = tuple(out)
-        memo[key] = result
-        return result
+                if ea[npos : npos + lb] == tiles[(parity, s)]:
+                    yield c, s, (npos + lb, 1 - parity, s)
 
-    parsings = []
-    for chain in completions(lb, 1, 1):
-        signs = (1,) + tuple(s for _, s in chain)
-        conns = tuple(c for c, _ in chain)
-        if len(signs) % 2 == 1:
-            parsings.append(Parsing(b, signs, conns))
+    chain: list[tuple[int, int]] = []
+    start = (lb, 1, 1)
+    # each frame: [state, its untried moves, whether its subtree yielded]
+    stack: list[list] = [[start, moves(*start), lb == la]]
+    if lb == la:
+        yield ()
+    while stack:
+        frame = stack[-1]
+        step = next(frame[1], None)
+        if step is None:
+            stack.pop()
+            if not frame[2]:
+                dead.add(frame[0])
+            if stack:
+                chain.pop()
+                stack[-1][2] |= frame[2]
+            continue
+        c, s, state = step
+        if state in dead:
+            continue
+        chain.append((c, s))
+        found = state[0] == la and state[1] == 1
+        if found:
+            yield tuple(chain)
+        stack.append([state, moves(*state), found])
+
+
+def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> bool:
+    la, lb = len(ea), len(eb)
+    if lb == 0 or (min_fold > 1 and la < min_fold * lb + (min_fold - 1)):
+        return False
+    return any(len(chain) + 1 >= min_fold for chain in _parse_chains(ea, eb))
+
+
+def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
+    """All parsings of a with respect to b, including the 1-fold a = b.
+
+    Sorted by fold, then connectors, then signs.
+    """
+    parsings = [
+        Parsing(b, (1,) + tuple(s for _, s in chain), tuple(c for c, _ in chain))
+        for chain in _parse_chains(a.entries, b.entries)
+    ]
     parsings.sort(key=lambda p: (p.fold, p.connectors, p.signs))
     return tuple(parsings)
 
@@ -221,42 +236,9 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
     """True when some parsing of a with respect to b has fold >= min_fold.
 
-    Early-exit variant of :func:`find_parsings` for existence checks.
+    Stops at the first such parsing.
     """
-    ea, eb = a.entries, b.entries
-    la, lb = len(ea), len(eb)
-    if lb == 0 or lb > la or ea[:lb] != eb:
-        return False
-    if min_fold > 1 and la < min_fold * lb + (min_fold - 1):
-        return False
-    tiles = {
-        (1, 1): eb,
-        (1, -1): _neg(eb),
-        (0, 1): eb[::-1],
-        (0, -1): _neg(eb[::-1]),
-    }
-    seen: set[tuple[int, int, int]] = set()
-
-    def search(pos: int, idx: int, prev_sign: int) -> bool:
-        if pos == la and idx % 2 == 1 and idx >= min_fold:
-            return True
-        key = (pos, idx % 2, prev_sign)
-        if key in seen:
-            return False
-        seen.add(key)
-        parity = (idx + 1) % 2
-        for c, clen in _connector_reads(ea, pos, la - lb):
-            npos = pos + clen
-            for s in (1, -1):
-                if c == 0 and s != prev_sign:
-                    continue
-                if ea[npos : npos + lb] != tiles[(parity, s)]:
-                    continue
-                if search(npos + lb, idx + 1, s):
-                    return True
-        return False
-
-    return search(lb, 1, 1)
+    return _parses(a.entries, b.entries, min_fold)
 
 
 def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
@@ -269,14 +251,8 @@ def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
     """
     if j == k:
         return False
-    base = k.representative
-    need = 3 * len(base) + 2
-    for a in j.representatives():
-        if len(a) < need:
-            return False
-        if parses_with_respect_to(a, base, min_fold=3):
-            return True
-    return False
+    base = k.representative.entries
+    return any(_parses(a, base, 3) for a in entry_orbit(j.representative.entries))
 
 
 @dataclass(frozen=True)
@@ -310,14 +286,16 @@ def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenV
     """Assemble (g, m, g', n, g, m, g', n, ..., g) with count tiles, g' = g reversed."""
     if count < 1 or count % 2 == 0:
         raise ValueError(f"tile count {count} must be odd and positive")
-    fwd = g.entries
+    return SEvenVector(_assemble_entries(g.entries, m, n, count))
+
+
+def _assemble_entries(fwd: tuple[int, ...], m: int, n: int, count: int) -> tuple[int, ...]:
     bwd = fwd[::-1]
-    out: list[int] = []
-    for i in range(1, count + 1):
+    out = list(fwd)
+    for i in range(2, count + 1):
+        out.extend(connector_vector(n if i % 2 else m))
         out.extend(fwd if i % 2 else bwd)
-        if i < count:
-            out.extend(connector_vector(m if i % 2 else n))
-    return SEvenVector(tuple(out))
+    return tuple(out)
 
 
 def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
@@ -352,7 +330,6 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
     while 3 * glen + 2 <= lv:
         g = entries[:glen]
         if g[-1] != 0:
-            gv = SEvenVector(g)
             grev = g[::-1]
             for m, mlen in _connector_reads(entries, glen, lv):
                 pos = glen + mlen
@@ -366,8 +343,8 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
                     if reps < 1:
                         continue
                     count = 2 * reps + 1
-                    if assemble_two_connector(gv, m, n, count).entries == entries:
-                        return TwoConnectorForm(gv, m, n, count)
+                    if _assemble_entries(g, m, n, count) == entries:
+                        return TwoConnectorForm(SEvenVector(g), m, n, count)
         glen += 2
     return None
 
@@ -407,13 +384,9 @@ def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
 
 def _smaller_by_prefix_scan(v: SEvenVector) -> frozenset[KnotClass]:
     out: set[KnotClass] = set()
-    for a in canonical_vector(v).representatives():
-        ea = a.entries
-        la = len(ea)
-        for blen in range(2, (la - 2) // 3 + 1, 2):
-            if ea[blen - 1] == 0:
-                continue
-            if parses_with_respect_to(a, SEvenVector(ea[:blen]), min_fold=3):
+    for ea in entry_orbit(v.entries):
+        for blen in range(2, (len(ea) - 2) // 3 + 1, 2):
+            if ea[blen - 1] != 0 and _parses(ea, ea[:blen], 3):
                 out.add(knot_from_vector(SEvenVector(ea[:blen])))
     return frozenset(out)
 

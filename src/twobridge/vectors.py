@@ -33,6 +33,7 @@ __all__ = [
     "SEvenVector",
     "VectorClass",
     "canonical_vector",
+    "connector_vector",
     "contract",
     "crossing_number",
     "expand",
@@ -85,10 +86,9 @@ class SEvenVector:
 
     def orbit(self) -> tuple["SEvenVector", ...]:
         """The distinct vectors among {v, -v, reverse(v), -reverse(v)}."""
-        seen: dict[tuple[int, ...], SEvenVector] = {}
-        for v in (self, self.negate(), self.reverse(), self.negate().reverse()):
-            seen.setdefault(v.entries, v)
-        return tuple(seen.values())
+        return tuple(
+            self if e == self.entries else SEvenVector(e) for e in entry_orbit(self.entries)
+        )
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)
@@ -101,27 +101,33 @@ class SEvenVector:
         return cls(tuple(int(t) for t in text.split(",")))
 
 
-# Representative order: entries compare 2 < 0 < -2, so the class
-# representative leads with positive entries.  Any fixed total order
-# works; this one keeps the familiar positive spellings like (2,2).
-_ENTRY_RANK = {2: 0, 0: 1, -2: 2}
+def entry_orbit(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct tuples among {e, -e, reverse(e), -reverse(e)}, in that order.
 
-
-def _rank(entries: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_ENTRY_RANK[a] for a in entries)
+    Works on plain entry tuples, so nothing is re-validated; the orbit of
+    a valid vector consists of valid vectors.
+    """
+    neg = tuple(-a for a in entries)
+    return tuple(dict.fromkeys((entries, neg, entries[::-1], neg[::-1])))
 
 
 @dataclass(frozen=True)
 class VectorClass:
-    """A vector up to negation and reversal, held by its fixed representative."""
+    """A vector up to negation and reversal, held by its fixed representative.
+
+    The representative is the lexicographic maximum of the orbit's entry
+    tuples: it leads with positive entries, which keeps the familiar
+    positive spellings like (2,2).
+    """
 
     representative: SEvenVector
 
     def __post_init__(self) -> None:
-        rep = min(self.representative.orbit(), key=lambda v: _rank(v.entries))
-        if rep.entries != self.representative.entries:
+        rep = max(entry_orbit(self.representative.entries))
+        if rep != self.representative.entries:
             raise ValueError(
-                f"{self.representative} is not the class representative ({rep} is)"
+                f"{self.representative} is not the class representative "
+                f"({','.join(map(str, rep))} is)"
             )
 
     def representatives(self) -> tuple[SEvenVector, ...]:
@@ -135,8 +141,23 @@ class VectorClass:
 
 
 def canonical_vector(v: SEvenVector) -> VectorClass:
-    """The class of v, keyed by the minimum of its orbit under 2 < 0 < -2."""
-    return VectorClass(min(v.orbit(), key=lambda w: _rank(w.entries)))
+    """The class of v, keyed by the lexicographic maximum of its orbit."""
+    rep = max(entry_orbit(v.entries))
+    return VectorClass(v if rep == v.entries else SEvenVector(rep))
+
+
+def connector_vector(c: int) -> tuple[int, ...]:
+    """The run of an even value: (0) for zero, else sign(c) * (2, 0, 2, ..., 0, 2).
+
+    The run has |c|/2 nonzero entries.  It is both the expansion of an
+    even partial quotient and the vector form of a parsing connector.
+    """
+    if c % 2:
+        raise ValueError(f"connector {c} is odd")
+    if c == 0:
+        return (0,)
+    s = 2 if c > 0 else -2
+    return (s,) + (0, s) * (abs(c) // 2 - 1)
 
 
 def expand(cf: Union[EvenCF, Iterable[int]]) -> SEvenVector:
@@ -150,11 +171,7 @@ def expand(cf: Union[EvenCF, Iterable[int]]) -> SEvenVector:
     for i, a in enumerate(terms, 1):
         if a == 0 or a % 2:
             raise ValueError(f"term {i} is {a}; expansion needs nonzero even terms")
-        s = 2 if a > 0 else -2
-        for j in range(abs(a) // 2):
-            if j:
-                out.append(0)
-            out.append(s)
+        out.extend(connector_vector(a))
     return SEvenVector(tuple(out))
 
 

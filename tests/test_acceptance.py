@@ -18,6 +18,7 @@ from conftest import (
     oracle_vectors,
     record_acceptance,
 )
+from test_enumeration import classes_by_direct_generator
 from test_parsing import classes_with_crossing_up_to, oracle_smaller
 from test_vectors import random_vector
 
@@ -237,11 +238,9 @@ def prop_smaller_matches_oracle_to_12():
         assert smaller_knots(v) == oracle_smaller(v), str(v)
 
 
-def prop_engines_agree_3_to_14():
+def prop_classes_match_direct_generator_3_to_14():
     for n in range(3, 15):
-        assert knot_classes(n, engine="compositions") == knot_classes(
-            n, engine="vectors"
-        ), f"n = {n}"
+        assert knot_classes(n) == classes_by_direct_generator(n), f"n = {n}"
 
 
 def prop_antisymmetry_to_10():
@@ -280,7 +279,7 @@ PROPERTY_SUITES = (
     ("length bound on found parsings", prop_length_bound_on_found_parsings),
     ("divisor table inequalities", prop_divisor_table_inequalities),
     ("smaller sets vs oracle to cr 12", prop_smaller_matches_oracle_to_12),
-    ("enumeration engines agree 3..14", prop_engines_agree_3_to_14),
+    ("classes match direct generator 3..14", prop_classes_match_direct_generator_3_to_14),
     ("strict order antisymmetry to cr 10", prop_antisymmetry_to_10),
     ("lift sweep to length 8", prop_lift_sweep),
     ("divisor bound over catalogs 3..14", prop_divisor_bound_over_catalogs),

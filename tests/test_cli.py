@@ -12,7 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_enumeration import classes_by_direct_generator
 
+import twobridge.cli
 from twobridge.cli import main
 
 
@@ -118,10 +120,14 @@ def test_enumerate_json(capsys):
     }
 
 
-def test_enumerate_engines_match(capsys):
-    a = run(capsys, "enumerate", "8", "--json")[1]
-    b = run(capsys, "enumerate", "8", "--engine", "vectors", "--json")[1]
-    assert json.loads(a) == json.loads(b)
+def test_enumerate_matches_direct_generator(capsys):
+    code, out, _ = run(capsys, "enumerate", "8", "--json")
+    assert code == 0
+    got = {f"{k['p']}/{k['q']}" for k in json.loads(out)["knots"]}
+    assert got == {str(k.canonical) for k in classes_by_direct_generator(8)}
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "8", "--engine", "vectors"])
+    assert info.value.code == 2
 
 
 def test_seams_default_bases(capsys):
@@ -173,6 +179,33 @@ def test_torus(capsys):
     )
 
 
+# ------------------------------------------------------------ long vectors
+
+def test_compare_long_torus(capsys):
+    # 3 does not divide 3001, so the (2,3001) torus knot is not above 1/3
+    code, out, err = run(capsys, "compare", "1/3001", "1/3")
+    assert (code, err) == (0, "")
+    assert out == "a: 1/3001\nb: 1/3\nrelation: incomparable\n"
+
+
+def test_seams_long_torus(capsys):
+    code, out, err = run(capsys, "seams", "1/3003", "--wrt", "1/3")
+    assert (code, err) == (0, "")
+    assert "parsings: 1\n" in out
+    cuts = ",".join(f"{3 * i + 2},{3 * i + 3}" for i in range(1000))
+    assert f"cuts: {cuts}\n" in out
+    # the same cut pattern as a short torus knot over the trefoil
+    assert "cuts: 2,3,5,6,8,9,11,12,14,15,17,18,20,21,23,24\n" in run(
+        capsys, "seams", "1/27", "--wrt", "1/3"
+    )[1]
+
+
+def test_negate_long_torus(capsys):
+    code, out, err = run(capsys, "negate", "1/3003", "--wrt", "1/3", "--segments", "3")
+    assert (code, err) == (0, "")
+    assert "still-above: 1/3\n" in out
+
+
 def test_verify_runs_green(capsys):
     code, out, _ = run(capsys, "verify-paper", "--budget", "10")
     assert code == 0
@@ -217,6 +250,19 @@ def test_exit_value_error(capsys):
     assert code == 1  # nothing below the trefoil family seed
     code, _, err = run(capsys, "torus", "4")
     assert code == 1
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_exit_resource_exhausted(capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(twobridge.cli, "crossing_number", exhausted)
+    code, out, err = run(capsys, "cr", "2,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: resource-exhausted: " + type(exc).__name__)
+    assert err.count("\n") == 1
 
 
 # ------------------------------------------------------- config, out, json

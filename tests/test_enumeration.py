@@ -1,8 +1,8 @@
 """Catalog enumeration and the EK sequence.
 
-Three independent routes to the same class sets keep each other honest:
-the composition-based engine, the vector-based engine, and the direct
-generator from conftest.  EK values for the small window are frozen
+Two independent routes to the same class sets keep each other honest:
+the composition-based enumeration and the direct vector generator from
+conftest.  EK values for the small window are frozen
 from the enumeration itself and pinned against the certified bounds.
 """
 
@@ -51,7 +51,7 @@ def classes_by_direct_generator(n):
     return out
 
 
-# ------------------------------------------------------------------ engines
+# ---------------------------------------------------------------- classes
 
 def test_small_catalogs_frozen():
     assert {str(k) for k in knot_classes(3)} == {"1/3"}
@@ -61,13 +61,9 @@ def test_small_catalogs_frozen():
     assert canonical_fraction(Fraction(3, 7)) in knot_classes(5)
 
 
-def test_engines_agree_and_match_direct_generator():
+def test_knot_classes_match_direct_generator():
     for n in range(3, 15):
-        a = knot_classes(n, engine="compositions")
-        b = knot_classes(n, engine="vectors")
-        assert a == b, f"engines disagree at n = {n}"
-        if n <= 12:
-            assert a == classes_by_direct_generator(n)
+        assert knot_classes(n) == classes_by_direct_generator(n), f"n = {n}"
 
 
 def test_class_counts_frozen():
@@ -78,8 +74,6 @@ def test_class_counts_frozen():
 def test_knot_classes_rejects_bad_input():
     with pytest.raises(ValueError):
         knot_classes(2)
-    with pytest.raises(ValueError):
-        knot_classes(5, engine="nonsense")
 
 
 def test_worker_merge_deterministic():

@@ -165,9 +165,10 @@ def test_parses_with_respect_to_matches_find_parsings():
     base = V((2, -2))
     for a in vs:
         folds = [p.fold for p in find_parsings(a, base)]
-        assert parses_with_respect_to(a, base, min_fold=3) == any(
-            f >= 3 for f in folds
-        )
+        for min_fold in (3, 5, 7):
+            assert parses_with_respect_to(a, base, min_fold=min_fold) == any(
+                f >= min_fold for f in folds
+            ), (a, min_fold)
         assert parses_with_respect_to(a, base, min_fold=1) == bool(folds)
 
 

@@ -3,8 +3,8 @@
 The four frozen negation outcomes (fractions and crossing numbers) were
 verified by hand through the fraction evaluator: negate the segment
 entries, evaluate the vector as a continued fraction, canonicalize.
-The lift sweep re-checks every vector of length <= 8 against every
-admissible target.
+The lift sweeps re-check every vector of length <= 8 against the
+targets 3n..3n+6, and every vector of length <= 6 against 3n..3n+11.
 """
 
 import pytest
@@ -180,6 +180,23 @@ def test_lift_sweep_hits_target_and_order():
                 assert is_strictly_greater(canonical_vector(d), cc), (entries, target)
                 checked += 1
     assert checked == 6888
+
+
+def test_lift_accepts_any_target_from_3n():
+    # targets past the 3n..3n+6 window: every vector of length <= 6,
+    # every target in [3n, 3n + 11]
+    checked = 0
+    for n in (2, 4, 6):
+        for entries in oracle_vectors(n):
+            c = V(entries)
+            ncr = crossing_number(c)
+            cc = canonical_vector(c)
+            for target in range(3 * ncr, 3 * ncr + 12):
+                d = lift_construction(c, target)
+                assert crossing_number(d) == target, (entries, target)
+                assert is_strictly_greater(canonical_vector(d), cc), (entries, target)
+                checked += 1
+    assert checked == 2016
 
 
 def test_lift_lands_in_smaller_set_spotcheck():
