@@ -14,6 +14,7 @@ from .bounds import (
     ek_exact_at_bound,
     ek_upper_bound,
     least_odd_with_divisors,
+    most_divisors_up_to,
     nontrivial_proper_divisor_count,
 )
 from .enumeration import (
@@ -115,6 +116,7 @@ __all__ = [
     "least_odd_with_divisors",
     "lift_construction",
     "minimal_upper_bound",
+    "most_divisors_up_to",
     "negate_segments",
     "nontrivial_proper_divisor_count",
     "parses_with_respect_to",

@@ -7,12 +7,24 @@ than 1 and the number itself).  Conversely a torus knot with q crossings
 sits strictly above exactly one knot per nontrivial proper divisor of q,
 so the bound is attained at ``least_odd_with_divisors(m)`` exactly when
 the next value of the sequence is strictly larger.
+
+The divisor count of 3^a 5^b 7^c ... is (a + 1)(b + 1)(c + 1)..., which
+depends on the exponents alone.  Giving the larger of two exponents to
+the smaller prime, or replacing a prime by an unused smaller odd prime,
+keeps the divisor count and lowers the value.  So the least odd
+integer with at least a given number of divisors, and the least among
+the odd integers up to a given size with the most divisors, both have
+the form 3^a 5^b 7^c ... over consecutive odd primes with
+a >= b >= c >= ...  This is Ramanujan's argument for highly composite
+numbers (Proc. London Math. Soc. 1915).  One search over those exponent
+vectors answers both questions; nothing is tabulated or kept between
+calls.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "CmEntry",
@@ -20,6 +32,7 @@ __all__ = [
     "ek_exact_at_bound",
     "ek_upper_bound",
     "least_odd_with_divisors",
+    "most_divisors_up_to",
     "nontrivial_proper_divisor_count",
 ]
 
@@ -30,39 +43,91 @@ def nontrivial_proper_divisor_count(n: int) -> int:
         raise ValueError(f"need a positive integer, got {n}")
     if n == 1:
         return 0
-    count = 0
-    d = 1
+    # multiply (e + 1) over a trial factorisation; odd n skips even trials
+    count = 1
+    d, step = (3, 2) if n % 2 else (2, 1)
     while d * d <= n:
-        if n % d == 0:
-            count += 1 if d * d == n else 2
-        d += 1
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        count *= e + 1
+        d += step
+    if n > 1:
+        count *= 2
     return count - 2
 
 
-# least_odd_with_divisors sieves odd integers in geometrically growing
-# windows, recording the first integer to reach each divisor count.  The
-# table only ever grows (the sequence is nondecreasing), so concurrent
-# readers are safe; the lock serializes extension.
-_table: list[int] = [3]  # index m holds the least odd with >= m divisors; m = 0 is 3 by convention
-_sieved_to = 3  # largest odd integer folded into the table so far
-_table_lock = threading.Lock()
+def _add_odd_prime(primes: list[int], prefix: list[int]) -> None:
+    """Append the next odd prime to primes and the next product to prefix."""
+    c = primes[-1] + 2
+    while any(c % p == 0 for p in primes if p * p <= c):
+        c += 2
+    primes.append(c)
+    prefix.append(prefix[-1] * c)
 
 
-def _window_counts(lo: int, hi: int) -> list[int]:
-    """Divisor counts of the odd integers lo, lo + 2, ..., hi (lo, hi odd).
+def _divisor_ceiling(
+    primes: list[int], prefix: list[int], i: int, room: int, e: Optional[int]
+) -> int:
+    """An upper bound on the divisor count of any D <= room of the form
+    primes[i]^f_i * primes[i+1]^f_(i+1) * ... with e >= f_i >= f_(i+1) >= ...
 
-    counts[i] is the nontrivial proper divisor count of lo + 2i.  Every
-    such divisor d of an odd n satisfies 3 <= d <= n // 3, so marking
-    n = d * k over odd k >= 3 touches each divisor exactly once.
+    D uses at most k consecutive primes from primes[i], where k primes is
+    the most whose product fits in room, and has at most s prime factors,
+    where primes[i]^s fits.  The first factor of a prime doubles the
+    divisor count, each further one multiplies it by at most 3/2, and no
+    prime contributes more than e + 1.
     """
-    counts = [0] * ((hi - lo) // 2 + 1)
-    for d in range(3, hi // 3 + 1, 2):
-        k = max(3, -(-lo // d))
-        if k % 2 == 0:
-            k += 1
-        for mult in range(d * k, hi + 1, 2 * d):
-            counts[(mult - lo) // 2] += 1
-    return counts
+    k = 0
+    while True:
+        if len(primes) < i + k + 2:
+            _add_odd_prime(primes, prefix)
+        if prefix[i + k + 1] > room * prefix[i]:
+            break
+        k += 1
+    p = primes[i]
+    s, power = 0, p
+    while power <= room:
+        s, power = s + 1, power * p
+    bound = 2**k * 3 ** (s - k) // 2 ** (s - k)
+    return bound if e is None else min(bound, (e + 1) ** k)
+
+
+# By the exchange argument in the module docstring, only the exponent
+# vectors 3^a 5^b 7^c ... with a >= b >= c >= ... need a look.  The
+# search walks them depth first, one prime per level, largest exponent
+# first.  The incumbent starts as a product of the first k odd primes
+# (2^k divisors).  A branch is dropped once its value passes the
+# incumbent's (or limit), or once _divisor_ceiling shows that it cannot
+# reach the incumbent's divisor count.
+def _exponent_search(need: int, limit: Optional[int] = None) -> tuple[int, int]:
+    """The least odd n <= limit maximising min(tau(n), need), with tau(n).
+
+    tau counts every divisor.  With no limit the answer is the least odd
+    n with tau(n) >= need; with need above limit it is the least odd
+    n <= limit with the most divisors.
+    """
+    primes, prefix = [3], [1, 3]  # prefix[j] is the product of primes[:j]
+    best_v, best_t = 1, 1
+    while best_t < need and (limit is None or prefix[-1] <= limit):
+        best_v, best_t = prefix[-1], 2 * best_t
+        _add_odd_prime(primes, prefix)
+    # a node is (prime index, value, divisor count, largest exponent allowed)
+    stack: list[tuple[int, int, int, Optional[int]]] = [(0, 1, 1, None)]
+    while stack:
+        i, v, t, e = stack.pop()
+        if (min(t, need), -v) > (min(best_t, need), -best_v):
+            best_v, best_t = v, t
+        goal = min(best_t, need)
+        cap = best_v - 1 if best_t >= need else limit  # the largest value worth reaching
+        if v > cap or t * _divisor_ceiling(primes, prefix, i, cap // v, e) < goal:
+            continue
+        p, w, f = primes[i], v * primes[i], 1  # _divisor_ceiling has listed primes[i]
+        while w <= cap and (e is None or f <= e):
+            stack.append((i + 1, w, t * (f + 1), f))
+            w, f = w * p, f + 1
+    return best_v, best_t
 
 
 def least_odd_with_divisors(m: int) -> int:
@@ -73,18 +138,17 @@ def least_odd_with_divisors(m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    if m < len(_table):
-        return _table[m]
-    global _sieved_to
-    with _table_lock:
-        while m >= len(_table):
-            lo = _sieved_to + 2
-            hi = max(4 * _sieved_to + 5, 1001)
-            for i, count in enumerate(_window_counts(lo, hi)):
-                while len(_table) <= count:
-                    _table.append(lo + 2 * i)
-            _sieved_to = hi
-    return _table[m]
+    return _exponent_search(m + 2)[0]
+
+
+def most_divisors_up_to(n: int) -> int:
+    """The most nontrivial proper divisors of an odd integer <= n; 0 below 3.
+
+    This is the largest m with ``least_odd_with_divisors(m) <= n``.
+    """
+    if n < 3:
+        return 0
+    return _exponent_search(n + 1, n)[1] - 2
 
 
 def ek_upper_bound(n: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -429,6 +430,20 @@ def _cmd_verify(args, budget: int, workers: int):
     return "\n".join(lines), payload, 0 if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a minus and a digit as a value.
+
+    Plain argparse reads ``-2,2`` or ``-1/3`` as an unknown option, since
+    it only knows negative numbers.  No option of this CLI starts with a
+    digit, so a vector or fraction with a negative first entry needs no
+    ``--`` in front.  Subparsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -437,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="FILE", help="write output to FILE instead of stdout")
     common.add_argument("--config", default=None, metavar="FILE", help="JSON file with defaults for these flags")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twobridge",
         description="Exact arithmetic for the partial order on 2-bridge knots.",
     )

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bounds import least_odd_with_divisors, nontrivial_proper_divisor_count
+from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction, evaluate_terms
 from .vectors import VectorClass, crossing_number, vector_from_knot
@@ -249,14 +249,6 @@ def _assisted_lower_bound(n: int) -> int:
     return best
 
 
-def _divisor_upper_bound(n: int) -> int:
-    # largest m whose least-odd-with-m-divisors value still fits in n crossings
-    m = 0
-    while least_odd_with_divisors(m + 1) <= n:
-        m += 1
-    return m
-
-
 def epimorphism_number(
     n: int,
     mode: str = "exact",
@@ -279,7 +271,7 @@ def epimorphism_number(
             raise BudgetExceededError(n, budget)
         return enumerate_knots(n, workers=workers).ek
     if mode == "assisted":
-        upper = _divisor_upper_bound(n)
+        upper = most_divisors_up_to(n)
         if upper == 0:
             return 0
         if _assisted_lower_bound(n) == upper:

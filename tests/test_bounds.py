@@ -3,7 +3,9 @@
 Oracle: an independent sieve over odd integers that tallies divisors by
 marking multiples (array of counts, no trial division), plus a naive
 set-comprehension divisor counter for spot values.  The frozen table
-below (m = 0..14) is what both oracles produce.
+below (m = 0..14) is what both oracles produce.  Values past the sieve's
+reach are checked with a trial-division divisor count over small odd
+factors.
 """
 
 import threading
@@ -16,6 +18,7 @@ from twobridge import (
     ek_exact_at_bound,
     ek_upper_bound,
     least_odd_with_divisors,
+    most_divisors_up_to,
     nontrivial_proper_divisor_count,
 )
 
@@ -25,6 +28,20 @@ KNOWN_TABLE = (3, 9, 15, 45, 45, 105, 105, 225, 315, 315, 315, 945, 945, 945, 94
 
 def naive_count(n):
     return len({d for d in range(2, n) if n % d == 0})
+
+
+def smooth_count(n):
+    """Nontrivial proper divisors of an odd n with no prime factor above 1000."""
+    tau, d = 1, 3
+    while n > 1 and d < 1000:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        tau *= e + 1
+        d += 2
+    assert n == 1, "value has a prime factor above 1000"
+    return tau - 2
 
 
 def sieve_first_with(limit):
@@ -76,6 +93,41 @@ def test_table_monotone_and_growth():
     assert vals[30] == 10395
     for a, b in zip(vals, vals[1:]):
         assert a <= b <= 3 * a
+
+
+def test_table_large_m():
+    # every m <= 2000, and m = 10**6 after its predecessor: odd, enough
+    # divisors by an independent factor count, nondecreasing, and never
+    # more than triple the previous value
+    ms = list(range(2001)) + [10**6 - 1, 10**6]
+    prev = None
+    for m in ms:
+        value = least_odd_with_divisors(m)
+        assert value % 2 == 1, m
+        assert smooth_count(value) >= m, m
+        if prev is not None and prev[0] == m - 1:
+            assert prev[1] <= value <= 3 * prev[1], m
+        prev = (m, value)
+
+
+def test_most_divisors_matches_m_by_m_definition():
+    # the assisted-EK ceiling: the largest m with least_odd_with_divisors(m)
+    # <= n, found before by stepping m up one at a time
+    limit = 20001
+    first = sieve_first_with(limit)
+    for n in range(1, limit + 1):
+        m = 0
+        while m + 1 < len(first) and first[m + 1] <= n:
+            m += 1
+        assert most_divisors_up_to(n) == m, n
+
+
+def test_divisor_count_large_odd():
+    # (3 + 1)(2 + 1) * 2^5 divisors, two of the primes past 10^4
+    n = 3**3 * 5**2 * 7 * 11 * 13 * 10007 * 1000003
+    assert nontrivial_proper_divisor_count(n) == 4 * 3 * 2**5 - 2
+    assert nontrivial_proper_divisor_count(1000003) == 0
+    assert nontrivial_proper_divisor_count(1000003**2) == 1
 
 
 def test_table_superadditive():

@@ -77,6 +77,18 @@ def test_compare(capsys):
     assert run(capsys, "compare", "3/7", "2/7")[1].endswith("relation: equal\n")
 
 
+def test_negative_first_entry_is_an_input(capsys):
+    # argparse alone reads "-2,2" as an unknown option; the CLI takes it as
+    # the vector, with the same output as after a "--" separator
+    assert run(capsys, "cr", "-2,2") == (0, "3\n", "")
+    assert run(capsys, "cr", "-2,2") == run(capsys, "cr", "--", "-2,2")
+    code, out, _ = run(capsys, "compare", "-2,2,-2,2,-2,2,-2,2", "-2,2")
+    assert (code, out) == (0, "a: 1/9\nb: 1/3\nrelation: greater\n")
+    vectors = ("-2,2,-2,2,-2,2,-2,2", "-2,2")
+    assert run(capsys, "compare", *vectors) == run(capsys, "compare", "--", *vectors)
+    assert run(capsys, "cr", "-1/3") == (0, "3\n", "")
+
+
 def test_cm(capsys):
     assert run(capsys, "cm", "5") == (0, "105\n", "")
     code, out, _ = run(capsys, "cm", "5", "--json")
@@ -236,6 +248,15 @@ def test_exit_budget(capsys):
     assert err.startswith("error: budget-exceeded:")
     code, _, err = run(capsys, "enumerate", "19")
     assert code == 4
+
+
+def test_exit_budget_assisted_huge_n(capsys):
+    # the divisor bounds are settled by search and trial factorisation;
+    # they disagree here, so assisted mode falls back to the budget
+    code, out, err = run(capsys, "ek", "999999999999999", "--assisted")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: budget-exceeded:")
+    assert err.count("\n") == 1
 
 
 def test_exit_value_error(capsys):
