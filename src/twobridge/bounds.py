@@ -37,8 +37,16 @@ __all__ = [
 ]
 
 
-def nontrivial_proper_divisor_count(n: int) -> int:
-    """The number of nontrivial proper divisors of n (excluding 1 and n)."""
+def nontrivial_proper_divisor_count(n: int, target: Optional[int] = None) -> int:
+    """The number of nontrivial proper divisors of n (excluding 1 and n).
+
+    With ``target``, the trial factorisation stops as soon as the count
+    can no longer reach target, and returns a value below target that is
+    still at least the count.  Every prime factor of the unfactored
+    cofactor exceeds the last trial divisor d, so once d^k exceeds the
+    cofactor it has fewer than k prime factors and fewer than 2^k
+    divisors.
+    """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
     if n == 1:
@@ -52,6 +60,12 @@ def nontrivial_proper_divisor_count(n: int) -> int:
             n //= d
             e += 1
         count *= e + 1
+        if target is not None:
+            # the cofactor must supply need divisors; k is least with 2^k >= need
+            need = -(-(target + 2) // count)
+            k = (need - 1).bit_length()
+            if d**k > n:
+                return count * 2 ** (k - 1) - 2
         d += step
     if n > 1:
         count *= 2

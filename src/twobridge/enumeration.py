@@ -12,6 +12,16 @@ deduplicating by knot class yields every knot with crossing number n.
 The test suite cross-checks this against a direct generator of
 expanded even vectors.
 
+Almost every class has nothing below it, so the catalog computes
+strictly-smaller sets only for the few classes that can have one, and
+finds those by generating upward.  J > K exactly when some vector of J
+parses, with fold >= 3, with respect to some vector of K
+(Ohtsuki-Riley-Sakuma, Geom. Topol. Monogr. 14, 2008), which forces
+cr(J) >= 3 cr(K).  So assembling tiles of every vector of every knot K
+with 3 cr(K) <= n, and keeping the assemblies with n crossings, reaches
+every class with something below it and no other class; the test suite
+checks the catalog against one that scans every class.
+
 Exact enumeration is budgeted: past the budget EK(n) is refused rather
 than estimated.  The assisted mode instead squeezes EK(n)
 between the divisor bound from :mod:`twobridge.bounds` and certified
@@ -21,14 +31,13 @@ to enumeration when the squeeze is not tight.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction, evaluate_terms
-from .vectors import VectorClass, crossing_number, vector_from_knot
+from .vectors import VectorClass, connector_vector, crossing_number, entry_orbit, vector_from_knot
 
 __all__ = [
     "BudgetExceededError",
@@ -107,6 +116,10 @@ def _classes_by_compositions(n: int, workers: int = 1) -> set[KnotClass]:
     tasks = [(n, f) for f in firsts]
     pairs: set[tuple[int, int]] = set()
     if workers > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, which every
+        # single-process CLI call would otherwise pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_classes_for_first, tasks):
                 pairs |= chunk
@@ -121,6 +134,54 @@ def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
     if n < 3:
         raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
     return _classes_by_compositions(n, workers)
+
+
+def _classes_with_smaller(n: int) -> set[tuple[int, ...]]:
+    """Representatives of the classes at n crossings with a knot below them.
+
+    A class has a knot K below it exactly when one of its vectors is an
+    assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd fold f >= 3
+    over a vector b of K; the four representatives of K's class are all
+    of K's vectors.  The walk is an iterative depth-first search over
+    such assemblies that tracks the crossing number as it goes: a tile
+    adds cr(b), a zero connector (allowed only between tiles of equal
+    sign, whose facing entries then agree) adds 0, and a connector
+    c != 0 adds |c| less one for each sign change at its two ends.  So
+    every step, one connector and one tile, adds at least cr(b) >= 3:
+    the crossing number never falls, a branch is dropped once it would
+    pass n, and the walk ends.  An assembly of fold >= 3 has at least
+    3 cr(b) crossings, so only bases with 3 cr(K) <= n can reach n.
+    """
+    found: set[tuple[int, ...]] = set()
+    for base_cr in range(3, n // 3 + 1):
+        for knot in knot_classes(base_cr):
+            for b in entry_orbit(vector_from_knot(knot).representative.entries):
+                rev = b[::-1]
+                # next tile, keyed by (parity of the tile count so far, sign)
+                tiles = {
+                    (0, 1): b,
+                    (0, -1): tuple(-x for x in b),
+                    (1, 1): rev,
+                    (1, -1): tuple(-x for x in rev),
+                }
+                # a node is (entries, crossing number, tile count, last sign)
+                stack = [(b, base_cr, 1, 1)]
+                while stack:
+                    entries, cr, count, sign = stack.pop()
+                    if cr == n and count % 2 and count >= 3:
+                        found.add(max(entry_orbit(entries)))
+                    room = n - cr - base_cr  # what the next connector may add
+                    for s in (1, -1):
+                        tile = tiles[(count % 2, s)]
+                        # (connector run, crossings it adds) for every connector that fits
+                        joins = [((0,), 0)] if s == sign and room >= 0 else []
+                        for end in (2, -2):
+                            changes = (entries[-1] != end) + (end != tile[0])
+                            for size in range(2, room + changes + 1, 2):
+                                joins.append((connector_vector(size * end // 2), size - changes))
+                        for run, added in joins:
+                            stack.append((entries + run + tile, cr + added + base_cr, count + 1, s))
+    return found
 
 
 @dataclass(frozen=True)
@@ -158,8 +219,13 @@ class KnotCatalog:
 
 
 def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
-    """The full catalog at n crossings, strictly-smaller sets included."""
+    """The full catalog at n crossings, strictly-smaller sets included.
+
+    Only the classes that upward generation reaches can have a knot
+    below them; every other entry gets an empty strictly-smaller set.
+    """
     classes = knot_classes(n, workers=workers)
+    above = _classes_with_smaller(n)
     entries = []
     for knot in sorted(classes, key=lambda k: k.sort_key):
         vc = vector_from_knot(knot)
@@ -168,7 +234,9 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
             raise AssertionError(
                 f"enumeration produced {knot} with crossing number {got}, expected {n}"
             )
-        below = sorted(smaller_knots(vc.representative), key=lambda k: k.sort_key)
+        below = ()
+        if vc.representative.entries in above:
+            below = sorted(smaller_knots(vc.representative), key=lambda k: k.sort_key)
         entries.append(CatalogEntry(knot, vc, tuple(below)))
     return KnotCatalog(n, tuple(entries))
 
@@ -238,10 +306,16 @@ def verify_witness_table() -> tuple[WitnessReport, ...]:
     return tuple(reports)
 
 
-def _assisted_lower_bound(n: int) -> int:
+def _assisted_lower_bound(n: int, upper: int) -> int:
+    """The certified lower bound on EK(n) when it reaches ``upper``, else a value below it.
+
+    The torus knot 1/n has one knot below it per nontrivial proper
+    divisor of n; counting them stops early, with some value below the
+    divisor-bound ceiling ``upper``, once the count cannot reach it.
+    """
     best = 0
     if n % 2 and n >= 3:
-        best = max(best, nontrivial_proper_divisor_count(n))
+        best = max(best, nontrivial_proper_divisor_count(n, upper))
     for wn, frac in TWO_SMALLER_WITNESSES:
         if wn == n:
             vc = vector_from_knot(canonical_fraction(frac))
@@ -274,7 +348,7 @@ def epimorphism_number(
         upper = most_divisors_up_to(n)
         if upper == 0:
             return 0
-        if _assisted_lower_bound(n) == upper:
+        if _assisted_lower_bound(n, upper) == upper:
             return upper
         if n > budget:
             raise BudgetExceededError(n, budget)

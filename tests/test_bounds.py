@@ -68,7 +68,13 @@ def test_divisor_count_frozen():
 
 def test_divisor_count_naive_oracle():
     for n in range(1, 2000):
-        assert nontrivial_proper_divisor_count(n) == naive_count(n)
+        want = naive_count(n)
+        assert nontrivial_proper_divisor_count(n) == want
+        # with a target the count is exact when it reaches the target,
+        # and otherwise some value from the count up to below the target
+        for target in range(40):
+            got = nontrivial_proper_divisor_count(n, target)
+            assert got == want if want >= target else want <= got < target, (n, target)
     with pytest.raises(ValueError):
         nontrivial_proper_divisor_count(0)
 

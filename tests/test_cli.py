@@ -6,6 +6,7 @@ process-boundary effects are covered end to end.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -252,11 +253,14 @@ def test_exit_budget(capsys):
 
 def test_exit_budget_assisted_huge_n(capsys):
     # the divisor bounds are settled by search and trial factorisation;
-    # they disagree here, so assisted mode falls back to the budget
-    code, out, err = run(capsys, "ek", "999999999999999", "--assisted")
-    assert (code, out) == (4, "")
-    assert err.startswith("error: budget-exceeded:")
-    assert err.count("\n") == 1
+    # they disagree here, so assisted mode falls back to the budget.  The
+    # second n is prime: its factorisation stops once it cannot reach the
+    # upper bound, long before trial divisors near sqrt(n)
+    for n in ("999999999999999", "999999999999989"):
+        code, out, err = run(capsys, "ek", n, "--assisted")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: budget-exceeded:")
+        assert err.count("\n") == 1
 
 
 def test_exit_value_error(capsys):
@@ -338,6 +342,20 @@ def test_enumerate_byte_identical_across_workers():
     b = run_proc("enumerate", "10", "--json", "--workers", "2")
     assert a[0] == 0 and b[0] == 0
     assert a[1] == b[1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only when --workers asks for more than one
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twobridge.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # Runs a ``[project.scripts]`` target as a console-script wrapper does:

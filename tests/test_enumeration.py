@@ -2,17 +2,22 @@
 
 Two independent routes to the same class sets keep each other honest:
 the composition-based enumeration and the direct vector generator from
-conftest.  EK values for the small window are frozen
+conftest.  The catalog, which scans only the classes that upward
+generation reaches, is checked against one that scans every class, and
+the classes it reaches against brute-force assemblies built with
+conftest's oracle.  EK values for the small window are frozen
 from the enumeration itself and pinned against the certified bounds.
 """
 
 import os
+from itertools import product
 
 import pytest
-from conftest import oracle_vectors
+from conftest import oracle_assemble, oracle_vectors
 
 from twobridge import (
     BudgetExceededError,
+    CatalogEntry,
     Fraction,
     KnotCatalog,
     SEvenVector,
@@ -23,8 +28,13 @@ from twobridge import (
     epimorphism_number,
     knot_classes,
     knot_from_vector,
+    most_divisors_up_to,
+    nontrivial_proper_divisor_count,
+    smaller_knots,
+    vector_from_knot,
     verify_witness_table,
 )
+from twobridge.enumeration import _assisted_lower_bound, _classes_with_smaller
 
 # EK(n) for n = 3..18: zero through 8 crossings, one from 9 through 14,
 # two for 15 through 17, then back to one at 18
@@ -48,6 +58,62 @@ def classes_by_direct_generator(n):
             v = SEvenVector(entries)
             if crossing_number(v) == n:
                 out.add(knot_from_vector(v))
+    return out
+
+
+def brute_catalog(n):
+    """The catalog with the prefix scan run on every class, not only the
+    classes upward generation reaches."""
+    entries = []
+    for knot in sorted(knot_classes(n), key=lambda k: k.sort_key):
+        vc = vector_from_knot(knot)
+        below = sorted(smaller_knots(vc.representative), key=lambda k: k.sort_key)
+        entries.append(CatalogEntry(knot, vc, tuple(below)))
+    return KnotCatalog(n, tuple(entries))
+
+
+def oracle_crossings(v):
+    nonzero = [a for a in v if a]
+    return 2 * len(nonzero) - sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
+def oracle_valid(v):
+    return all(v[i - 1] == v[i + 1] != 0 for i, a in enumerate(v) if a == 0)
+
+
+def connector_patterns(k, halves):
+    """Every k-tuple of even connectors whose |c|/2 sum to at most halves."""
+    if k == 0:
+        yield ()
+        return
+    for half in range(halves + 1):
+        for c in (0,) if half == 0 else (2 * half, -2 * half):
+            for rest in connector_patterns(k - 1, halves - half):
+                yield (c,) + rest
+
+
+def classes_above_by_assembly(n):
+    """Orbit maxima of the fold >= 3 assemblies with n crossings, by brute force.
+
+    A vector with z nonzero entries has at least z + 1 crossings and at
+    most 2z - 1 entries, so the base, fold and connectors are bounded by
+    counting nonzero entries alone: fold * z(base) plus the |c|/2 of the
+    connectors stays below n.
+    """
+    out = set()
+    for length in range(2, 2 * ((n - 1) // 3), 2):
+        for base in oracle_vectors(length):
+            z = sum(1 for a in base if a)
+            for fold in range(3, n, 2):
+                halves = n - 1 - fold * z
+                if halves < 0:
+                    break
+                for signs in product((1, -1), repeat=fold - 1):
+                    for conns in connector_patterns(fold - 1, halves):
+                        v = oracle_assemble(base, (1,) + signs, conns)
+                        if oracle_valid(v) and oracle_crossings(v) == n:
+                            neg = tuple(-a for a in v)
+                            out.add(max(v, neg, v[::-1], neg[::-1]))
     return out
 
 
@@ -102,6 +168,21 @@ def test_catalog_sorted_and_consistent():
             assert crossing_number(e.vector.representative) == n
             for below in e.smaller:
                 assert below != e.knot
+
+
+def test_catalog_matches_scan_of_every_class():
+    for n in range(3, 18):
+        assert enumerate_knots(n) == brute_catalog(n), f"n = {n}"
+
+
+def test_classes_with_smaller_match_brute_assemblies():
+    # the generated set holds no class without a knot below it, so the
+    # catalog scans no class in vain
+    for n in range(3, 16):
+        want = classes_above_by_assembly(n)
+        got = {e.vector.representative.entries for e in enumerate_knots(n).entries if e.smaller}
+        assert got == want, f"n = {n}"
+        assert _classes_with_smaller(n) == want, f"n = {n}"
 
 
 def test_catalog_json_shape():
@@ -171,6 +252,19 @@ def test_assisted_trivial_and_fallback():
     # fallback respects the budget
     with pytest.raises(BudgetExceededError):
         epimorphism_number(20, mode="assisted")
+
+
+def test_assisted_verdict_unchanged_by_early_stop():
+    # the lower bound stops counting divisors once it cannot reach the
+    # ceiling; whether it meets the ceiling must not change
+    witnessed = {}
+    for n, frac in TWO_SMALLER_WITNESSES:
+        below = smaller_knots(vector_from_knot(canonical_fraction(frac)).representative)
+        witnessed[n] = max(witnessed.get(n, 0), len(below))
+    for n in [*range(3, 2002), 45, 105, 315, 945, 10395]:
+        upper = most_divisors_up_to(n)
+        full = max(nontrivial_proper_divisor_count(n) if n % 2 else 0, witnessed.get(n, 0))
+        assert (_assisted_lower_bound(n, upper) == upper) == (full == upper), n
 
 
 def test_assisted_agrees_with_exact_on_window():
