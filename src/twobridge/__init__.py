@@ -11,8 +11,8 @@ divisor-counting bounds, seam negation, and 3-fold lifts.
 from .bounds import (
     CmEntry,
     bound_entry,
+    bound_table,
     ek_exact_at_bound,
-    ek_upper_bound,
     least_odd_with_divisors,
     most_divisors_up_to,
     nontrivial_proper_divisor_count,
@@ -95,13 +95,13 @@ __all__ = [
     "WitnessReport",
     "assemble_two_connector",
     "bound_entry",
+    "bound_table",
     "canonical_fraction",
     "canonical_vector",
     "connector_vector",
     "contract",
     "crossing_number",
     "ek_exact_at_bound",
-    "ek_upper_bound",
     "enumerate_knots",
     "epimorphism_number",
     "evaluate_cf",

@@ -29,8 +29,8 @@ from typing import Optional
 __all__ = [
     "CmEntry",
     "bound_entry",
+    "bound_table",
     "ek_exact_at_bound",
-    "ek_upper_bound",
     "least_odd_with_divisors",
     "most_divisors_up_to",
     "nontrivial_proper_divisor_count",
@@ -165,13 +165,6 @@ def most_divisors_up_to(n: int) -> int:
     return _exponent_search(n + 1, n)[1] - 2
 
 
-def ek_upper_bound(n: int) -> int:
-    """floor((n - 3) / 6): no knot with n crossings exceeds this many smaller knots."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    return (n - 3) // 6
-
-
 def ek_exact_at_bound(m: int) -> bool:
     """True when the divisor bound is tight at its own threshold.
 
@@ -197,3 +190,20 @@ class CmEntry:
 
 def bound_entry(m: int) -> CmEntry:
     return CmEntry(m, least_odd_with_divisors(m))
+
+
+def bound_table(m: int) -> tuple[CmEntry, ...]:
+    """``bound_entry(k)`` for k = 0..m, with one search per distinct value.
+
+    ``least_odd_with_divisors`` is nondecreasing, so its value x at row k
+    also fills every later row up to x's own count of nontrivial proper
+    divisors, and the next search starts past them.
+    """
+    if m < 0:
+        raise ValueError(f"need m >= 0, got {m}")
+    rows: list[CmEntry] = []
+    while len(rows) <= m:
+        k = len(rows)
+        value, tau = _exponent_search(k + 2)
+        rows.extend(CmEntry(j, value) for j in range(k, min(tau - 2, m) + 1))
+    return tuple(rows)

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import bound_entry, least_odd_with_divisors
+from .bounds import bound_entry, bound_table, least_odd_with_divisors
 from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -195,7 +195,7 @@ def _cmd_cm(args, budget: int, workers: int):
     if args.m < 0:
         raise ValueError(f"m must be nonnegative, got {args.m}")
     if args.table:
-        rows = [bound_entry(m) for m in range(args.m + 1)]
+        rows = bound_table(args.m)
         text = "\n".join(f"{e.m} {e.value}" for e in rows)
         payload = {"table": [e.to_json_dict() for e in rows]}
     else:
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--budget", type=int, default=None, help="largest n enumerated exactly")
-    common.add_argument("--workers", type=int, default=None, help="worker processes for enumeration")
+    common.add_argument("--workers", type=int, default=None, help="accepted for compatibility; enumeration runs in one process")
     common.add_argument("--out", default=None, metavar="FILE", help="write output to FILE instead of stdout")
     common.add_argument("--config", default=None, metavar="FILE", help="JSON file with defaults for these flags")
 

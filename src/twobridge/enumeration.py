@@ -5,12 +5,14 @@ any single 2-bridge knot with crossing number n.  Exact values come from
 enumerating every knot class with that crossing number and taking the
 maximum size of its strictly-smaller set.
 
-Knot classes come from positive integer compositions a_1 + ... + a_k = n
-with a_1, a_k >= 2: they evaluate as continued fractions to alternating
-diagrams with n crossings, and keeping the odd-denominator values and
-deduplicating by knot class yields every knot with crossing number n.
-The test suite cross-checks this against a direct generator of
-expanded even vectors.
+Knot classes are generated as vectors: every knot has exactly one
+vector class, and its representative (the orbit's lexicographic
+maximum) starts with 2.  A depth-first search grows vectors from (2,)
+one entry at a time, and the crossing number rises with every step, so
+the search stops at n crossings and never needs a fraction until the
+knot of each representative is read off.  The test suite cross-checks
+this against a direct generator of expanded even vectors and against
+the Ernst-Sumners count.
 
 Almost every class has nothing below it, so the catalog computes
 strictly-smaller sets only for the few classes that can have one, and
@@ -37,7 +39,7 @@ from typing import Iterator, Optional
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction, evaluate_terms
-from .vectors import VectorClass, connector_vector, crossing_number, entry_orbit, vector_from_knot
+from .vectors import SEvenVector, VectorClass, connector_vector, crossing_number, entry_orbit, vector_from_knot
 
 __all__ = [
     "BudgetExceededError",
@@ -67,73 +69,45 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _compositions_with_first(n: int, first: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of n starting with ``first`` whose last part is >= 2."""
-    rest = n - first
-    if rest == 0:
-        if first >= 2:
-            yield (first,)
-        return
+def _class_vectors(n: int) -> Iterator[tuple[int, ...]]:
+    """The class representative of every knot with crossing number n.
 
-    prefix = [first]
-
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
-        for part in range(1, remaining + 1):
-            prefix.append(part)
-            left = remaining - part
-            if left == 0:
-                if part >= 2:
-                    yield tuple(prefix)
-            else:
-                yield from rec(left)
-            prefix.pop()
-
-    yield from rec(rest)
-
-
-def _classes_for_first(args: tuple[int, int]) -> set[tuple[int, int]]:
-    """Worker task: canonical (p, q) pairs over one first-part slice."""
-    n, first = args
-    found: set[tuple[int, int]] = set()
-    for comp in _compositions_with_first(n, first):
-        value = evaluate_terms(comp) if _has_odd_denominator(comp) else None
-        if value is not None:
-            k = canonical_fraction(value)
-            found.add((k.canonical.p, k.canonical.q))
-    return found
+    An iterative depth-first search over the vectors that start with 2.
+    A vector with last entry x grows by x (two more crossings), by 0, x
+    (two more) or by -x (one more), so every valid vector that starts
+    with 2 and has at most n crossings is reached exactly once, and the
+    crossing number rises with every step: a branch ends once it
+    reaches n.  A leaf with n crossings and even length is kept when it
+    is its orbit's maximum; it already beats its negation, so one
+    comparison with the reversal that also starts with 2 decides that.
+    """
+    if n < 3:
+        raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
+    stack = [((2,), 2)]
+    while stack:
+        e, cr = stack.pop()
+        if cr == n:
+            if len(e) % 2 == 0 and e >= (e[::-1] if e[-1] > 0 else tuple(-a for a in reversed(e))):
+                yield e
+            continue
+        x = e[-1]
+        if cr + 2 <= n:
+            stack.append((e + (x,), cr + 2))
+            stack.append((e + (0, x), cr + 2))
+        stack.append((e + (-x,), cr + 1))
 
 
-def _has_odd_denominator(comp: tuple[int, ...]) -> bool:
-    # Denominator parity of [a_1, ..., a_k] via the continuant recurrence mod 2.
-    num, den = 0, 1
-    for a in reversed(comp):
-        num, den = den, (a * den + num) % 2
-    return den == 1
-
-
-def _classes_by_compositions(n: int, workers: int = 1) -> set[KnotClass]:
-    firsts = list(range(2, n + 1))
-    tasks = [(n, f) for f in firsts]
-    pairs: set[tuple[int, int]] = set()
-    if workers > 1 and len(tasks) > 1:
-        # imported here: the pool pulls in multiprocessing, which every
-        # single-process CLI call would otherwise pay for at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_classes_for_first, tasks):
-                pairs |= chunk
-    else:
-        for task in tasks:
-            pairs |= _classes_for_first(task)
-    return {KnotClass(Fraction(p, q)) for p, q in pairs}
+def _knots_by_vector(n: int) -> dict[tuple[int, ...], KnotClass]:
+    """Every knot with crossing number n, keyed by its class representative."""
+    return {e: canonical_fraction(evaluate_terms(e)) for e in _class_vectors(n)}
 
 
 def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
-    """All 2-bridge knot classes with crossing number exactly n."""
-    if n < 3:
-        raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
-    return _classes_by_compositions(n, workers)
+    """All 2-bridge knot classes with crossing number exactly n.
+
+    Generation runs in one process; ``workers`` is accepted and ignored.
+    """
+    return set(_knots_by_vector(n).values())
 
 
 def _classes_with_smaller(n: int) -> set[tuple[int, ...]]:
@@ -154,8 +128,8 @@ def _classes_with_smaller(n: int) -> set[tuple[int, ...]]:
     """
     found: set[tuple[int, ...]] = set()
     for base_cr in range(3, n // 3 + 1):
-        for knot in knot_classes(base_cr):
-            for b in entry_orbit(vector_from_knot(knot).representative.entries):
+        for rep in _class_vectors(base_cr):
+            for b in entry_orbit(rep):
                 rev = b[::-1]
                 # next tile, keyed by (parity of the tile count so far, sign)
                 tiles = {
@@ -223,21 +197,16 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
 
     Only the classes that upward generation reaches can have a knot
     below them; every other entry gets an empty strictly-smaller set.
+    ``workers`` is accepted and ignored, as in :func:`knot_classes`.
     """
-    classes = knot_classes(n, workers=workers)
     above = _classes_with_smaller(n)
     entries = []
-    for knot in sorted(classes, key=lambda k: k.sort_key):
-        vc = vector_from_knot(knot)
-        got = crossing_number(vc.representative)
-        if got != n:
-            raise AssertionError(
-                f"enumeration produced {knot} with crossing number {got}, expected {n}"
-            )
+    for rep, knot in sorted(_knots_by_vector(n).items(), key=lambda item: item[1].sort_key):
+        v = SEvenVector(rep)
         below = ()
-        if vc.representative.entries in above:
-            below = sorted(smaller_knots(vc.representative), key=lambda k: k.sort_key)
-        entries.append(CatalogEntry(knot, vc, tuple(below)))
+        if rep in above:
+            below = sorted(smaller_knots(v), key=lambda k: k.sort_key)
+        entries.append(CatalogEntry(knot, VectorClass(v), tuple(below)))
     return KnotCatalog(n, tuple(entries))
 
 

@@ -48,6 +48,25 @@ def oracle_count(n):
     )
 
 
+def ernst_sumners_count(n):
+    """Number of 2-bridge knots with n >= 3 crossings, mirror images identified.
+
+    Ernst and Sumners, The growth of the number of prime knots, Math.
+    Proc. Camb. Phil. Soc. 102 (1987): (2^(n-3) + e(n)) / 3, where e(n)
+    is 2^((n-4)/2) for n = 0 mod 4, 2^((n-3)/2) for n = 1, 2^((n-4)/2) - 1
+    for n = 2 and 2^((n-3)/2) + 1 for n = 3.
+    """
+    e = {
+        0: 2 ** ((n - 4) // 2),
+        1: 2 ** ((n - 3) // 2),
+        2: 2 ** ((n - 4) // 2) - 1,
+        3: 2 ** ((n - 3) // 2) + 1,
+    }[n % 4]
+    total, rest = divmod(2 ** (n - 3) + e, 3)
+    assert rest == 0, f"closed form is not integral at n = {n}"
+    return total
+
+
 def euclid_quotient_sum(p, q):
     """Sum of quotients of the Euclidean algorithm on q/p."""
     total = 0

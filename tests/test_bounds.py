@@ -15,8 +15,8 @@ import pytest
 from twobridge import (
     CmEntry,
     bound_entry,
+    bound_table,
     ek_exact_at_bound,
-    ek_upper_bound,
     least_odd_with_divisors,
     most_divisors_up_to,
     nontrivial_proper_divisor_count,
@@ -164,12 +164,23 @@ def test_table_values_factor_over_consecutive_odd_primes():
         assert exps == sorted(exps, reverse=True)
 
 
-def test_ek_upper_bound():
-    assert ek_upper_bound(3) == 0
-    assert ek_upper_bound(9) == 1
-    assert ek_upper_bound(45) == 7
+def test_bound_table_matches_per_row_values():
+    # the one-pass table against a search per row: at every M up to 300,
+    # and from there to 2000 at every M on either side of a change of
+    # value, where the last row of a run of equal values is cut off
+    per_row = [least_odd_with_divisors(m) for m in range(2001)]
+    first = sieve_first_with(20000)
+    assert per_row[: len(first)] == first
+    ms = set(range(301))
+    for m in range(300, 2001):
+        if per_row[m] != per_row[m - 1]:
+            ms |= {m - 2, m - 1, m, m + 1}
+    for big_m in sorted(m for m in ms | {2000} if m <= 2000):
+        table = bound_table(big_m)
+        assert [e.m for e in table] == list(range(big_m + 1)), big_m
+        assert [e.value for e in table] == per_row[: big_m + 1], big_m
     with pytest.raises(ValueError):
-        ek_upper_bound(2)
+        bound_table(-1)
 
 
 def test_ek_exact_at_bound():

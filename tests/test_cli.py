@@ -16,6 +16,7 @@ import pytest
 from test_enumeration import classes_by_direct_generator
 
 import twobridge.cli
+from twobridge import bound_entry
 from twobridge.cli import main
 
 
@@ -96,6 +97,13 @@ def test_cm(capsys):
     assert json.loads(out) == {"m": 5, "value": 105}
     code, out, _ = run(capsys, "cm", "3", "--table")
     assert out == "0 3\n1 9\n2 15\n3 45\n"
+    # the table makes one search per distinct value; its rows match a
+    # search per row, in text and in JSON
+    rows = [bound_entry(m) for m in range(41)]
+    code, out, _ = run(capsys, "cm", "40", "--table")
+    assert (code, out) == (0, "".join(f"{e.m} {e.value}\n" for e in rows))
+    code, out, _ = run(capsys, "cm", "40", "--table", "--json")
+    assert json.loads(out) == {"table": [e.to_json_dict() for e in rows]}
 
 
 def test_ek(capsys):
@@ -345,7 +353,7 @@ def test_enumerate_byte_identical_across_workers():
 
 
 def test_cli_import_loads_no_process_pool():
-    # the pool is imported only when --workers asks for more than one
+    # class generation runs in one process whatever --workers says
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c",

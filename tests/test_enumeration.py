@@ -1,19 +1,19 @@
 """Catalog enumeration and the EK sequence.
 
-Two independent routes to the same class sets keep each other honest:
-the composition-based enumeration and the direct vector generator from
-conftest.  The catalog, which scans only the classes that upward
-generation reaches, is checked against one that scans every class, and
-the classes it reaches against brute-force assemblies built with
-conftest's oracle.  EK values for the small window are frozen
-from the enumeration itself and pinned against the certified bounds.
+Independent routes to the same class sets keep each other honest: the
+library's class generator, the direct vector generator from conftest,
+and the Ernst-Sumners count.  The catalog, which scans only the classes
+that upward generation reaches, is checked against one that scans every
+class, and the classes it reaches against brute-force assemblies built
+with conftest's oracle.  EK values for the small window are frozen from
+the enumeration itself and pinned against the certified bounds.
 """
 
 import os
 from itertools import product
 
 import pytest
-from conftest import oracle_assemble, oracle_vectors
+from conftest import ernst_sumners_count, oracle_assemble, oracle_vectors
 
 from twobridge import (
     BudgetExceededError,
@@ -34,7 +34,7 @@ from twobridge import (
     vector_from_knot,
     verify_witness_table,
 )
-from twobridge.enumeration import _assisted_lower_bound, _classes_with_smaller
+from twobridge.enumeration import _assisted_lower_bound, _class_vectors, _classes_with_smaller
 
 # EK(n) for n = 3..18: zero through 8 crossings, one from 9 through 14,
 # two for 15 through 17, then back to one at 18
@@ -132,6 +132,26 @@ def test_knot_classes_match_direct_generator():
         assert knot_classes(n) == classes_by_direct_generator(n), f"n = {n}"
 
 
+def test_class_counts_match_ernst_sumners():
+    for n in range(3, 21):
+        assert len(knot_classes(n)) == ernst_sumners_count(n), f"n = {n}"
+
+
+def test_class_vectors_are_orbit_maxima_of_every_vector():
+    # one representative per class, and exactly the orbit maxima of the
+    # vectors with n crossings
+    for n in range(3, 15):
+        reps = list(_class_vectors(n))
+        assert len(reps) == len(set(reps)), f"n = {n}"
+        want = set()
+        for length in range(2, n, 2):
+            for v in oracle_vectors(length):
+                if oracle_crossings(v) == n:
+                    neg = tuple(-a for a in v)
+                    want.add(max(v, neg, v[::-1], neg[::-1]))
+        assert set(reps) == want, f"n = {n}"
+
+
 def test_class_counts_frozen():
     for n, want in zip(range(3, 12), KNOWN_CLASS_COUNTS):
         assert len(knot_classes(n)) == want
@@ -168,6 +188,12 @@ def test_catalog_sorted_and_consistent():
             assert crossing_number(e.vector.representative) == n
             for below in e.smaller:
                 assert below != e.knot
+
+
+def test_catalog_vectors_have_n_crossings():
+    for n in range(3, 19):
+        for e in enumerate_knots(n).entries:
+            assert oracle_crossings(e.vector.representative.entries) == n, (n, str(e.knot))
 
 
 def test_catalog_matches_scan_of_every_class():
