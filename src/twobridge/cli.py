@@ -317,10 +317,10 @@ def _check_cm_table() -> tuple[bool, str]:
     return True, f"{len(_KNOWN_CM)} values"
 
 
-def _check_ek_window(budget: int, workers: int) -> tuple[bool, str]:
+def _check_ek_window(budget: int) -> tuple[bool, str]:
     top = min(budget, max(_KNOWN_EK))
     for n in range(3, top + 1):
-        got = enumerate_knots(n, workers=workers).ek
+        got = epimorphism_number(n, mode="exact", budget=budget)
         want = _KNOWN_EK[n]
         if got != want:
             return False, f"n={n}: got {got}, want {want}"
@@ -408,7 +408,7 @@ def _check_torus_certificates() -> tuple[bool, str]:
 def _cmd_verify(args, budget: int, workers: int):
     checks = [
         ("cm-table", _check_cm_table()),
-        ("ek-window", _check_ek_window(budget, workers)),
+        ("ek-window", _check_ek_window(budget)),
         ("witnesses", _check_witnesses()),
         ("worked-example", _check_worked_example()),
         ("seam-pipeline", _check_seam_pipeline()),

@@ -1,9 +1,7 @@
 """Enumerating 2-bridge knots by crossing number and the EK statistic.
 
 EK(n) is the largest number of distinct nontrivial knots strictly below
-any single 2-bridge knot with crossing number n.  Exact values come from
-enumerating every knot class with that crossing number and taking the
-maximum size of its strictly-smaller set.
+any single 2-bridge knot with crossing number n.
 
 Knot classes are generated as vectors: every knot has exactly one
 vector class, and its representative (the orbit's lexicographic
@@ -14,21 +12,23 @@ knot of each representative is read off.  The test suite cross-checks
 this against a direct generator of expanded even vectors and against
 the Ernst-Sumners count.
 
-Almost every class has nothing below it, so the catalog computes
-strictly-smaller sets only for the few classes that can have one, and
-finds those by generating upward.  J > K exactly when some vector of J
+Almost every class has nothing below it, and the strictly-smaller sets
+come from generating upward.  J > K exactly when some vector of J
 parses, with fold >= 3, with respect to some vector of K
 (Ohtsuki-Riley-Sakuma, Geom. Topol. Monogr. 14, 2008), which forces
-cr(J) >= 3 cr(K).  So assembling tiles of every vector of every knot K
-with 3 cr(K) <= n, and keeping the assemblies with n crossings, reaches
-every class with something below it and no other class; the test suite
-checks the catalog against one that scans every class.
+cr(J) >= 3 cr(K).  So assembling tiles of the representative of every
+knot K with 3 cr(K) <= n, and keeping the assemblies with n crossings,
+reaches every class with something below it and no other class, and
+the bases each class is reached from are its strictly-smaller set.  The
+catalog takes its smaller sets from that walk, and exact EK(n) is the
+largest of them, so it never lists the classes at n; the test suite
+checks both against a prefix scan of every class.
 
-Exact enumeration is budgeted: past the budget EK(n) is refused rather
+Exact values are budgeted: past the budget EK(n) is refused rather
 than estimated.  The assisted mode instead squeezes EK(n)
 between the divisor bound from :mod:`twobridge.bounds` and certified
 witnesses (torus knots, the built-in witness table), and only falls back
-to enumeration when the squeeze is not tight.
+to the exact walk when the squeeze is not tight.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
-from .parsing import smaller_knots
+from .parsing import _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction, evaluate_terms
 from .vectors import SEvenVector, VectorClass, connector_vector, crossing_number, entry_orbit, vector_from_knot
 
@@ -110,51 +110,61 @@ def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
     return set(_knots_by_vector(n).values())
 
 
-def _classes_with_smaller(n: int) -> set[tuple[int, ...]]:
-    """Representatives of the classes at n crossings with a knot below them.
+def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd fold
+    f >= 3 over b, which has base_cr crossings, with n crossings in all.
 
-    A class has a knot K below it exactly when one of its vectors is an
-    assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd fold f >= 3
-    over a vector b of K; the four representatives of K's class are all
-    of K's vectors.  The walk is an iterative depth-first search over
-    such assemblies that tracks the crossing number as it goes: a tile
-    adds cr(b), a zero connector (allowed only between tiles of equal
-    sign, whose facing entries then agree) adds 0, and a connector
-    c != 0 adds |c| less one for each sign change at its two ends.  So
-    every step, one connector and one tile, adds at least cr(b) >= 3:
-    the crossing number never falls, a branch is dropped once it would
-    pass n, and the walk ends.  An assembly of fold >= 3 has at least
-    3 cr(b) crossings, so only bases with 3 cr(K) <= n can reach n.
+    A depth-first search that tracks the crossing number: a tile adds
+    cr(b), a zero connector (only between tiles of equal sign, whose
+    facing entries then agree) adds 0, and a connector c != 0 adds |c|
+    less one per sign change at its two ends.  Each step adds at least
+    cr(b) >= 3, so a branch ends once another step would pass n.  The
+    stack holds one lazy iterator of steps per tile.
     """
-    found: set[tuple[int, ...]] = set()
+    tiles = _tiles(b)
+
+    def steps(entries: tuple[int, ...], cr: int, count: int, sign: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+        """Each (entries, crossing number, tile count, last sign) one tile further."""
+        room = n - cr - base_cr  # what the next connector may add
+        for s in (1, -1):
+            tile = tiles[(count % 2, s)]
+            if s == sign:
+                yield entries + (0,) + tile, cr + base_cr, count + 1, s
+            for end in (2, -2):
+                changes = (entries[-1] != end) + (end != tile[0])
+                for size in range(2, room + changes + 1, 2):
+                    run = connector_vector(size * end // 2)
+                    yield entries + run + tile, cr + size - changes + base_cr, count + 1, s
+
+    stack = [steps(b, base_cr, 1, 1)]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        entries, cr, count, _ = node
+        if cr == n and count % 2:
+            yield entries
+        if cr + base_cr <= n:
+            stack.append(steps(*node))
+
+
+def _classes_with_smaller(n: int) -> dict[tuple[int, ...], set[KnotClass]]:
+    """Each class at n crossings with a knot below it, mapped to those knots.
+
+    A class, keyed by its representative, has a knot K below it exactly
+    when one of its vectors is an assembly of fold >= 3 over a vector of
+    K, which needs 3 cr(K) <= n.  Negating or reversing a whole assembly
+    over -b, b' or -b' (and negating it too if its last tile is negated)
+    gives an assembly in the same class over K's representative b, so
+    the walk starts from b alone.
+    """
+    found: dict[tuple[int, ...], set[KnotClass]] = {}
     for base_cr in range(3, n // 3 + 1):
-        for rep in _class_vectors(base_cr):
-            for b in entry_orbit(rep):
-                rev = b[::-1]
-                # next tile, keyed by (parity of the tile count so far, sign)
-                tiles = {
-                    (0, 1): b,
-                    (0, -1): tuple(-x for x in b),
-                    (1, 1): rev,
-                    (1, -1): tuple(-x for x in rev),
-                }
-                # a node is (entries, crossing number, tile count, last sign)
-                stack = [(b, base_cr, 1, 1)]
-                while stack:
-                    entries, cr, count, sign = stack.pop()
-                    if cr == n and count % 2 and count >= 3:
-                        found.add(max(entry_orbit(entries)))
-                    room = n - cr - base_cr  # what the next connector may add
-                    for s in (1, -1):
-                        tile = tiles[(count % 2, s)]
-                        # (connector run, crossings it adds) for every connector that fits
-                        joins = [((0,), 0)] if s == sign and room >= 0 else []
-                        for end in (2, -2):
-                            changes = (entries[-1] != end) + (end != tile[0])
-                            for size in range(2, room + changes + 1, 2):
-                                joins.append((connector_vector(size * end // 2), size - changes))
-                        for run, added in joins:
-                            stack.append((entries + run + tile, cr + added + base_cr, count + 1, s))
+        for b in _class_vectors(base_cr):
+            knot = canonical_fraction(evaluate_terms(b))
+            for entries in _assemblies(b, base_cr, n):
+                found.setdefault(max(entry_orbit(entries)), set()).add(knot)
     return found
 
 
@@ -195,18 +205,15 @@ class KnotCatalog:
 def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     """The full catalog at n crossings, strictly-smaller sets included.
 
-    Only the classes that upward generation reaches can have a knot
-    below them; every other entry gets an empty strictly-smaller set.
-    ``workers`` is accepted and ignored, as in :func:`knot_classes`.
+    The smaller sets are the ones the upward walk records; every class
+    it does not reach gets an empty set.  ``workers`` is accepted and
+    ignored, as in :func:`knot_classes`.
     """
     above = _classes_with_smaller(n)
     entries = []
     for rep, knot in sorted(_knots_by_vector(n).items(), key=lambda item: item[1].sort_key):
-        v = SEvenVector(rep)
-        below = ()
-        if rep in above:
-            below = sorted(smaller_knots(v), key=lambda k: k.sort_key)
-        entries.append(CatalogEntry(knot, VectorClass(v), tuple(below)))
+        below = sorted(above.get(rep, ()), key=lambda k: k.sort_key)
+        entries.append(CatalogEntry(knot, VectorClass(SEvenVector(rep)), tuple(below)))
     return KnotCatalog(n, tuple(entries))
 
 
@@ -300,26 +307,24 @@ def epimorphism_number(
 ) -> int:
     """EK(n): the maximal number of knots strictly below an n-crossing knot.
 
-    ``exact`` enumerates every knot class at n crossings (refused past
-    the budget).  ``assisted`` first squeezes the value between the
-    divisor-bound ceiling and certified witnesses, which settles many n
-    far beyond any enumeration budget, and enumerates only when the
-    squeeze stays open.
+    ``exact`` is the largest smaller set that the upward walk records
+    (0 when it reaches no class), refused past the budget.
+    ``assisted`` first squeezes the value between the divisor-bound
+    ceiling and certified witnesses, which settles many n far beyond
+    any budget, and walks only when the squeeze stays open.
+    ``workers`` is accepted and ignored.
     """
     if n < 3:
         raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
+    if mode not in ("exact", "assisted"):
+        raise ValueError(f"unknown mode {mode!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
-    if mode == "exact":
-        if n > budget:
-            raise BudgetExceededError(n, budget)
-        return enumerate_knots(n, workers=workers).ek
     if mode == "assisted":
         upper = most_divisors_up_to(n)
         if upper == 0:
             return 0
         if _assisted_lower_bound(n, upper) == upper:
             return upper
-        if n > budget:
-            raise BudgetExceededError(n, budget)
-        return enumerate_knots(n, workers=workers).ek
-    raise ValueError(f"unknown mode {mode!r}")
+    if n > budget:
+        raise BudgetExceededError(n, budget)
+    return max(map(len, _classes_with_smaller(n).values()), default=0)

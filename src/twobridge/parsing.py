@@ -152,6 +152,12 @@ def _connector_reads(entries: tuple[int, ...], pos: int, limit: int) -> list[tup
     return out
 
 
+def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The next tile of an assembly over b, keyed by (parity of the tile count so far, sign)."""
+    rev = b[::-1]
+    return {(0, 1): b, (0, -1): tuple(-x for x in b), (1, 1): rev, (1, -1): tuple(-x for x in rev)}
+
+
 def _parse_chains(ea: tuple[int, ...], eb: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every parsing of ea with respect to eb, one chain at a time.
 
@@ -167,14 +173,7 @@ def _parse_chains(ea: tuple[int, ...], eb: tuple[int, ...]) -> Iterator[tuple[tu
         raise ValueError("parsing base must be nonempty")
     if lb > la or ea[:lb] != eb:
         return
-    rev = eb[::-1]
-    # next tile, keyed by (parity of the tile count so far, sign)
-    tiles = {
-        (0, 1): eb,
-        (0, -1): tuple(-x for x in eb),
-        (1, 1): rev,
-        (1, -1): tuple(-x for x in rev),
-    }
+    tiles = _tiles(eb)
     dead: set[tuple[int, int, int]] = set()
 
     def moves(pos: int, parity: int, sign: int) -> Iterator[tuple[int, int, tuple[int, int, int]]]:

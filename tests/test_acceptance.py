@@ -104,7 +104,7 @@ KNOWN_EK = {
     **{n: 2 for n in range(15, 18)},
     18: 1,
 }
-EXTENDED_EK = {19: 1, 20: 1, 21: 2, 22: 2, 23: 2, 24: 1}
+EXTENDED_EK = {19: 1, 20: 1, 21: 2, 22: 2, 23: 2, 24: 1, 25: 2, 26: 2, 27: 2, 28: 2, 29: 2, 30: 2}
 
 
 @criterion(2, "exact EK window 3..18")
@@ -120,7 +120,11 @@ def test_criterion_2_ek_window():
         for n, want in EXTENDED_EK.items():
             got = epimorphism_number(n, mode="exact", budget=n, workers=workers)
             assert got == want, f"EK({n}) = {got}, want {want}"
-        note += f", extended 19..24 in {time.perf_counter() - t0 - elapsed:.0f}s"
+        # no witness row within the exact window may beat the exact maximum
+        for r in verify_witness_table():
+            if r.n in EXTENDED_EK:
+                assert r.smaller_count <= EXTENDED_EK[r.n], f"{r.fraction}: {r.smaller_count} below"
+        note += f", extended 19..{max(EXTENDED_EK)} in {time.perf_counter() - t0 - elapsed:.0f}s"
     NOTES[2] = note
     assert elapsed < 600.0, f"criterion 2 took {elapsed:.0f}s, limit 600s"
 

@@ -2,8 +2,8 @@
 
 Independent routes to the same class sets keep each other honest: the
 library's class generator, the direct vector generator from conftest,
-and the Ernst-Sumners count.  The catalog, which scans only the classes
-that upward generation reaches, is checked against one that scans every
+and the Ernst-Sumners count.  The catalog, whose smaller sets are the
+ones upward generation records, is checked against one that scans every
 class, and the classes it reaches against brute-force assemblies built
 with conftest's oracle.  EK values for the small window are frozen from
 the enumeration itself and pinned against the certified bounds.
@@ -34,6 +34,7 @@ from twobridge import (
     vector_from_knot,
     verify_witness_table,
 )
+from twobridge import enumeration
 from twobridge.enumeration import _assisted_lower_bound, _class_vectors, _classes_with_smaller
 
 # EK(n) for n = 3..18: zero through 8 crossings, one from 9 through 14,
@@ -208,7 +209,16 @@ def test_classes_with_smaller_match_brute_assemblies():
         want = classes_above_by_assembly(n)
         got = {e.vector.representative.entries for e in enumerate_knots(n).entries if e.smaller}
         assert got == want, f"n = {n}"
-        assert _classes_with_smaller(n) == want, f"n = {n}"
+        assert set(_classes_with_smaller(n)) == want, f"n = {n}"
+
+
+def test_recorded_smaller_sets_match_scan_past_the_window():
+    # test_catalog_matches_scan_of_every_class covers n <= 17
+    for n in range(18, 21):
+        recorded = _classes_with_smaller(n)
+        assert recorded, f"n = {n}"
+        for rep, below in recorded.items():
+            assert below == smaller_knots(SEvenVector(rep)), (n, rep)
 
 
 def test_catalog_json_shape():
@@ -227,6 +237,30 @@ def test_catalog_json_shape():
 def test_ek_window_frozen():
     for n in range(3, 19):
         assert epimorphism_number(n) == KNOWN_EK[n], f"EK({n})"
+
+
+def test_exact_ek_matches_catalog():
+    for n in range(3, 21):
+        assert epimorphism_number(n, budget=n) == enumerate_knots(n).ek, f"EK({n})"
+
+
+def test_exact_ek_lists_no_classes(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"listed every class at n = {n}")
+
+    monkeypatch.setattr(enumeration, "_knots_by_vector", refuse)
+    assert epimorphism_number(18) == 1
+
+
+def test_catalog_and_exact_ek_scan_no_prefixes(monkeypatch):
+    want = enumerate_knots(15)
+
+    def refuse(v):
+        raise AssertionError(f"scanned {v}")
+
+    monkeypatch.setattr(enumeration, "smaller_knots", refuse)
+    assert enumerate_knots(15) == want
+    assert epimorphism_number(15) == 2
 
 
 def test_ek_lift_inequality():
