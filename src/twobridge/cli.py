@@ -88,14 +88,6 @@ def _as_vector(text: str) -> SEvenVector:
     return vector_from_knot(canonical_fraction(Fraction.parse(text))).representative
 
 
-def _fmt_vector(v: SEvenVector) -> str:
-    return ",".join(str(a) for a in v.entries)
-
-
-def _fmt_knots(knots: Sequence[KnotClass]) -> str:
-    return " ".join(str(k.canonical) for k in knots)
-
-
 def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
     """Seams of v with respect to every parsing over the given base knots."""
     parsings: list[Parsing] = []
@@ -135,7 +127,7 @@ def _cmd_convert(args, budget: int, workers: int):
         [
             f"fraction: {knot.canonical}",
             f"even-cf: {cf}",
-            f"vector: {_fmt_vector(vec)}",
+            f"vector: {vec}",
             f"crossing-number: {n}",
         ]
     )
@@ -218,7 +210,7 @@ def _cmd_enumerate(args, budget: int, workers: int):
     for entry in catalog.entries:
         below = ";".join(str(k.canonical) for k in entry.smaller) or "-"
         lines.append(
-            f"knot={entry.knot.canonical} vector={_fmt_vector(entry.vector.representative)} smaller={below}"
+            f"knot={entry.knot.canonical} vector={entry.vector} smaller={below}"
         )
     return "\n".join(lines), catalog.to_json_dict(), 0
 
@@ -230,8 +222,8 @@ def _cmd_seams(args, budget: int, workers: int):
     segs = " ".join(f"{i}={lo}..{hi}" for i, (lo, hi) in enumerate(seam.segments, 1))
     text = "\n".join(
         [
-            f"vector: {_fmt_vector(vec)}",
-            f"bases: {_fmt_knots(bases)}",
+            f"vector: {vec}",
+            f"bases: {' '.join(map(str, bases))}",
             f"parsings: {len(seam.parsings)}",
             f"cuts: {','.join(str(c) for c in seam.cuts) or '-'}",
             f"segments: {segs}",
@@ -251,11 +243,11 @@ def _cmd_negate(args, budget: int, workers: int):
     knot = knot_from_vector(out)
     text = "\n".join(
         [
-            f"vector: {_fmt_vector(out)}",
+            f"vector: {out}",
             f"fraction: {knot.canonical}",
             f"crossing-number: {crossing_number(out)}",
             f"negated-segments: {','.join(str(s) for s in segments)}",
-            f"still-above: {_fmt_knots(bases)}",
+            f"still-above: {' '.join(map(str, bases))}",
         ]
     )
     payload = {
@@ -275,7 +267,7 @@ def _cmd_lift(args, budget: int, workers: int):
     knot = knot_from_vector(lifted)
     text = "\n".join(
         [
-            f"vector: {_fmt_vector(lifted)}",
+            f"vector: {lifted}",
             f"fraction: {knot.canonical}",
             f"crossing-number: {crossing_number(lifted)}",
         ]
@@ -295,7 +287,7 @@ def _cmd_torus(args, budget: int, workers: int):
     below = sorted(smaller_knots(vec), key=lambda k: k.sort_key)
     lines = [
         f"fraction: {knot.canonical}",
-        f"vector: {_fmt_vector(vec)}",
+        f"vector: {vec}",
         f"crossing-number: {crossing_number(vec)}",
         f"count: {len(below)}",
     ] + [str(k.canonical) for k in below]
@@ -347,7 +339,7 @@ def _check_worked_example() -> tuple[bool, str]:
         return False, f"even continued fraction came out as {cf}"
     vec = vector_from_knot(knot).representative
     if vec.entries != (2, 2, 0, 2, 2, 0, 2, 2):
-        return False, f"vector came out as {_fmt_vector(vec)}"
+        return False, f"vector came out as {vec}"
     if crossing_number(vec) != 12:
         return False, f"crossing number came out as {crossing_number(vec)}"
     form = two_connector_decompose(vec)

@@ -38,8 +38,16 @@ from typing import Iterator, Optional
 
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import _tiles, smaller_knots
-from .rationals import Fraction, KnotClass, canonical_fraction, evaluate_terms
-from .vectors import SEvenVector, VectorClass, connector_vector, crossing_number, entry_orbit, vector_from_knot
+from .rationals import Fraction, KnotClass, canonical_fraction
+from .vectors import (
+    SEvenVector,
+    VectorClass,
+    _class_representative,
+    _knot_of_entries,
+    connector_vector,
+    crossing_number,
+    vector_from_knot,
+)
 
 __all__ = [
     "BudgetExceededError",
@@ -78,8 +86,8 @@ def _class_vectors(n: int) -> Iterator[tuple[int, ...]]:
     with 2 and has at most n crossings is reached exactly once, and the
     crossing number rises with every step: a branch ends once it
     reaches n.  A leaf with n crossings and even length is kept when it
-    is its orbit's maximum; it already beats its negation, so one
-    comparison with the reversal that also starts with 2 decides that.
+    is its class representative; it starts with 2, so that takes one
+    comparison with the reversal that also starts with 2.
     """
     if n < 3:
         raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
@@ -87,7 +95,7 @@ def _class_vectors(n: int) -> Iterator[tuple[int, ...]]:
     while stack:
         e, cr = stack.pop()
         if cr == n:
-            if len(e) % 2 == 0 and e >= (e[::-1] if e[-1] > 0 else tuple(-a for a in reversed(e))):
+            if len(e) % 2 == 0 and _class_representative(e) is e:
                 yield e
             continue
         x = e[-1]
@@ -99,7 +107,7 @@ def _class_vectors(n: int) -> Iterator[tuple[int, ...]]:
 
 def _knots_by_vector(n: int) -> dict[tuple[int, ...], KnotClass]:
     """Every knot with crossing number n, keyed by its class representative."""
-    return {e: canonical_fraction(evaluate_terms(e)) for e in _class_vectors(n)}
+    return {e: _knot_of_entries(e) for e in _class_vectors(n)}
 
 
 def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
@@ -162,9 +170,9 @@ def _classes_with_smaller(n: int) -> dict[tuple[int, ...], set[KnotClass]]:
     found: dict[tuple[int, ...], set[KnotClass]] = {}
     for base_cr in range(3, n // 3 + 1):
         for b in _class_vectors(base_cr):
-            knot = canonical_fraction(evaluate_terms(b))
+            knot = _knot_of_entries(b)
             for entries in _assemblies(b, base_cr, n):
-                found.setdefault(max(entry_orbit(entries)), set()).add(knot)
+                found.setdefault(_class_representative(entries), set()).add(knot)
     return found
 
 

@@ -25,22 +25,23 @@ the assemblies over divisors of the tile count together with whatever
 the generator itself parses with respect to.  That yields a fast
 divisor-based route to the strictly-smaller set which agrees with the
 prefix scan wherever both apply.
+
+``_tiles`` is the one statement of the layout: which orientation and
+sign the next tile takes.  :class:`Parsing` (its blocks, assembly and
+boundaries), the two-connector assembly and the parse search all read
+their tiles from it.  Knots are read off entry tuples with
+``vectors._knot_of_entries``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import (
-    SEvenVector,
-    VectorClass,
-    connector_vector,
-    entry_orbit,
-    knot_from_vector,
-)
+from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector, entry_orbit
 
 __all__ = [
     "Parsing",
@@ -54,6 +55,12 @@ __all__ = [
     "smaller_knots",
     "two_connector_decompose",
 ]
+
+
+def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The next tile of an assembly over b, keyed by (parity of the tile count so far, sign)."""
+    rev = b[::-1]
+    return {(0, 1): b, (0, -1): tuple(-x for x in b), (1, 1): rev, (1, -1): tuple(-x for x in rev)}
 
 
 @dataclass(frozen=True)
@@ -89,36 +96,20 @@ class Parsing:
     def fold(self) -> int:
         return len(self.signs)
 
-    def tiles(self) -> Iterator[tuple[int, ...]]:
-        fwd = self.base.entries
-        bwd = fwd[::-1]
-        for i, s in enumerate(self.signs, 1):
-            tile = fwd if i % 2 else bwd
-            yield tile if s == 1 else tuple(-a for a in tile)
-
     def blocks(self) -> Iterator[tuple[int, ...]]:
         """Tiles and connector vectors in assembly order."""
-        tiles = self.tiles()
-        yield next(tiles)
-        for c, tile in zip(self.connectors, tiles):
+        tiles = _tiles(self.base.entries)
+        yield tiles[(0, 1)]
+        for i, (c, s) in enumerate(zip(self.connectors, self.signs[1:]), 1):
             yield connector_vector(c)
-            yield tile
+            yield tiles[(i % 2, s)]
 
     def assemble(self) -> SEvenVector:
-        out: list[int] = []
-        for block in self.blocks():
-            out.extend(block)
-        return SEvenVector(tuple(out))
+        return SEvenVector(tuple(chain.from_iterable(self.blocks())))
 
     def boundaries(self) -> tuple[int, ...]:
         """Interior block boundaries: cut-after-entry positions, 1-based."""
-        cuts = []
-        pos = 0
-        blocks = list(self.blocks())
-        for block in blocks[:-1]:
-            pos += len(block)
-            cuts.append(pos)
-        return tuple(cuts)
+        return tuple(accumulate(map(len, self.blocks())))[:-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,12 +141,6 @@ def _connector_reads(entries: tuple[int, ...], pos: int, limit: int) -> list[tup
         out.append((s * m, 2 * m - 1))
         j += 2
     return out
-
-
-def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The next tile of an assembly over b, keyed by (parity of the tile count so far, sign)."""
-    rev = b[::-1]
-    return {(0, 1): b, (0, -1): tuple(-x for x in b), (1, 1): rev, (1, -1): tuple(-x for x in rev)}
 
 
 def _parse_chains(ea: tuple[int, ...], eb: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -288,47 +273,28 @@ def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenV
     return SEvenVector(_assemble_entries(g.entries, m, n, count))
 
 
-def _assemble_entries(fwd: tuple[int, ...], m: int, n: int, count: int) -> tuple[int, ...]:
-    bwd = fwd[::-1]
-    out = list(fwd)
-    for i in range(2, count + 1):
-        out.extend(connector_vector(n if i % 2 else m))
-        out.extend(fwd if i % 2 else bwd)
-    return tuple(out)
+def _assemble_entries(g: tuple[int, ...], m: int, n: int, count: int) -> tuple[int, ...]:
+    """g followed by count // 2 repeats of the period (m, g', n, g)."""
+    tiles = _tiles(g)
+    period = connector_vector(m) + tiles[(1, 1)] + connector_vector(n) + tiles[(0, 1)]
+    return g + period * (count // 2)
 
 
 def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
     """The two-connector form of v built on its shortest generator, if any.
 
-    Searches the empty generator first, then even generator lengths
-    ascending; the first assembly that reproduces v wins.  The connector
+    Searches even generator lengths ascending from 0, the empty
+    generator; the first assembly that reproduces v wins.  The connector
     pair is unique when a form exists, and a generator found this way
     never decomposes again with the same connectors, so the returned
     form is the fully generated one.
     """
     entries = v.entries
     lv = len(entries)
-    if lv == 0:
-        return None
-
-    # Empty generator: v must be P >= 1 repeats of the block (m-run, n-run).
-    for m, mlen in _connector_reads(entries, 0, lv):
-        if m == 0:
-            continue
-        for n, nlen in _connector_reads(entries, mlen, lv + 1):
-            if n == 0:
-                continue
-            block = mlen + nlen
-            if lv % block:
-                continue
-            reps = lv // block
-            if entries == entries[:block] * reps:
-                return TwoConnectorForm(SEvenVector(()), m, n, 2 * reps + 1)
-
-    glen = 2
+    glen = 0
     while 3 * glen + 2 <= lv:
         g = entries[:glen]
-        if g[-1] != 0:
+        if not g or g[-1] != 0:
             grev = g[::-1]
             for m, mlen in _connector_reads(entries, glen, lv):
                 pos = glen + mlen
@@ -338,10 +304,7 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
                     period = 2 * glen + mlen + nlen
                     if (lv - glen) % period:
                         continue
-                    reps = (lv - glen) // period
-                    if reps < 1:
-                        continue
-                    count = 2 * reps + 1
+                    count = 2 * ((lv - glen) // period) + 1
                     if _assemble_entries(g, m, n, count) == entries:
                         return TwoConnectorForm(SEvenVector(g), m, n, count)
         glen += 2
@@ -369,15 +332,14 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
 
 def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
     out: set[KnotClass] = set()
-    g = form.generator
+    g = form.generator.entries
     for d in _odd_divisors_below(form.count):
-        if g.is_empty and d == 1:
+        if not g and d == 1:
             continue  # the bare tile is the empty vector: the unknot
-        w = assemble_two_connector(g, form.m, form.n, d)
-        out.add(knot_from_vector(w))
-    if not g.is_empty:
-        out |= smaller_knots(g)
-        out.add(knot_from_vector(g))
+        out.add(_knot_of_entries(_assemble_entries(g, form.m, form.n, d)))
+    if g:
+        out |= smaller_knots(form.generator)
+        out.add(_knot_of_entries(g))
     return frozenset(out)
 
 
@@ -386,7 +348,7 @@ def _smaller_by_prefix_scan(v: SEvenVector) -> frozenset[KnotClass]:
     for ea in entry_orbit(v.entries):
         for blen in range(2, (len(ea) - 2) // 3 + 1, 2):
             if ea[blen - 1] != 0 and _parses(ea, ea[:blen], 3):
-                out.add(knot_from_vector(SEvenVector(ea[:blen])))
+                out.add(_knot_of_entries(ea[:blen]))
     return frozenset(out)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parsing import Parsing, is_strictly_greater
-from .rationals import KnotClass, canonical_fraction, evaluate_terms
-from .vectors import SEvenVector, canonical_vector, crossing_number
+from .rationals import KnotClass
+from .vectors import SEvenVector, _knot_of_entries, canonical_vector, crossing_number
 
 __all__ = [
     "SeamSet",
@@ -99,9 +99,7 @@ def negate_segments(seams: SeamSet, segments: tuple[int, ...]) -> SEvenVector:
     out_class = canonical_vector(out)
     base_classes: dict[KnotClass, SEvenVector] = {}
     for p in seams.parsings:
-        base_classes.setdefault(
-            canonical_fraction(evaluate_terms(p.base.entries)), p.base
-        )
+        base_classes.setdefault(_knot_of_entries(p.base.entries), p.base)
     for knot, base in base_classes.items():
         if not is_strictly_greater(out_class, canonical_vector(base)):
             raise ValueError(

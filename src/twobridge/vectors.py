@@ -14,6 +14,11 @@ is a bijection between vector classes and 2-bridge knots, so every knot
 has exactly one vector class, and the crossing number can be read off
 the vector: the sum of absolute entries minus the number of sign changes
 in the sequence of nonzero entries.
+
+Two rules live here and nowhere else, both on plain entry tuples:
+``_class_representative`` picks the vector that stands for a class (the
+lexicographic maximum of the orbit), and ``_knot_of_entries`` reads the
+knot a vector denotes.
 """
 
 from __future__ import annotations
@@ -78,12 +83,6 @@ class SEvenVector:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def negate(self) -> "SEvenVector":
-        return SEvenVector(tuple(-a for a in self.entries))
-
-    def reverse(self) -> "SEvenVector":
-        return SEvenVector(self.entries[::-1])
-
     def orbit(self) -> tuple["SEvenVector", ...]:
         """The distinct vectors among {v, -v, reverse(v), -reverse(v)}."""
         return tuple(
@@ -111,6 +110,22 @@ def entry_orbit(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys((entries, neg, entries[::-1], neg[::-1])))
 
 
+def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographic maximum of :func:`entry_orbit` of entries; () for ().
+
+    The ends of a valid vector are nonzero, so the maximum is the larger
+    of the orbit's two members that start positive: e or -e, and the
+    reversal of that or its negation.  Returns ``entries`` itself when
+    it already is the representative, so callers may test with ``is``.
+    """
+    if not entries:
+        return entries
+    if entries[0] < 0:
+        entries = tuple(-a for a in entries)
+    rev = entries[::-1] if entries[-1] > 0 else tuple(-a for a in reversed(entries))
+    return entries if entries >= rev else rev
+
+
 @dataclass(frozen=True)
 class VectorClass:
     """A vector up to negation and reversal, held by its fixed representative.
@@ -123,8 +138,8 @@ class VectorClass:
     representative: SEvenVector
 
     def __post_init__(self) -> None:
-        rep = max(entry_orbit(self.representative.entries))
-        if rep != self.representative.entries:
+        rep = _class_representative(self.representative.entries)
+        if rep is not self.representative.entries:
             raise ValueError(
                 f"{self.representative} is not the class representative "
                 f"({','.join(map(str, rep))} is)"
@@ -142,8 +157,8 @@ class VectorClass:
 
 def canonical_vector(v: SEvenVector) -> VectorClass:
     """The class of v, keyed by the lexicographic maximum of its orbit."""
-    rep = max(entry_orbit(v.entries))
-    return VectorClass(v if rep == v.entries else SEvenVector(rep))
+    rep = _class_representative(v.entries)
+    return VectorClass(v if rep is v.entries else SEvenVector(rep))
 
 
 def connector_vector(c: int) -> tuple[int, ...]:
@@ -202,7 +217,12 @@ def knot_from_vector(v: SEvenVector) -> KnotClass:
     """
     if v.is_empty:
         raise ValueError("the empty vector is the unknot and has no knot class")
-    return canonical_fraction(evaluate_terms(v.entries))
+    return _knot_of_entries(v.entries)
+
+
+def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
+    """The knot of a nonempty valid entry tuple, which is not re-validated."""
+    return canonical_fraction(evaluate_terms(entries))
 
 
 def vector_from_knot(k: KnotClass) -> VectorClass:

@@ -104,7 +104,9 @@ KNOWN_EK = {
     **{n: 2 for n in range(15, 18)},
     18: 1,
 }
-EXTENDED_EK = {19: 1, 20: 1, 21: 2, 22: 2, 23: 2, 24: 1, 25: 2, 26: 2, 27: 2, 28: 2, 29: 2, 30: 2}
+EXTENDED_EK = {
+    19: 1, 20: 1, 21: 2, 22: 2, 23: 2, 24: 1, 25: 2, 26: 2, 27: 2, 28: 2, 29: 2, 30: 2, 31: 2, 32: 2, 33: 2,
+}
 
 
 @criterion(2, "exact EK window 3..18")

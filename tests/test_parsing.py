@@ -8,9 +8,10 @@ no search code with the package, only the definitions.
 """
 
 import itertools
+import random
 
 import pytest
-from conftest import oracle_assemble, oracle_vectors
+from conftest import connector_entries, oracle_assemble, oracle_vectors
 
 from twobridge import (
     NoCommonFamilyError,
@@ -118,6 +119,45 @@ def test_parsing_assemble_and_boundaries():
     }
 
 
+def oracle_boundaries(base, connectors):
+    """Cut after every tile and every connector but the last tile."""
+    cuts, pos = [], 0
+    for c in connectors:
+        pos += len(base)
+        cuts.append(pos)
+        pos += len(connector_entries(c))
+        cuts.append(pos)
+    return tuple(cuts)
+
+
+def test_parsing_layout_matches_oracle_random():
+    rng = random.Random(1018)
+    bases = [e for n in (2, 4, 6) for e in oracle_vectors(n)]
+    for _ in range(500):
+        base = rng.choice(bases)
+        signs, connectors = [1], []
+        for _ in range(rng.choice((0, 2, 4, 6))):
+            c = rng.randrange(-6, 8, 2)
+            signs.append(signs[-1] if c == 0 else rng.choice((1, -1)))
+            connectors.append(c)
+        p = Parsing(V(base), tuple(signs), tuple(connectors))
+        assert p.assemble().entries == oracle_assemble(base, signs, connectors)
+        assert p.boundaries() == oracle_boundaries(base, connectors)
+
+
+def test_assemble_two_connector_matches_oracle_random():
+    rng = random.Random(1019)
+    generators = [e for n in (0, 2, 4, 6) for e in oracle_vectors(n)]
+    for _ in range(500):
+        g = rng.choice(generators)
+        sizes = range(-6, 8, 2) if g else (-6, -4, -2, 2, 4, 6)
+        m, n = rng.choice(sizes), rng.choice(sizes)
+        count = rng.randrange(1, 11, 2)
+        connectors = [n if i % 2 else m for i in range(count - 1)]
+        want = oracle_assemble(g, (1,) * count, connectors)
+        assert assemble_two_connector(V(g), m, n, count).entries == want
+
+
 # ------------------------------------------------------------ find_parsings
 
 def test_find_parsings_worked_vector():
@@ -206,6 +246,43 @@ def test_two_connector_decompose_frozen():
     form = two_connector_decompose(V((2, 2)))
     assert (form.generator.entries, form.m, form.n, form.count) == ((), 2, 2, 3)
     assert two_connector_decompose(V((2, -2, -2, 2, -2, -2, 2, -2))) is None
+
+
+def oracle_two_connector_form(e):
+    """(generator, m, n, count) on the shortest generator, by trying every
+    connector pair whose runs sit where the first two connectors go."""
+    lv = len(e)
+    runs = [(c, connector_entries(c)) for c in range(-lv, lv + 1, 2)]
+    for glen in range(0, lv, 2):
+        g = e[:glen]
+        if g and g[-1] == 0:
+            continue
+        found = []
+        for m, mrun in runs:
+            if e[glen : glen + len(mrun)] != mrun:
+                continue
+            for n, nrun in runs:
+                at = 2 * glen + len(mrun)
+                if e[at : at + len(nrun)] != nrun:
+                    continue
+                reps, rest = divmod(lv - glen, at + len(nrun))
+                if rest or reps < 1:
+                    continue
+                count = 2 * reps + 1
+                if oracle_assemble(g, (1,) * count, [n if i % 2 else m for i in range(count - 1)]) == e:
+                    found.append((g, m, n, count))
+        if found:
+            assert len(found) == 1, found
+            return found[0]
+    return None
+
+
+def test_two_connector_decompose_matches_oracle_up_to_12():
+    for length in range(2, 13, 2):
+        for entries in oracle_vectors(length):
+            form = two_connector_decompose(V(entries))
+            got = form and (form.generator.entries, form.m, form.n, form.count)
+            assert got == oracle_two_connector_form(entries), entries
 
 
 def test_two_connector_form_validation():

@@ -32,6 +32,7 @@ from twobridge import (
     torus_vector,
     vector_from_knot,
 )
+from twobridge.vectors import _class_representative, entry_orbit
 
 
 # ---------------------------------------------------------------- validation
@@ -122,6 +123,20 @@ def test_canonical_vector_constant_on_orbit():
 def test_vector_class_rejects_non_representative():
     with pytest.raises(ValueError):
         VectorClass(SEvenVector((-2, -2)))
+
+
+def test_class_representative_is_orbit_maximum():
+    # the two-candidate rule against the maximum over all four orbit
+    # members; a representative comes back as the same object
+    assert _class_representative(()) == ()
+    rng = random.Random(20261018)
+    short = [e for n in range(2, 13, 2) for e in oracle_vectors(n)]
+    long = [random_vector(rng, 2 * rng.randint(1, 200)).entries for _ in range(2000)]
+    for entries in short + long:
+        want = max(entry_orbit(entries))
+        got = _class_representative(entries)
+        assert got == want
+        assert (got is entries) == (entries == want)
 
 
 # ---------------------------------------------------------------- bijection
