@@ -16,7 +16,9 @@ is just a = b.  Because a parsing of a with respect to b forces b to be
 a prefix of a, and any parsing survives negating or reversing both
 vectors at once, the knots strictly below a given knot can be collected
 by scanning the even-length prefixes of the four representatives of its
-vector class.
+vector class.  Tiles at odd positions are b itself, not b', and the fold
+is odd, so a parsing also ends with b or -b: the scan searches only the
+prefixes that the representative ends with, up to sign.
 
 Vectors assembled from 2P+1 never-negated tiles with two alternating
 connectors m, n play a special role: for such a vector, built from its
@@ -36,6 +38,7 @@ their tiles from it.  Knots are read off entry tuples with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
@@ -59,8 +62,8 @@ __all__ = [
 
 def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
     """The next tile of an assembly over b, keyed by (parity of the tile count so far, sign)."""
-    rev = b[::-1]
-    return {(0, 1): b, (0, -1): tuple(-x for x in b), (1, 1): rev, (1, -1): tuple(-x for x in rev)}
+    neg = tuple(map(operator.neg, b))
+    return {(0, 1): b, (0, -1): neg, (1, 1): b[::-1], (1, -1): neg[::-1]}
 
 
 @dataclass(frozen=True)
@@ -344,11 +347,19 @@ def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
 
 
 def _smaller_by_prefix_scan(v: SEvenVector) -> frozenset[KnotClass]:
+    """Knots of the even prefixes b that some orbit member parses over with fold >= 3.
+
+    The last tile of an odd-fold parsing is b or -b, never reversed, so
+    a prefix is searched only when the orbit member also ends with b or
+    -b; every other prefix cannot parse and is skipped unsearched.
+    """
     out: set[KnotClass] = set()
     for ea in entry_orbit(v.entries):
+        nea = tuple(map(operator.neg, ea))
         for blen in range(2, (len(ea) - 2) // 3 + 1, 2):
-            if ea[blen - 1] != 0 and _parses(ea, ea[:blen], 3):
-                out.add(_knot_of_entries(ea[:blen]))
+            b = ea[:blen]
+            if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and _parses(ea, b, 3):
+                out.add(_knot_of_entries(b))
     return frozenset(out)
 
 

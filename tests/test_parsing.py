@@ -12,6 +12,7 @@ import random
 
 import pytest
 from conftest import connector_entries, oracle_assemble, oracle_vectors
+from test_vectors import random_vector
 
 from twobridge import (
     NoCommonFamilyError,
@@ -332,6 +333,65 @@ def test_smaller_knots_class_invariant():
         want = smaller_knots(cls.representative)
         for rep in cls.representatives():
             assert smaller_knots(rep) == want
+
+
+def random_assembly(rng, base, fold, last_sign):
+    """oracle_assemble over base with random signs and connectors, the
+    last tile signed last_sign; a zero connector only joins equal signs."""
+    signs = (1,) + tuple(rng.choice((1, -1)) for _ in range(fold - 2)) + (last_sign,)
+    connectors = [
+        rng.choice([c for c in range(-6, 8, 2) if c or signs[i] == signs[i + 1]])
+        for i in range(fold - 1)
+    ]
+    return oracle_assemble(base, signs, connectors)
+
+
+def unfiltered_smaller(v):
+    """Smaller set by the plain scan: every nonzero-ended even prefix of
+    every orbit member is searched, whatever the member ends with."""
+    out = set()
+    for a in v.orbit():
+        e = a.entries
+        for blen in range(2, len(e), 2):
+            if e[blen - 1] == 0:
+                continue
+            b = V(e[:blen])
+            if parses_with_respect_to(a, b, min_fold=3):
+                out.add(knot_from_vector(b))
+    return frozenset(out)
+
+
+def test_smaller_knots_matches_unfiltered_scan_random():
+    rng = random.Random(2026)
+    vectors = [random_vector(rng, rng.randrange(2, 302, 2)).entries for _ in range(40)]
+    for last_sign in (1, -1):
+        for _ in range(30):
+            base = random_vector(rng, rng.randrange(2, 42, 2)).entries
+            vectors.append(random_assembly(rng, base, rng.choice((3, 5, 7)), last_sign))
+    # ends with +-b but no parsing: b, a connector, a random middle tile,
+    # a connector, then b or -b
+    misses = 0
+    while misses < 30:
+        base = random_vector(rng, rng.randrange(2, 22, 2)).entries
+        middle = random_vector(rng, rng.randrange(2, 42, 2)).entries
+        tail = base if rng.random() < 0.5 else tuple(-x for x in base)
+        a = base + connector_entries(2) + middle + connector_entries(-2) + tail
+        if not parses_with_respect_to(V(a), V(base)):
+            vectors.append(a)
+            misses += 1
+    assert sum(1 for a in vectors if two_connector_decompose(V(a)) is None) > 100
+    for a in vectors:
+        v = V(a)
+        assert smaller_knots(v) == unfiltered_smaller(v), a
+
+
+def test_smaller_knots_long_assembly_with_negated_last_tile():
+    rng = random.Random(2027)
+    base = random_vector(rng, 300)
+    a = random_assembly(rng, base.entries, 5, -1)
+    assert len(a) >= 1500
+    assert two_connector_decompose(V(a)) is None
+    assert knot_from_vector(base) in smaller_knots(V(a))
 
 
 # ----------------------------------------------------- chain family facts
