@@ -115,10 +115,11 @@ def _seam_bases(v: SEvenVector, wrt: Optional[Sequence[str]]) -> list[KnotClass]
     return bases
 
 
-# Each handler returns (text, json_payload, exit_code).
+# Each handler takes the parsed arguments, with args.budget resolved by
+# main, and returns (text, json_payload, exit_code).
 
 
-def _cmd_convert(args, budget: int, workers: int):
+def _cmd_convert(args):
     knot = _as_knot(args.input)
     cf = even_expansion(knot.canonical)
     vec = vector_from_knot(knot).representative
@@ -140,13 +141,13 @@ def _cmd_convert(args, budget: int, workers: int):
     return text, payload, 0
 
 
-def _cmd_cr(args, budget: int, workers: int):
+def _cmd_cr(args):
     vec = _as_vector(args.input)
     n = crossing_number(vec)
     return str(n), {"vector": list(vec.entries), "crossing_number": n}, 0
 
 
-def _cmd_smaller(args, budget: int, workers: int):
+def _cmd_smaller(args):
     vec = _as_vector(args.input)
     below = sorted(smaller_knots(vec), key=lambda k: k.sort_key)
     lines = [f"count: {len(below)}"] + [str(k.canonical) for k in below]
@@ -158,7 +159,7 @@ def _cmd_smaller(args, budget: int, workers: int):
     return "\n".join(lines), payload, 0
 
 
-def _cmd_compare(args, budget: int, workers: int):
+def _cmd_compare(args):
     va = canonical_vector(_as_vector(args.a))
     vb = canonical_vector(_as_vector(args.b))
     ka = knot_from_vector(va.representative)
@@ -183,7 +184,7 @@ def _cmd_compare(args, budget: int, workers: int):
     return text, payload, 0
 
 
-def _cmd_cm(args, budget: int, workers: int):
+def _cmd_cm(args):
     if args.m < 0:
         raise ValueError(f"m must be nonnegative, got {args.m}")
     if args.table:
@@ -197,15 +198,15 @@ def _cmd_cm(args, budget: int, workers: int):
     return text, payload, 0
 
 
-def _cmd_ek(args, budget: int, workers: int):
-    value = epimorphism_number(args.n, mode=args.mode, budget=budget, workers=workers)
+def _cmd_ek(args):
+    value = epimorphism_number(args.n, mode=args.mode, budget=args.budget)
     return str(value), {"n": args.n, "mode": args.mode, "ek": value}, 0
 
 
-def _cmd_enumerate(args, budget: int, workers: int):
-    if args.n > budget:
-        raise BudgetExceededError(args.n, budget)
-    catalog = enumerate_knots(args.n, workers=workers)
+def _cmd_enumerate(args):
+    if args.n > args.budget:
+        raise BudgetExceededError(args.n, args.budget)
+    catalog = enumerate_knots(args.n)
     lines = [f"n: {catalog.crossing_number}", f"count: {len(catalog.entries)}", f"ek: {catalog.ek}"]
     for entry in catalog.entries:
         below = ";".join(str(k.canonical) for k in entry.smaller) or "-"
@@ -215,7 +216,7 @@ def _cmd_enumerate(args, budget: int, workers: int):
     return "\n".join(lines), catalog.to_json_dict(), 0
 
 
-def _cmd_seams(args, budget: int, workers: int):
+def _cmd_seams(args):
     vec = _as_vector(args.input)
     bases = _seam_bases(vec, args.wrt)
     seam = _gather_seams(vec, bases)
@@ -234,7 +235,7 @@ def _cmd_seams(args, budget: int, workers: int):
     return text, payload, 0
 
 
-def _cmd_negate(args, budget: int, workers: int):
+def _cmd_negate(args):
     vec = _as_vector(args.input)
     segments = tuple(sorted({int(t) for t in args.segments.split(",")}))
     bases = _seam_bases(vec, args.wrt)
@@ -261,7 +262,7 @@ def _cmd_negate(args, budget: int, workers: int):
     return text, payload, 0
 
 
-def _cmd_lift(args, budget: int, workers: int):
+def _cmd_lift(args):
     base = _as_vector(args.input)
     lifted = lift_construction(base, args.target)
     knot = knot_from_vector(lifted)
@@ -281,7 +282,7 @@ def _cmd_lift(args, budget: int, workers: int):
     return text, payload, 0
 
 
-def _cmd_torus(args, budget: int, workers: int):
+def _cmd_torus(args):
     vec = torus_vector(args.q)
     knot = knot_from_vector(vec)
     below = sorted(smaller_knots(vec), key=lambda k: k.sort_key)
@@ -397,10 +398,10 @@ def _check_torus_certificates() -> tuple[bool, str]:
     return True, "2 orders, 2 assisted values"
 
 
-def _cmd_verify(args, budget: int, workers: int):
+def _cmd_verify(args):
     checks = [
         ("cm-table", _check_cm_table()),
-        ("ek-window", _check_ek_window(budget)),
+        ("ek-window", _check_ek_window(args.budget)),
         ("witnesses", _check_witnesses()),
         ("worked-example", _check_worked_example()),
         ("seam-pipeline", _check_seam_pipeline()),
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_torus)
 
     p = sub.add_parser("verify-paper", parents=[common], help="check the built-in reference tables and constructions")
-    p.set_defaults(handler=_cmd_verify, verify=True)
+    p.set_defaults(handler=_cmd_verify, default_budget=VERIFY_DEFAULT_BUDGET)
 
     return parser
 
@@ -524,10 +525,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _load_config(args.config)
         as_json = args.json or bool(config.get("json", False))
-        default_budget = VERIFY_DEFAULT_BUDGET if getattr(args, "verify", False) else DEFAULT_BUDGET
-        budget = args.budget if args.budget is not None else int(config.get("budget", default_budget))
-        workers = args.workers if args.workers is not None else int(config.get("workers", 1))
-        text, payload, code = args.handler(args, budget, workers)
+        if args.budget is None:
+            args.budget = int(config.get("budget", getattr(args, "default_budget", DEFAULT_BUDGET)))
+        text, payload, code = args.handler(args)
     except (InvalidFractionError, CFDivisionError) as exc:
         print(f"error: invalid-fraction: {exc}", file=sys.stderr)
         return 3

@@ -47,6 +47,7 @@ from .rationals import KnotClass
 from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector, entry_orbit
 
 __all__ = [
+    "NoCommonFamilyError",
     "Parsing",
     "TwoConnectorForm",
     "assemble_two_connector",
@@ -314,10 +315,6 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
     return None
 
 
-def _odd_divisors_below(count: int) -> list[int]:
-    return [d for d in range(1, count) if count % d == 0]
-
-
 def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     """All nontrivial knots strictly below the knot of v.
 
@@ -336,10 +333,11 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
 def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
     out: set[KnotClass] = set()
     g = form.generator.entries
-    for d in _odd_divisors_below(form.count):
-        if not g and d == 1:
-            continue  # the bare tile is the empty vector: the unknot
-        out.add(_knot_of_entries(_assemble_entries(g, form.m, form.n, d)))
+    # the tile count is odd, so are its divisors; with an empty generator
+    # the bare tile (d = 1) is the unknot
+    for d in range(1 if g else 3, form.count, 2):
+        if form.count % d == 0:
+            out.add(_knot_of_entries(_assemble_entries(g, form.m, form.n, d)))
     if g:
         out |= smaller_knots(form.generator)
         out.add(_knot_of_entries(g))

@@ -23,6 +23,7 @@ knot a vector denotes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -106,7 +107,7 @@ def entry_orbit(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     Works on plain entry tuples, so nothing is re-validated; the orbit of
     a valid vector consists of valid vectors.
     """
-    neg = tuple(-a for a in entries)
+    neg = tuple(map(operator.neg, entries))
     return tuple(dict.fromkeys((entries, neg, entries[::-1], neg[::-1])))
 
 
@@ -121,8 +122,8 @@ def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
     if not entries:
         return entries
     if entries[0] < 0:
-        entries = tuple(-a for a in entries)
-    rev = entries[::-1] if entries[-1] > 0 else tuple(-a for a in reversed(entries))
+        entries = tuple(map(operator.neg, entries))
+    rev = entries[::-1] if entries[-1] > 0 else tuple(map(operator.neg, reversed(entries)))
     return entries if entries >= rev else rev
 
 

@@ -321,6 +321,13 @@ def test_config_defaults_and_precedence(tmp_path, capsys):
     code, out, _ = run(capsys, "ek", "9", "--budget", "9", "--config", str(cfg))
     assert code == 0
     assert json.loads(out) == {"n": 9, "mode": "exact", "ek": 1}
+    # a workers value is accepted and changes nothing
+    workers_cfg = tmp_path / "workers.json"
+    workers_cfg.write_text(json.dumps({"workers": 2}))
+    for argv in (["enumerate", "10", "--json"], ["ek", "12"]):
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--config", str(workers_cfg)) == plain
 
 
 def test_config_rejects_non_object(tmp_path, capsys):
