@@ -528,6 +528,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.budget is None:
             args.budget = int(config.get("budget", getattr(args, "default_budget", DEFAULT_BUDGET)))
         text, payload, code = args.handler(args)
+        rendered = json.dumps(payload, indent=2, sort_keys=True) if as_json else text
+        if not rendered.endswith("\n"):
+            rendered += "\n"
+        if args.out:
+            Path(args.out).write_text(rendered)
+        else:
+            sys.stdout.write(rendered)
     except (InvalidFractionError, CFDivisionError) as exc:
         print(f"error: invalid-fraction: {exc}", file=sys.stderr)
         return 3
@@ -541,14 +548,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"error: resource-exhausted: {detail}", file=sys.stderr)
         return 1
-
-    rendered = json.dumps(payload, indent=2, sort_keys=True) if as_json else text
-    if not rendered.endswith("\n"):
-        rendered += "\n"
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
     return code
 
 

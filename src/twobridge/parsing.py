@@ -10,6 +10,9 @@ each connector c_i is an even integer contributing the vector (0) when
 zero and otherwise sign(c_i) * (2, 0, 2, ..., 0, 2) summing to c_i.  A
 zero connector forces equal signs on the tiles it joins.
 
+Over a given b, a parsing of a is unique when it exists, so the parse
+search is one forward scan over a (see ``_scan_parsing``).
+
 A parsing with fold n >= 3 witnesses that the knot of a is strictly
 greater than the knot of b in the epimorphism order; the 1-fold parsing
 is just a = b.  Because a parsing of a with respect to b forces b to be
@@ -30,7 +33,7 @@ prefix scan wherever both apply.
 
 ``_tiles`` is the one statement of the layout: which orientation and
 sign the next tile takes.  :class:`Parsing` (its blocks, assembly and
-boundaries), the two-connector assembly and the parse search all read
+boundaries), the two-connector assembly and the parse scan all read
 their tiles from it.  Knots are read off entry tuples with
 ``vectors._knot_of_entries``.
 """
@@ -124,108 +127,77 @@ class Parsing:
         }
 
 
-def _connector_reads(entries: tuple[int, ...], pos: int, limit: int) -> list[tuple[int, int]]:
-    """Connector values readable at pos, as (value, length), lengths ascending.
+def _connector_read(entries: tuple[int, ...], pos: int) -> Optional[tuple[int, int]]:
+    """The connector at pos as (value, length): the whole run there, or None past the end.
 
-    ``limit`` is the last position (exclusive) a connector may reach; a
-    connector must leave room for the tile that follows it.
+    A zero entry is the zero connector; a nonzero entry s starts the run
+    (s, 0, s, ..., 0, s), read as far as it goes.
     """
-    limit = min(limit, len(entries))
-    if pos >= limit:
-        return []
-    a = entries[pos]
-    if a == 0:
-        return [(0, 1)]
-    out = [(a, 1)]
-    s = a
+    if pos >= len(entries):
+        return None
+    s = entries[pos]
+    if s == 0:
+        return 0, 1
     j = pos + 1
-    m = 1
-    while j + 1 < limit and entries[j] == 0 and entries[j + 1] == s:
-        m += 1
-        out.append((s * m, 2 * m - 1))
+    while j + 1 < len(entries) and entries[j] == 0 and entries[j + 1] == s:
         j += 2
-    return out
+    return s * ((j - pos + 1) // 2), j - pos
 
 
-def _parse_chains(ea: tuple[int, ...], eb: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every parsing of ea with respect to eb, one chain at a time.
+def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> Optional[tuple[list[int], list[int]]]:
+    """The signs and connectors of the parsing of ea with respect to eb, or None.
 
-    A chain lists (connector, sign) for each tile after the first, so its
-    fold is len(chain) + 1.  The search is an iterative depth-first walk
-    over states (position, parity of the tile count, last sign), which
-    are all a suffix's completions depend on.  A state whose subtree
-    yielded nothing is remembered and never entered again, so the walk
-    up to the first chain enters each state at most once.
+    A parsing over a given base is unique when it exists, so one forward
+    scan finds it.  Every tile starts with a nonzero entry, an end of b,
+    so a connector is the whole run at its position: a shorter read
+    would leave the next tile starting with 0.  Of the two tiles that may
+    come next, b or -b (b' or -b' at even places), at most one matches,
+    because their first entries differ.  So each step has at most one
+    way on.
     """
     la, lb = len(ea), len(eb)
     if lb == 0:
         raise ValueError("parsing base must be nonempty")
     if lb > la or ea[:lb] != eb:
-        return
+        return None
     tiles = _tiles(eb)
-    dead: set[tuple[int, int, int]] = set()
-
-    def moves(pos: int, parity: int, sign: int) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
-        for c, clen in _connector_reads(ea, pos, la - lb):
-            npos = pos + clen
-            for s in (1, -1):
-                if c == 0 and s != sign:
-                    continue
-                if ea[npos : npos + lb] == tiles[(parity, s)]:
-                    yield c, s, (npos + lb, 1 - parity, s)
-
-    chain: list[tuple[int, int]] = []
-    start = (lb, 1, 1)
-    # each frame: [state, its untried moves, whether its subtree yielded]
-    stack: list[list] = [[start, moves(*start), lb == la]]
-    if lb == la:
-        yield ()
-    while stack:
-        frame = stack[-1]
-        step = next(frame[1], None)
-        if step is None:
-            stack.pop()
-            if not frame[2]:
-                dead.add(frame[0])
-            if stack:
-                chain.pop()
-                stack[-1][2] |= frame[2]
-            continue
-        c, s, state = step
-        if state in dead:
-            continue
-        chain.append((c, s))
-        found = state[0] == la and state[1] == 1
-        if found:
-            yield tuple(chain)
-        stack.append([state, moves(*state), found])
+    signs, connectors = [1], []
+    pos = lb
+    while pos < la:
+        c, clen = _connector_read(ea, pos)
+        pos += clen
+        if pos == la:
+            return None
+        parity = len(signs) % 2
+        s = 1 if ea[pos] == tiles[(parity, 1)][0] else -1
+        if (c == 0 and s != signs[-1]) or ea[pos : pos + lb] != tiles[(parity, s)]:
+            return None
+        signs.append(s)
+        connectors.append(c)
+        pos += lb
+    return (signs, connectors) if len(signs) % 2 else None
 
 
 def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> bool:
     la, lb = len(ea), len(eb)
     if lb == 0 or (min_fold > 1 and la < min_fold * lb + (min_fold - 1)):
         return False
-    return any(len(chain) + 1 >= min_fold for chain in _parse_chains(ea, eb))
+    found = _scan_parsing(ea, eb)
+    return found is not None and len(found[0]) >= min_fold
 
 
 def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
     """All parsings of a with respect to b, including the 1-fold a = b.
 
-    Sorted by fold, then connectors, then signs.
+    A parsing over a given base is unique when it exists, so this is
+    empty or holds one parsing.
     """
-    parsings = [
-        Parsing(b, (1,) + tuple(s for _, s in chain), tuple(c for c, _ in chain))
-        for chain in _parse_chains(a.entries, b.entries)
-    ]
-    parsings.sort(key=lambda p: (p.fold, p.connectors, p.signs))
-    return tuple(parsings)
+    found = _scan_parsing(a.entries, b.entries)
+    return () if found is None else (Parsing(b, *found),)
 
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
-    """True when some parsing of a with respect to b has fold >= min_fold.
-
-    Stops at the first such parsing.
-    """
+    """True when the parsing of a with respect to b exists and has fold >= min_fold."""
     return _parses(a.entries, b.entries, min_fold)
 
 
@@ -292,6 +264,12 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
     pair is unique when a form exists, and a generator found this way
     never decomposes again with the same connectors, so the returned
     form is the fully generated one.
+
+    Each generator length reads one m and one n connector, each the
+    whole run at its position.  The true m run is followed by g', or,
+    with an empty generator, by the nonzero n run; the true n run by g,
+    by the next m run or by the end.  Each of these starts with a
+    nonzero entry, so no shorter read can be right.
     """
     entries = v.entries
     lv = len(entries)
@@ -299,18 +277,14 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
     while 3 * glen + 2 <= lv:
         g = entries[:glen]
         if not g or g[-1] != 0:
-            grev = g[::-1]
-            for m, mlen in _connector_reads(entries, glen, lv):
-                pos = glen + mlen
-                if entries[pos : pos + glen] != grev:
-                    continue
-                for n, nlen in _connector_reads(entries, pos + glen, lv + 1):
-                    period = 2 * glen + mlen + nlen
-                    if (lv - glen) % period:
-                        continue
-                    count = 2 * ((lv - glen) // period) + 1
-                    if _assemble_entries(g, m, n, count) == entries:
-                        return TwoConnectorForm(SEvenVector(g), m, n, count)
+            m, mlen = _connector_read(entries, glen)
+            pos = glen + mlen
+            n_read = _connector_read(entries, pos + glen)
+            if n_read is not None and entries[pos : pos + glen] == g[::-1]:
+                n, nlen = n_read
+                reps, rest = divmod(lv - glen, 2 * glen + mlen + nlen)
+                if not rest and _assemble_entries(g, m, n, 2 * reps + 1) == entries:
+                    return TwoConnectorForm(SEvenVector(g), m, n, 2 * reps + 1)
         glen += 2
     return None
 

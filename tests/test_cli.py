@@ -64,6 +64,11 @@ def test_cr_accepts_all_input_forms(capsys):
         code, out, _ = run(capsys, "cr", text)
         assert code == 0
         assert out == "12\n"
+    # convert reads its knot through the same three forms
+    want = run(capsys, "convert", "38/85")
+    assert want[0] == 0
+    for text in ("0+[2,4,4,2]", "2,2,0,2,2,0,2,2"):
+        assert run(capsys, "convert", text) == want
 
 
 def test_smaller(capsys):
@@ -236,6 +241,15 @@ def test_verify_runs_green(capsys):
     assert all(": OK (" in line for line in lines[:-1])
 
 
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(twobridge.cli, "least_odd_with_divisors", lambda m: 1)
+    code, out, _ = run(capsys, "verify-paper", "--budget", "10")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert "cm-table: FAIL (m=0: got 1, want 3)" in lines
+    assert lines[-1] == "verify: FAIL"
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_exit_usage_error():
@@ -306,6 +320,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "105\n"
+
+
+def test_out_unwritable_is_one_error_line(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "report.txt"):
+        code, out, err = run(capsys, "cm", "5", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
 
 def test_config_defaults_and_precedence(tmp_path, capsys):

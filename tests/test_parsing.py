@@ -213,6 +213,64 @@ def test_parses_with_respect_to_matches_find_parsings():
         assert parses_with_respect_to(a, base, min_fold=1) == bool(folds)
 
 
+def oracle_parsings(a, b):
+    """Every parsing of a over b, as (fold, signs, connectors), found by
+    assembling every fold, sign pattern and connector assignment."""
+    la, lb = len(a), len(b)
+    out = []
+    for fold in range(1, la + 1, 2):
+        budget = la - fold * lb
+        if budget < fold - 1:
+            break
+        conn_values = [
+            c
+            for c in range(-budget - 1, budget + 2)
+            if c % 2 == 0 and (1 if c == 0 else abs(c) - 1) <= budget
+        ]
+        for conns in itertools.product(conn_values, repeat=fold - 1):
+            if sum(1 if c == 0 else abs(c) - 1 for c in conns) != budget:
+                continue
+            for tail in itertools.product((1, -1), repeat=fold - 1):
+                signs = (1,) + tail
+                if any(c == 0 and signs[i] != signs[i + 1] for i, c in enumerate(conns)):
+                    continue
+                if oracle_assemble(b, signs, conns) == a:
+                    out.append((fold, signs, conns))
+    return out
+
+
+def test_find_parsings_matches_brute_force_up_to_10():
+    # a parsing over a given base is unique when it exists
+    pairs = 0
+    for n in range(2, 11, 2):
+        for a in oracle_vectors(n):
+            for blen in range(2, n + 1, 2):
+                b = a[:blen]
+                if b[-1] == 0:
+                    continue
+                want = oracle_parsings(a, b)
+                assert len(want) <= 1, (a, b)
+                got = [(p.fold, p.signs, p.connectors) for p in find_parsings(V(a), V(b))]
+                assert got == want, (a, b)
+                pairs += 1
+    assert pairs == 24204
+
+
+def test_find_parsings_recovers_random_assembly():
+    rng = random.Random(1107)
+    bases = [e for n in (2, 4, 6, 8) for e in oracle_vectors(n)]
+    for _ in range(2000):
+        base = rng.choice(bases)
+        signs, connectors = [1], []
+        for _ in range(rng.randrange(0, 41, 2)):
+            c = rng.randrange(-8, 10, 2)
+            signs.append(signs[-1] if c == 0 else rng.choice((1, -1)))
+            connectors.append(c)
+        a = oracle_assemble(base, signs, connectors)
+        got = [(p.signs, p.connectors) for p in find_parsings(V(a), V(base))]
+        assert got == [(tuple(signs), tuple(connectors))], (a, base)
+
+
 # ------------------------------------------------------------- strict order
 
 def test_is_strictly_greater_frozen():
