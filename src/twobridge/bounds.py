@@ -171,10 +171,13 @@ def ek_exact_at_bound(m: int) -> bool:
     Exactly the case ``least_odd_with_divisors(m + 1) >
     least_odd_with_divisors(m)``: then the maximal number of knots below
     any knot with ``least_odd_with_divisors(m)`` crossings is m itself.
+    The least odd n with at least m + 2 divisors is also the least with
+    at least m + 3 exactly when it has more than m + 2, so one search
+    decides the case: n has exactly m + 2 divisors.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    return least_odd_with_divisors(m + 1) > least_odd_with_divisors(m)
+    return _exponent_search(m + 2)[1] == m + 2
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,13 @@
 Verbs operate on knots given as fractions ("17/315"), even continued
 fractions ("0+[2,4,4,2]"), or vectors ("2,2,0,2,2,0,2,2"); vectors are
 told apart by their commas without brackets.  Every verb prints a small
-deterministic text report, or JSON with --json.  Output never contains
-timestamps or machine details, so identical invocations produce
-identical bytes regardless of worker count.
+deterministic text report, or JSON with --json.  For convert, smaller,
+compare, negate, lift and torus, each field is the text line
+``name: value`` and the JSON key ``name`` with ``-`` as ``_``; vectors
+and integer lists are comma-joined in text, knot lists space-joined,
+both are lists in JSON, and knots and continued fractions are strings
+in both.  Output never contains timestamps or machine details, so
+identical invocations produce identical bytes regardless of worker count.
 
 Exit codes: 0 success, 1 failed check or internal error (including
 "error: resource-exhausted:" when a computation runs out of recursion
@@ -103,16 +107,45 @@ def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
     return find_seams(v, tuple(parsings))
 
 
+def _below(v: SEvenVector) -> list[KnotClass]:
+    return sorted(smaller_knots(v), key=lambda k: k.sort_key)
+
+
 def _seam_bases(v: SEvenVector, wrt: Optional[Sequence[str]]) -> list[KnotClass]:
     if wrt:
-        bases = sorted({_as_knot(t) for t in wrt}, key=lambda k: k.sort_key)
-    else:
-        bases = sorted(smaller_knots(v), key=lambda k: k.sort_key)
-        if not bases:
-            raise ValueError(
-                "no knots lie strictly below this vector; pass --wrt explicitly"
-            )
+        return sorted({_as_knot(t) for t in wrt}, key=lambda k: k.sort_key)
+    bases = _below(v)
+    if not bases:
+        raise ValueError("no knots lie strictly below this vector; pass --wrt explicitly")
     return bases
+
+
+def _render(value) -> tuple[str, object]:
+    """The text and JSON forms of one report value."""
+    if isinstance(value, SEvenVector):
+        value = value.entries
+    if isinstance(value, (KnotClass, EvenCF)):
+        return str(value), str(value)
+    if isinstance(value, (tuple, list)):
+        if value and isinstance(value[0], KnotClass):
+            return " ".join(map(str, value)), [str(k) for k in value]
+        return ",".join(map(str, value)), list(value)
+    return str(value), value
+
+
+def _report(fields, tail=(), **json_only):
+    """The handler result for (name, value) fields, text-only tail lines and JSON-only keywords."""
+    lines, payload = [], {}
+    for name, value in fields:
+        text, payload[name.replace("-", "_")] = _render(value)
+        lines.append(f"{name}: {text}")
+    payload.update((key, _render(value)[1]) for key, value in json_only.items())
+    return "\n".join([*lines, *tail]), payload, 0
+
+
+def _knot_fields(v: SEvenVector) -> list[tuple[str, object]]:
+    knot, n = knot_from_vector(v), crossing_number(v)
+    return [("vector", v), ("fraction", knot), ("crossing-number", n)]
 
 
 # Each handler takes the parsed arguments, with args.budget resolved by
@@ -121,24 +154,9 @@ def _seam_bases(v: SEvenVector, wrt: Optional[Sequence[str]]) -> list[KnotClass]
 
 def _cmd_convert(args):
     knot = _as_knot(args.input)
-    cf = even_expansion(knot.canonical)
     vec = vector_from_knot(knot).representative
-    n = crossing_number(vec)
-    text = "\n".join(
-        [
-            f"fraction: {knot.canonical}",
-            f"even-cf: {cf}",
-            f"vector: {vec}",
-            f"crossing-number: {n}",
-        ]
-    )
-    payload = {
-        "fraction": str(knot.canonical),
-        "even_cf": str(cf),
-        "vector": list(vec.entries),
-        "crossing_number": n,
-    }
-    return text, payload, 0
+    cf, n = even_expansion(knot.canonical), crossing_number(vec)
+    return _report([("fraction", knot), ("even-cf", cf), ("vector", vec), ("crossing-number", n)])
 
 
 def _cmd_cr(args):
@@ -149,14 +167,8 @@ def _cmd_cr(args):
 
 def _cmd_smaller(args):
     vec = _as_vector(args.input)
-    below = sorted(smaller_knots(vec), key=lambda k: k.sort_key)
-    lines = [f"count: {len(below)}"] + [str(k.canonical) for k in below]
-    payload = {
-        "vector": list(vec.entries),
-        "count": len(below),
-        "smaller": [str(k.canonical) for k in below],
-    }
-    return "\n".join(lines), payload, 0
+    below = _below(vec)
+    return _report([("count", len(below))], map(str, below), vector=vec, smaller=below)
 
 
 def _cmd_compare(args):
@@ -164,24 +176,11 @@ def _cmd_compare(args):
     vb = canonical_vector(_as_vector(args.b))
     ka = knot_from_vector(va.representative)
     kb = knot_from_vector(vb.representative)
-    if va == vb:
-        relation = "equal"
-        above = below = False
-    else:
-        above = is_strictly_greater(va, vb)
-        below = is_strictly_greater(vb, va)
-        relation = "greater" if above else "less" if below else "incomparable"
-    text = "\n".join(
-        [f"a: {ka.canonical}", f"b: {kb.canonical}", f"relation: {relation}"]
-    )
-    payload = {
-        "a": str(ka.canonical),
-        "b": str(kb.canonical),
-        "a_above_b": above,
-        "b_above_a": below,
-        "relation": relation,
-    }
-    return text, payload, 0
+    above = va != vb and is_strictly_greater(va, vb)
+    below = va != vb and is_strictly_greater(vb, va)
+    relation = "equal" if va == vb else "greater" if above else "less" if below else "incomparable"
+    fields = [("a", ka), ("b", kb), ("relation", relation)]
+    return _report(fields, a_above_b=above, b_above_a=below)
 
 
 def _cmd_cm(args):
@@ -241,65 +240,21 @@ def _cmd_negate(args):
     bases = _seam_bases(vec, args.wrt)
     seam = _gather_seams(vec, bases)
     out = negate_segments(seam, segments)
-    knot = knot_from_vector(out)
-    text = "\n".join(
-        [
-            f"vector: {out}",
-            f"fraction: {knot.canonical}",
-            f"crossing-number: {crossing_number(out)}",
-            f"negated-segments: {','.join(str(s) for s in segments)}",
-            f"still-above: {' '.join(map(str, bases))}",
-        ]
-    )
-    payload = {
-        "vector": list(out.entries),
-        "fraction": str(knot.canonical),
-        "crossing_number": crossing_number(out),
-        "negated_segments": list(segments),
-        "still_above": [str(k.canonical) for k in bases],
-        "cuts": list(seam.cuts),
-    }
-    return text, payload, 0
+    fields = _knot_fields(out) + [("negated-segments", segments), ("still-above", bases)]
+    return _report(fields, cuts=seam.cuts)
 
 
 def _cmd_lift(args):
     base = _as_vector(args.input)
-    lifted = lift_construction(base, args.target)
-    knot = knot_from_vector(lifted)
-    text = "\n".join(
-        [
-            f"vector: {lifted}",
-            f"fraction: {knot.canonical}",
-            f"crossing-number: {crossing_number(lifted)}",
-        ]
-    )
-    payload = {
-        "base": list(base.entries),
-        "vector": list(lifted.entries),
-        "fraction": str(knot.canonical),
-        "crossing_number": crossing_number(lifted),
-    }
-    return text, payload, 0
+    return _report(_knot_fields(lift_construction(base, args.target)), base=base)
 
 
 def _cmd_torus(args):
     vec = torus_vector(args.q)
     knot = knot_from_vector(vec)
-    below = sorted(smaller_knots(vec), key=lambda k: k.sort_key)
-    lines = [
-        f"fraction: {knot.canonical}",
-        f"vector: {vec}",
-        f"crossing-number: {crossing_number(vec)}",
-        f"count: {len(below)}",
-    ] + [str(k.canonical) for k in below]
-    payload = {
-        "fraction": str(knot.canonical),
-        "vector": list(vec.entries),
-        "crossing_number": crossing_number(vec),
-        "count": len(below),
-        "smaller": [str(k.canonical) for k in below],
-    }
-    return "\n".join(lines), payload, 0
+    below = _below(vec)
+    fields = [("fraction", knot), ("vector", vec), ("crossing-number", crossing_number(vec))]
+    return _report(fields + [("count", len(below))], map(str, below), smaller=below)
 
 
 def _check_cm_table() -> tuple[bool, str]:
@@ -516,6 +471,10 @@ def _load_config(path: Optional[str]) -> dict:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    if not isinstance(data.get("json", False), bool):
+        raise ValueError(f'config file {path}: "json" must be true or false')
+    if type(data.get("budget", 0)) is not int:
+        raise ValueError(f'config file {path}: "budget" must be an integer')
     return data
 
 
@@ -524,9 +483,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        as_json = args.json or bool(config.get("json", False))
+        as_json = args.json or config.get("json", False)
         if args.budget is None:
-            args.budget = int(config.get("budget", getattr(args, "default_budget", DEFAULT_BUDGET)))
+            args.budget = config.get("budget", getattr(args, "default_budget", DEFAULT_BUDGET))
         text, payload, code = args.handler(args)
         rendered = json.dumps(payload, indent=2, sort_keys=True) if as_json else text
         if not rendered.endswith("\n"):

@@ -189,6 +189,10 @@ def test_ek_exact_at_bound():
     assert ek_exact_at_bound(6) is True  # 105 -> 225
     assert ek_exact_at_bound(10) is True  # 315 -> 945
     assert ek_exact_at_bound(13) is False
+    # the one-search form agrees with the two-search definition
+    table = [least_odd_with_divisors(m) for m in range(302)]
+    for m in range(301):
+        assert ek_exact_at_bound(m) is (table[m + 1] > table[m])
 
 
 def test_bound_entry_json():

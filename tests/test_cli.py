@@ -75,6 +75,13 @@ def test_smaller(capsys):
     code, out, _ = run(capsys, "smaller", "1/27")
     assert code == 0
     assert out == "count: 2\n1/3\n1/9\n"
+    code, out, _ = run(capsys, "smaller", "1/27", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "count": 2,
+        "smaller": ["1/3", "1/9"],
+        "vector": [2, -2] * 13,
+    }
 
 
 def test_compare(capsys):
@@ -82,6 +89,24 @@ def test_compare(capsys):
     assert run(capsys, "compare", "1/3", "1/27")[1].endswith("relation: less\n")
     assert run(capsys, "compare", "2/5", "1/3")[1].endswith("relation: incomparable\n")
     assert run(capsys, "compare", "3/7", "2/7")[1].endswith("relation: equal\n")
+    code, out, _ = run(capsys, "compare", "1/27", "1/9", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "a": "1/27",
+        "a_above_b": True,
+        "b": "1/9",
+        "b_above_a": False,
+        "relation": "greater",
+    }
+    code, out, _ = run(capsys, "compare", "1/27", "1/27", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "a": "1/27",
+        "a_above_b": False,
+        "b": "1/27",
+        "b_above_a": False,
+        "relation": "equal",
+    }
 
 
 def test_negative_first_entry_is_an_input(capsys):
@@ -191,6 +216,14 @@ def test_lift(capsys):
         "fraction: 19/69\n"
         "crossing-number: 10\n"
     )
+    code, out, _ = run(capsys, "lift", "2,2", "--target", "12", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "base": [2, 2],
+        "crossing_number": 12,
+        "fraction": "38/85",
+        "vector": [2, 2, 0, 2, 2, 0, 2, 2],
+    }
 
 
 def test_torus(capsys):
@@ -203,6 +236,15 @@ def test_torus(capsys):
         "count: 1\n"
         "1/3\n"
     )
+    code, out, _ = run(capsys, "torus", "45", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "count": 4,
+        "crossing_number": 45,
+        "fraction": "1/45",
+        "smaller": ["1/3", "1/5", "1/9", "1/15"],
+        "vector": [2, -2] * 22,
+    }
 
 
 # ------------------------------------------------------------ long vectors
@@ -359,6 +401,20 @@ def test_config_rejects_non_object(tmp_path, capsys):
     code, _, err = run(capsys, "cm", "5", "--config", str(cfg))
     assert code == 1
     assert "must hold a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "data", [{"json": "false"}, {"budget": True}, {"budget": 12.9}, {"budget": "20"}]
+)
+def test_config_rejects_mistyped_values(tmp_path, capsys, data):
+    # "json" must be a JSON boolean and "budget" a JSON integer, not a
+    # boolean: no string, float or boolean is coerced
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "ek", "9", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: config file ")
 
 
 # ------------------------------------------------------------- determinism
