@@ -48,6 +48,7 @@ from .rationals import (
 from .seams import SeamSet, find_seams, lift_construction, negate_segments
 from .vectors import (
     SEvenVector,
+    _class_representative,
     canonical_vector,
     crossing_number,
     expand,
@@ -96,14 +97,14 @@ def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
     """Seams of v with respect to every parsing over the given base knots."""
     parsings: list[Parsing] = []
     for knot in bases:
-        per_base: list[Parsing] = []
-        for rep in vector_from_knot(knot).representatives():
-            per_base.extend(find_parsings(v, rep))
-        if not per_base:
-            raise ValueError(
-                f"the vector has no parsings with respect to {knot.canonical}"
-            )
-        parsings.extend(per_base)
+        rep = vector_from_knot(knot).representative.entries
+        # a parsing starts with its base, so only v's prefix can be one; a prefix
+        # that ends in 0 is no vector, so it becomes one only after the class check
+        prefix = v.entries[: len(rep)]
+        found = _class_representative(prefix) == rep and find_parsings(v, SEvenVector(prefix))
+        if not found:
+            raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
+        parsings.extend(found)
     return find_seams(v, tuple(parsings))
 
 
@@ -176,8 +177,8 @@ def _cmd_compare(args):
     vb = canonical_vector(_as_vector(args.b))
     ka = knot_from_vector(va.representative)
     kb = knot_from_vector(vb.representative)
-    above = va != vb and is_strictly_greater(va, vb)
-    below = va != vb and is_strictly_greater(vb, va)
+    above = is_strictly_greater(va, vb)
+    below = is_strictly_greater(vb, va)
     relation = "equal" if va == vb else "greater" if above else "less" if below else "incomparable"
     fields = [("a", ka), ("b", kb), ("relation", relation)]
     return _report(fields, a_above_b=above, b_above_a=below)

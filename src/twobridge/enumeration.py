@@ -27,7 +27,7 @@ checks both against a prefix scan of every class.
 Exact values are budgeted: past the budget EK(n) is refused rather
 than estimated.  The assisted mode instead squeezes EK(n)
 between the divisor bound from :mod:`twobridge.bounds` and certified
-witnesses (torus knots, the built-in witness table), and only falls back
+witnesses (torus knots, the lift of 1/9), and only falls back
 to the exact walk when the squeeze is not tight.
 """
 
@@ -296,15 +296,11 @@ def _assisted_lower_bound(n: int, upper: int) -> int:
     The torus knot 1/n has one knot below it per nontrivial proper
     divisor of n; counting them stops early, with some value below the
     divisor-bound ceiling ``upper``, once the count cannot reach it.
+    For n >= 27 the 3-fold lift of 1/9 to n crossings lies above 1/9,
+    and 1/9 lies above 1/3, so EK(n) >= 2.
     """
-    best = 0
-    if n % 2 and n >= 3:
-        best = max(best, nontrivial_proper_divisor_count(n, upper))
-    for wn, frac in TWO_SMALLER_WITNESSES:
-        if wn == n:
-            vc = vector_from_knot(canonical_fraction(frac))
-            best = max(best, len(smaller_knots(vc.representative)))
-    return best
+    best = nontrivial_proper_divisor_count(n, upper) if n % 2 and n >= 3 else 0
+    return max(best, 2) if n >= 27 else best
 
 
 def epimorphism_number(

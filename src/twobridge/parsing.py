@@ -15,9 +15,10 @@ search is one forward scan over a (see ``_scan_parsing``).
 
 A parsing with fold n >= 3 witnesses that the knot of a is strictly
 greater than the knot of b in the epimorphism order; the 1-fold parsing
-is just a = b.  Because a parsing of a with respect to b forces b to be
-a prefix of a, and any parsing survives negating or reversing both
-vectors at once, the knots strictly below a given knot can be collected
+is just a = b.  A parsing starts with its base and survives negating or
+reversing both vectors at once, so J > K exactly when J's representative
+parses, with fold >= 3, over its own prefix of |K| entries and that
+prefix lies in K's class.  The knots strictly below a knot are collected
 by scanning the even-length prefixes of the four representatives of its
 vector class.  Tiles at odd positions are b itself, not b', and the fold
 is odd, so a parsing also ends with b or -b: the scan searches only the
@@ -47,7 +48,7 @@ from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector, entry_orbit
+from .vectors import SEvenVector, VectorClass, _class_representative, _knot_of_entries, connector_vector, entry_orbit
 
 __all__ = [
     "NoCommonFamilyError",
@@ -204,15 +205,15 @@ def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) ->
 def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
     """Strict order on knots via their vector classes.
 
-    True when some representative of j has a fold >= 3 parsing with
-    respect to a representative of k.  A parsing survives negating or
-    reversing both vectors at once, so the four representatives of j
-    against one fixed representative of k cover all sixteen pairs.
+    A parsing starts with its base and survives negating or reversing
+    both vectors at once, so j > k exactly when j's representative has a
+    fold >= 3 parsing over its own prefix of len(k) entries and that
+    prefix lies in k's class: one class check and at most one scan.
+    Equal classes fail the fold-3 length test.
     """
-    if j == k:
-        return False
-    base = k.representative.entries
-    return any(_parses(a, base, 3) for a in entry_orbit(j.representative.entries))
+    a = j.representative.entries
+    b = a[: len(k)]
+    return _class_representative(b) == k.representative.entries and _parses(a, b, 3)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,10 @@ def run_proc(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# The vector of 1/27 negated: not its class representative.
+NEG27 = ",".join(["-2,2"] * 13)
+
+
 # ------------------------------------------------------------------- verbs
 
 def test_convert_text(capsys):
@@ -118,6 +122,9 @@ def test_negative_first_entry_is_an_input(capsys):
     assert (code, out) == (0, "a: 1/9\nb: 1/3\nrelation: greater\n")
     vectors = ("-2,2,-2,2,-2,2,-2,2", "-2,2")
     assert run(capsys, "compare", *vectors) == run(capsys, "compare", "--", *vectors)
+    above = "-2,-2,0,-2,-2,0,-2,-2"
+    assert run(capsys, "compare", above, "2,2")[1].endswith("relation: greater\n")
+    assert run(capsys, "compare", "2,2", above)[1].endswith("relation: less\n")
     assert run(capsys, "cr", "-1/3") == (0, "3\n", "")
 
 
@@ -193,6 +200,10 @@ def test_seams_explicit_bases_match_default(capsys):
     a = run(capsys, "seams", "1/27")[1]
     b = run(capsys, "seams", "1/27", "--wrt", "1/3", "--wrt", "1/9")[1]
     assert a == b
+    # the vector as given need not be its class representative
+    c = run(capsys, "seams", NEG27, "--wrt", "1/3", "--wrt", "1/9")[1]
+    assert c.startswith(f"vector: {NEG27}\n") and "cuts: 8,9,17,18\n" in c
+    assert c.split("\n")[1:] == b.split("\n")[1:]
 
 
 def test_negate(capsys):
@@ -206,6 +217,15 @@ def test_negate(capsys):
     assert data["fraction"] == "1189/10395"
     assert data["crossing_number"] == 31
     assert data["cuts"] == [8, 9, 17, 18]
+    assert run(capsys, "negate", NEG27, "--segments", "3,5") == (
+        0,
+        "vector: -2,2,-2,2,-2,2,-2,2,-2,-2,2,-2,2,-2,2,-2,2,2,2,-2,2,-2,2,-2,2,-2\n"
+        "fraction: 577/5499\n"
+        "crossing-number: 30\n"
+        "negated-segments: 3,5\n"
+        "still-above: 1/3 1/9\n",
+        "",
+    )
 
 
 def test_lift(capsys):

@@ -28,9 +28,11 @@ from twobridge import (
     epimorphism_number,
     knot_classes,
     knot_from_vector,
+    lift_construction,
     most_divisors_up_to,
     nontrivial_proper_divisor_count,
     smaller_knots,
+    torus_vector,
     vector_from_knot,
     verify_witness_table,
 )
@@ -325,6 +327,12 @@ def test_assisted_verdict_unchanged_by_early_stop():
         upper = most_divisors_up_to(n)
         full = max(nontrivial_proper_divisor_count(n) if n % 2 else 0, witnessed.get(n, 0))
         assert (_assisted_lower_bound(n, upper) == upper) == (full == upper), n
+
+
+def test_lift_of_nine_certifies_two_below_from_27():
+    # the assisted path certifies EK(N) >= 2 for N >= 27 by this lift
+    for n in range(27, 60):
+        assert len(smaller_knots(lift_construction(torus_vector(9), n))) >= 2, n
 
 
 def test_assisted_agrees_with_exact_on_window():

@@ -295,6 +295,15 @@ def test_strict_order_antisymmetric_small():
         assert not (is_strictly_greater(j, k) and is_strictly_greater(k, j))
 
 
+def test_strict_order_matches_oracle_up_to_10():
+    classes = classes_with_crossing_up_to(10)
+    for j in classes:
+        below = oracle_smaller(j.representative)
+        for k in classes:
+            want = knot_from_vector(k.representative) in below
+            assert is_strictly_greater(j, k) == want, (str(j), str(k))
+
+
 # ---------------------------------------------------------- two-connector
 
 def test_two_connector_decompose_frozen():
