@@ -258,54 +258,26 @@ def _cmd_torus(args):
     return _report(fields + [("count", len(below))], map(str, below), smaller=below)
 
 
-def _check_cm_table() -> tuple[bool, str]:
-    for m, want in sorted(_KNOWN_CM.items()):
-        got = least_odd_with_divisors(m)
-        if got != want:
-            return False, f"m={m}: got {got}, want {want}"
-    return True, f"{len(_KNOWN_CM)} values"
+# Each verify-paper check is a lazy sequence of (label, got, want) cases:
+# it fails at its first case with got != want and computes nothing after it.
 
 
-def _check_ek_window(budget: int) -> tuple[bool, str]:
-    top = min(budget, max(_KNOWN_EK))
-    for n in range(3, top + 1):
-        got = epimorphism_number(n, mode="exact", budget=budget)
-        want = _KNOWN_EK[n]
-        if got != want:
-            return False, f"n={n}: got {got}, want {want}"
-    return True, f"n=3..{top}"
+def _witness_cases(reports):
+    for r in reports:
+        yield f"{r.fraction} crossing number", r.crossing_number, r.n
+        yield f"{r.fraction} has >= 2 below", r.smaller_count >= 2, True
 
 
-def _check_witnesses() -> tuple[bool, str]:
-    reports = verify_witness_table()
-    for rep in reports:
-        if not rep.passed:
-            return False, (
-                f"{rep.fraction}: crossing number {rep.crossing_number} "
-                f"(want {rep.n}), {rep.smaller_count} below (want >= 2)"
-            )
-    return True, f"{len(reports)} rows"
-
-
-def _check_worked_example() -> tuple[bool, str]:
+def _worked_example_cases():
     knot = canonical_fraction(Fraction(38, 85))
-    if str(knot.canonical) != "38/85":
-        return False, f"canonical form of 38/85 came out as {knot.canonical}"
-    cf = even_expansion(knot.canonical)
-    if str(cf) != "0+[2,4,4,2]":
-        return False, f"even continued fraction came out as {cf}"
+    yield "canonical form", str(knot), "38/85"
+    yield "even continued fraction", str(even_expansion(knot.canonical)), "0+[2,4,4,2]"
     vec = vector_from_knot(knot).representative
-    if vec.entries != (2, 2, 0, 2, 2, 0, 2, 2):
-        return False, f"vector came out as {vec}"
-    if crossing_number(vec) != 12:
-        return False, f"crossing number came out as {crossing_number(vec)}"
+    yield "vector", vec.entries, (2, 2, 0, 2, 2, 0, 2, 2)
+    yield "crossing number", crossing_number(vec), 12
     form = two_connector_decompose(vec)
-    if form is None or form.generator.entries != (2, 2) or form.count != 3:
-        return False, "two-connector decomposition did not find ((2,2), 3 tiles)"
-    below = {str(k.canonical) for k in smaller_knots(vec)}
-    if below != {"2/5"}:
-        return False, f"smaller set came out as {sorted(below)}"
-    return True, "38/85"
+    yield "two-connector form", form and (form.generator.entries, form.count), ((2, 2), 3)
+    yield "knots below", [str(k) for k in _below(vec)], ["2/5"]
 
 
 _SEAM_NEGATIONS = (
@@ -316,67 +288,50 @@ _SEAM_NEGATIONS = (
 )
 
 
-def _check_seam_pipeline() -> tuple[bool, str]:
-    vec = torus_vector(27)
-    bases = [
-        canonical_fraction(Fraction(1, 3)),
-        canonical_fraction(Fraction(1, 9)),
-    ]
-    seam = _gather_seams(vec, bases)
-    if seam.cuts != (8, 9, 17, 18):
-        return False, f"cuts came out as {list(seam.cuts)}"
-    for segments, want_fraction, want_cr in _SEAM_NEGATIONS:
+def _seam_pipeline_cases():
+    seam = _gather_seams(torus_vector(27), [canonical_fraction(Fraction(1, q)) for q in (3, 9)])
+    yield "cuts", seam.cuts, (8, 9, 17, 18)
+    for segments, fraction, cr in _SEAM_NEGATIONS:
         out = negate_segments(seam, segments)
-        knot = knot_from_vector(out)
-        if str(knot.canonical) != want_fraction:
-            return False, (
-                f"negating {list(segments)} gave {knot.canonical}, "
-                f"want {want_fraction}"
-            )
-        if crossing_number(out) != want_cr:
-            return False, (
-                f"negating {list(segments)} gave crossing number "
-                f"{crossing_number(out)}, want {want_cr}"
-            )
-    return True, f"{len(_SEAM_NEGATIONS)} negations"
+        yield f"negating {list(segments)}", str(knot_from_vector(out)), fraction
+        yield f"crossing number after negating {list(segments)}", crossing_number(out), cr
 
 
-def _check_torus_certificates() -> tuple[bool, str]:
-    cases = {27: {"1/3", "1/9"}, 45: {"1/3", "1/5", "1/9", "1/15"}}
-    for q, want in cases.items():
-        got = {str(k.canonical) for k in smaller_knots(torus_vector(q))}
-        if got != want:
-            return False, f"knots below the (2,{q}) torus knot came out as {sorted(got)}"
-    for n, want_ek in ((45, 4), (105, 6)):
-        got_ek = epimorphism_number(n, mode="assisted")
-        if got_ek != want_ek:
-            return False, f"assisted ek({n}) came out as {got_ek}, want {want_ek}"
-    return True, "2 orders, 2 assisted values"
+def _torus_certificate_cases():
+    for q, below in ((27, ["1/3", "1/9"]), (45, ["1/3", "1/5", "1/9", "1/15"])):
+        yield f"knots below the (2,{q}) torus knot", [str(k) for k in _below(torus_vector(q))], below
+    for n, ek in ((45, 4), (105, 6)):
+        yield f"assisted ek({n})", epimorphism_number(n, mode="assisted"), ek
+
+
+def _checks(budget: int):
+    """(name, cases, OK detail) per check, each row made after the one before has run."""
+    cm_cases = ((f"m={m}", least_odd_with_divisors(m), want) for m, want in sorted(_KNOWN_CM.items()))
+    yield "cm-table", cm_cases, f"{len(_KNOWN_CM)} values"
+    top = min(budget, max(_KNOWN_EK))
+    ek_cases = (
+        (f"n={n}", epimorphism_number(n, mode="exact", budget=budget), _KNOWN_EK[n])
+        for n in range(3, top + 1)
+    )
+    yield "ek-window", ek_cases, f"n=3..{top}"
+    reports = verify_witness_table()
+    yield "witnesses", _witness_cases(reports), f"{len(reports)} rows"
+    yield "worked-example", _worked_example_cases(), "38/85"
+    yield "seam-pipeline", _seam_pipeline_cases(), f"{len(_SEAM_NEGATIONS)} negations"
+    yield "torus-certificates", _torus_certificate_cases(), "2 orders, 2 assisted values"
 
 
 def _cmd_verify(args):
-    checks = [
-        ("cm-table", _check_cm_table()),
-        ("ek-window", _check_ek_window(args.budget)),
-        ("witnesses", _check_witnesses()),
-        ("worked-example", _check_worked_example()),
-        ("seam-pipeline", _check_seam_pipeline()),
-        ("torus-certificates", _check_torus_certificates()),
-    ]
-    lines = []
-    passed = True
-    for name, (ok, detail) in checks:
-        passed &= ok
-        lines.append(f"{name}: {'OK' if ok else 'FAIL'} ({detail})")
+    results = []
+    for name, cases, detail in _checks(args.budget):
+        failed = next((case for case in cases if case[1] != case[2]), None)
+        if failed:
+            detail = "{}: got {}, want {}".format(*failed)
+        results.append({"name": name, "passed": not failed, "detail": detail})
+    passed = all(r["passed"] for r in results)
+    lines = [f"{r['name']}: {'OK' if r['passed'] else 'FAIL'} ({r['detail']})" for r in results]
     lines.append(f"verify: {'OK' if passed else 'FAIL'}")
-    payload = {
-        "checks": [
-            {"name": name, "passed": ok, "detail": detail}
-            for name, (ok, detail) in checks
-        ],
-        "passed": passed,
-    }
-    return "\n".join(lines), payload, 0 if passed else 1
+    return "\n".join(lines), {"checks": results, "passed": passed}, 0 if passed else 1
 
 
 class _Parser(argparse.ArgumentParser):

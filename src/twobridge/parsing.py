@@ -18,11 +18,12 @@ greater than the knot of b in the epimorphism order; the 1-fold parsing
 is just a = b.  A parsing starts with its base and survives negating or
 reversing both vectors at once, so J > K exactly when J's representative
 parses, with fold >= 3, over its own prefix of |K| entries and that
-prefix lies in K's class.  The knots strictly below a knot are collected
-by scanning the even-length prefixes of the four representatives of its
-vector class.  Tiles at odd positions are b itself, not b', and the fold
-is odd, so a parsing also ends with b or -b: the scan searches only the
-prefixes that the representative ends with, up to sign.
+prefix is K's representative.  The knots strictly below a knot are
+collected by scanning the even-length prefixes of the four
+representatives of its vector class.  Tiles at odd positions are b
+itself, not b', and the fold is odd, so a parsing also ends with b or
+-b: the scan searches only the prefixes that the representative ends
+with, up to sign.
 
 Vectors assembled from 2P+1 never-negated tiles with two alternating
 connectors m, n play a special role: for such a vector, built from its
@@ -48,7 +49,7 @@ from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, _class_representative, _knot_of_entries, connector_vector, entry_orbit
+from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector, entry_orbit
 
 __all__ = [
     "NoCommonFamilyError",
@@ -208,12 +209,15 @@ def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
     A parsing starts with its base and survives negating or reversing
     both vectors at once, so j > k exactly when j's representative has a
     fold >= 3 parsing over its own prefix of len(k) entries and that
-    prefix lies in k's class: one class check and at most one scan.
-    Equal classes fail the fold-3 length test.
+    prefix lies in k's class.  That prefix is then k's representative
+    itself: the four orbit members of an assembly over b start with b,
+    -b, b' and -b', so the lexicographic maximum of j's orbit starts with
+    the maximum of b's orbit.  One tuple comparison and at most one scan;
+    equal classes fail the fold-3 length test.
     """
     a = j.representative.entries
     b = a[: len(k)]
-    return _class_representative(b) == k.representative.entries and _parses(a, b, 3)
+    return b == k.representative.entries and _parses(a, b, 3)
 
 
 @dataclass(frozen=True)

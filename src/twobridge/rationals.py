@@ -190,21 +190,22 @@ class KnotClass:
     """A 2-bridge knot: the equivalence class of p/q under p ~ +/- p^(+/-1).
 
     ``canonical`` is the class representative with 0 < p < q and p minimal
-    over the four-element orbit {p, p^-1, -p, -p^-1} taken mod q.  Use
-    :func:`canonical_fraction` to construct instances from arbitrary
-    representatives; the constructor checks minimality.
+    over the four-element orbit {p, p^-1, -p, -p^-1} taken mod q.  The
+    constructor accepts any fraction of the class and normalizes it to
+    that representative, as :class:`Fraction` normalizes sign and gcd.
+    Requires q >= 3; q = 1 would be the unknot, which no fraction class
+    in this package represents.
     """
 
     canonical: Fraction
 
     def __post_init__(self) -> None:
-        p, q = self.canonical.p, self.canonical.q
-        if q < 3:
-            raise InvalidFractionError(f"{self.canonical} does not identify a knot (need q >= 3)")
-        if not 0 < p < q:
-            raise InvalidFractionError(f"{self.canonical} is not in normalized form 0 < p < q")
-        if p != min(_orbit(p, q)):
-            raise InvalidFractionError(f"{self.canonical} is not the canonical class representative")
+        f = self.canonical
+        if f.q < 3:
+            raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
+        p = min(_orbit(f.p % f.q, f.q))  # p % q is never 0: gcd(p, q) = 1 and q >= 3
+        if p != f.p:
+            object.__setattr__(self, "canonical", Fraction(p, f.q))
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -220,15 +221,8 @@ def _orbit(p: int, q: int) -> tuple[int, int, int, int]:
 
 
 def canonical_fraction(f: Fraction) -> KnotClass:
-    """Canonicalize a fraction to the knot class it represents.
-
-    Requires q >= 3; q = 1 would be the unknot, which no fraction class
-    in this package represents.
-    """
-    if f.q < 3:
-        raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
-    p = f.p % f.q  # never 0: gcd(p, q) = 1 and q >= 3
-    return KnotClass(Fraction(min(_orbit(p, f.q)), f.q))
+    """The knot class that f represents; q >= 3 is required."""
+    return KnotClass(f)
 
 
 def same_knot(a: Fraction, b: Fraction) -> bool:

@@ -82,6 +82,8 @@ def test_divisor_count_naive_oracle():
 def test_table_frozen():
     for m, want in enumerate(KNOWN_TABLE):
         assert least_odd_with_divisors(m) == want
+    with pytest.raises(ValueError):
+        least_odd_with_divisors(-1)
 
 
 def test_table_sieve_oracle():
@@ -193,6 +195,8 @@ def test_ek_exact_at_bound():
     table = [least_odd_with_divisors(m) for m in range(302)]
     for m in range(301):
         assert ek_exact_at_bound(m) is (table[m + 1] > table[m])
+    with pytest.raises(ValueError):
+        ek_exact_at_bound(-1)
 
 
 def test_bound_entry_json():

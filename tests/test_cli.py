@@ -16,7 +16,8 @@ import pytest
 from test_enumeration import classes_by_direct_generator
 
 import twobridge.cli
-from twobridge import bound_entry
+import twobridge.enumeration
+from twobridge import Fraction, WitnessReport, bound_entry, torus_vector
 from twobridge.cli import main
 
 
@@ -312,6 +313,119 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
     assert lines[-1] == "verify: FAIL"
 
 
+# verify-paper's report at the parent of the (label, got, want) rewrite;
+# {top} is the last n of the EK window, min(budget, 24).
+VERIFY_TEXT = """\
+cm-table: OK (15 values)
+ek-window: OK (n=3..{top})
+witnesses: OK (25 rows)
+worked-example: OK (38/85)
+seam-pipeline: OK (4 negations)
+torus-certificates: OK (2 orders, 2 assisted values)
+verify: OK
+"""
+VERIFY_JSON = """\
+{{
+  "checks": [
+    {{
+      "detail": "15 values",
+      "name": "cm-table",
+      "passed": true
+    }},
+    {{
+      "detail": "n=3..{top}",
+      "name": "ek-window",
+      "passed": true
+    }},
+    {{
+      "detail": "25 rows",
+      "name": "witnesses",
+      "passed": true
+    }},
+    {{
+      "detail": "38/85",
+      "name": "worked-example",
+      "passed": true
+    }},
+    {{
+      "detail": "4 negations",
+      "name": "seam-pipeline",
+      "passed": true
+    }},
+    {{
+      "detail": "2 orders, 2 assisted values",
+      "name": "torus-certificates",
+      "passed": true
+    }}
+  ],
+  "passed": true
+}}
+"""
+
+
+@pytest.mark.parametrize("budget, top", [(["--budget", "10"], 10), ([], 14)])
+def test_verify_output_pinned(capsys, budget, top):
+    assert run(capsys, "verify-paper", *budget) == (0, VERIFY_TEXT.format(top=top), "")
+    assert run(capsys, "verify-paper", "--json", *budget) == (0, VERIFY_JSON.format(top=top), "")
+
+
+def _epimorphism_number_assisted_zero(n, mode="exact", budget=None):
+    if mode == "assisted":
+        return 0
+    return twobridge.enumeration.epimorphism_number(n, mode=mode, budget=budget)
+
+
+# One replaced library name per check (cm-table is covered above), and
+# the FAIL line it leads to: the first case of the check with got != want.
+VERIFY_FAILURES = [
+    (
+        "epimorphism_number",
+        lambda n, mode="exact", budget=None: 7,
+        "ek-window: FAIL (n=3: got 7, want 0)",
+    ),
+    (
+        "verify_witness_table",
+        lambda: (WitnessReport(27, Fraction(1, 27), 27, 2), WitnessReport(28, Fraction(17, 315), 28, 1)),
+        "witnesses: FAIL (17/315 has >= 2 below: got False, want True)",
+    ),
+    ("smaller_knots", lambda v: set(), "worked-example: FAIL (knots below: got [], want ['2/5'])"),
+    (
+        "negate_segments",
+        lambda seam, segments: torus_vector(27),
+        "seam-pipeline: FAIL (negating [5]: got 1/27, want 17/315)",
+    ),
+    (
+        "epimorphism_number",
+        _epimorphism_number_assisted_zero,
+        "torus-certificates: FAIL (assisted ek(45): got 0, want 4)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, replacement, line", VERIFY_FAILURES, ids=[line.split(":")[0] for *_, line in VERIFY_FAILURES]
+)
+def test_verify_fail_line_per_check(capsys, monkeypatch, name, replacement, line):
+    monkeypatch.setattr(twobridge.cli, name, replacement)
+    code, out, err = run(capsys, "verify-paper", "--budget", "10")
+    assert (code, err) == (1, "")
+    lines = out.split("\n")
+    assert line in lines
+    assert lines[-2:] == ["verify: FAIL", ""]
+
+
+def test_verify_stops_each_check_at_its_first_failure(capsys, monkeypatch):
+    calls = []
+
+    def wrong(n, mode="exact", budget=None):
+        calls.append((n, mode))
+        return -1
+
+    monkeypatch.setattr(twobridge.cli, "epimorphism_number", wrong)
+    assert run(capsys, "verify-paper", "--budget", "10")[0] == 1
+    assert calls == [(3, "exact"), (45, "assisted")]
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_exit_usage_error():
@@ -357,6 +471,10 @@ def test_exit_value_error(capsys):
     assert code == 1
     code, _, err = run(capsys, "seams", "2,2")
     assert code == 1  # nothing below the trefoil family seed
+    assert run(capsys, "seams", "2,2", "--wrt", "1/5") == (
+        1, "", "error: the vector has no parsings with respect to 1/5\n"
+    )
+    assert run(capsys, "cm", "-1") == (1, "", "error: m must be nonnegative, got -1\n")
     code, _, err = run(capsys, "torus", "4")
     assert code == 1
 

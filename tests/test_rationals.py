@@ -16,6 +16,7 @@ from twobridge import (
     EvenCF,
     Fraction,
     InvalidFractionError,
+    KnotClass,
     canonical_fraction,
     evaluate_cf,
     evaluate_terms,
@@ -201,6 +202,20 @@ def test_same_knot():
     assert not same_knot(Fraction(1, 5), Fraction(1, 7))
     assert same_knot(Fraction(38, 85), Fraction(47, 85))
     assert same_knot(Fraction(1, 3), Fraction(-1, 3))
+
+
+def test_knot_class_constructor_normalizes():
+    # any fraction of the class gives the class, as Fraction normalizes
+    # sign and gcd; q < 3 is still refused with canonical_fraction's message
+    for p, q in [(1, 3), (2, 7), (3, 7), (38, 85), (17, 315)]:
+        for r in oracle_orbit(p, q):
+            for f in (Fraction(r, q), Fraction(r - q, q), Fraction(r + 2 * q, q)):
+                assert KnotClass(f) == canonical_fraction(f)
+                assert KnotClass(f).canonical == Fraction(min(oracle_orbit(p, q)), q)
+    assert KnotClass(Fraction(3, 5)).canonical == Fraction(2, 5)
+    for f in (Fraction(1, 1), Fraction(-3, 1), Fraction(0, 3)):
+        with pytest.raises(InvalidFractionError, match="does not identify a nontrivial 2-bridge knot"):
+            KnotClass(f)
 
 
 def test_knot_class_sort_key_orders_by_denominator_then_numerator():
