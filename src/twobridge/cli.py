@@ -101,7 +101,7 @@ def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
         # a parsing starts with its base, so only v's prefix can be one; a prefix
         # that ends in 0 is no vector, so it becomes one only after the class check
         prefix = v.entries[: len(rep)]
-        found = _class_representative(prefix) == rep and find_parsings(v, SEvenVector(prefix))
+        found = _class_representative(prefix) == rep and find_parsings(v, SEvenVector._unchecked(prefix))
         if not found:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
         parsings.extend(found)

@@ -221,7 +221,7 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     entries = []
     for rep, knot in sorted(_knots_by_vector(n).items(), key=lambda item: item[1].sort_key):
         below = sorted(above.get(rep, ()), key=lambda k: k.sort_key)
-        entries.append(CatalogEntry(knot, VectorClass(SEvenVector(rep)), tuple(below)))
+        entries.append(CatalogEntry(knot, VectorClass(SEvenVector._unchecked(rep)), tuple(below)))
     return KnotCatalog(n, tuple(entries))
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "Parsing",
     "TwoConnectorForm",
     "assemble_two_connector",
-    "connector_vector",
     "find_parsings",
     "is_strictly_greater",
     "minimal_upper_bound",
@@ -114,7 +113,7 @@ class Parsing:
             yield tiles[(i % 2, s)]
 
     def assemble(self) -> SEvenVector:
-        return SEvenVector(tuple(chain.from_iterable(self.blocks())))
+        return SEvenVector._unchecked(tuple(chain.from_iterable(self.blocks())))
 
     def boundaries(self) -> tuple[int, ...]:
         """Interior block boundaries: cut-after-entry positions, 1-based."""
@@ -289,7 +288,7 @@ def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
                 n, nlen = n_read
                 reps, rest = divmod(lv - glen, 2 * glen + mlen + nlen)
                 if not rest and _assemble_entries(g, m, n, 2 * reps + 1) == entries:
-                    return TwoConnectorForm(SEvenVector(g), m, n, 2 * reps + 1)
+                    return TwoConnectorForm(SEvenVector._unchecked(g), m, n, 2 * reps + 1)
         glen += 2
     return None
 

@@ -19,6 +19,16 @@ Two rules live here and nowhere else, both on plain entry tuples:
 ``_class_representative`` picks the vector that stands for a class (the
 lexicographic maximum of the orbit), and ``_knot_of_entries`` reads the
 knot a vector denotes.
+
+Vectors are checked where they enter, by ``SEvenVector(...)`` and ``parse``;
+:class:`VectorClass`, like ``KnotClass``, normalizes any vector to its class.
+``SEvenVector._unchecked`` skips the check where validity holds by
+construction: orbits and class representatives (negation and reversal keep
+it), ``expand`` of a checked ``EvenCF`` and ``torus_vector`` (evenly many
+odd-length runs, nonzero ends), a checked ``Parsing``'s assembly (a zero
+connector joins equal-sign tiles, whose facing ends agree), the generated
+catalog representatives, and the ``two_connector_decompose`` generator and
+class-checked prefixes (even prefixes of a vector that end nonzero).
 """
 
 from __future__ import annotations
@@ -57,6 +67,13 @@ class SEvenVector:
 
     entries: tuple[int, ...] = ()
 
+    @classmethod
+    def _unchecked(cls, entries: tuple[int, ...]) -> "SEvenVector":
+        """A vector on an entry tuple the caller promises is valid; it is not re-checked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", entries)
+        return v
+
     def __post_init__(self) -> None:
         e = tuple(self.entries)
         object.__setattr__(self, "entries", e)
@@ -86,9 +103,7 @@ class SEvenVector:
 
     def orbit(self) -> tuple["SEvenVector", ...]:
         """The distinct vectors among {v, -v, reverse(v), -reverse(v)}."""
-        return tuple(
-            self if e == self.entries else SEvenVector(e) for e in entry_orbit(self.entries)
-        )
+        return tuple(map(SEvenVector._unchecked, entry_orbit(self.entries)))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)
@@ -102,11 +117,7 @@ class SEvenVector:
 
 
 def entry_orbit(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct tuples among {e, -e, reverse(e), -reverse(e)}, in that order.
-
-    Works on plain entry tuples, so nothing is re-validated; the orbit of
-    a valid vector consists of valid vectors.
-    """
+    """The distinct tuples among {e, -e, reverse(e), -reverse(e)}, in that order."""
     neg = tuple(map(operator.neg, entries))
     return tuple(dict.fromkeys((entries, neg, entries[::-1], neg[::-1])))
 
@@ -131,9 +142,9 @@ def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
 class VectorClass:
     """A vector up to negation and reversal, held by its fixed representative.
 
-    The representative is the lexicographic maximum of the orbit's entry
-    tuples: it leads with positive entries, which keeps the familiar
-    positive spellings like (2,2).
+    The constructor normalizes any vector of the class to the lexicographic
+    maximum of the orbit's entry tuples, which leads with positive entries
+    and so keeps the familiar positive spellings like (2,2).
     """
 
     representative: SEvenVector
@@ -141,10 +152,7 @@ class VectorClass:
     def __post_init__(self) -> None:
         rep = _class_representative(self.representative.entries)
         if rep is not self.representative.entries:
-            raise ValueError(
-                f"{self.representative} is not the class representative "
-                f"({','.join(map(str, rep))} is)"
-            )
+            object.__setattr__(self, "representative", SEvenVector._unchecked(rep))
 
     def representatives(self) -> tuple[SEvenVector, ...]:
         return self.representative.orbit()
@@ -158,8 +166,7 @@ class VectorClass:
 
 def canonical_vector(v: SEvenVector) -> VectorClass:
     """The class of v, keyed by the lexicographic maximum of its orbit."""
-    rep = _class_representative(v.entries)
-    return VectorClass(v if rep is v.entries else SEvenVector(rep))
+    return VectorClass(v)
 
 
 def connector_vector(c: int) -> tuple[int, ...]:
@@ -177,18 +184,13 @@ def connector_vector(c: int) -> tuple[int, ...]:
 
 
 def expand(cf: Union[EvenCF, Iterable[int]]) -> SEvenVector:
-    """Expand even partial quotients into an expanded even vector.
+    """Expand the terms of an EvenCF, or plain terms checked as one, into a vector.
 
     Each term +/-2m becomes +/-(2, 0, 2, ..., 0, 2) with m nonzero
     entries; runs concatenate in order with nothing between them.
     """
-    terms = cf.terms if isinstance(cf, EvenCF) else tuple(cf)
-    out: list[int] = []
-    for i, a in enumerate(terms, 1):
-        if a == 0 or a % 2:
-            raise ValueError(f"term {i} is {a}; expansion needs nonzero even terms")
-        out.extend(connector_vector(a))
-    return SEvenVector(tuple(out))
+    terms = cf.terms if isinstance(cf, EvenCF) else EvenCF(0, cf).terms
+    return SEvenVector._unchecked(tuple(a for t in terms for a in connector_vector(t)))
 
 
 def contract(v: SEvenVector) -> tuple[int, ...]:
@@ -228,8 +230,7 @@ def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
 
 def vector_from_knot(k: KnotClass) -> VectorClass:
     """The vector class of a knot: expand the all-even form and canonicalize."""
-    cf = even_expansion(k.canonical)
-    return canonical_vector(expand(cf))
+    return VectorClass(expand(even_expansion(k.canonical)))
 
 
 def crossing_number(v: SEvenVector) -> int:
@@ -253,4 +254,4 @@ def torus_vector(q: int) -> SEvenVector:
     """The vector (2, -2, 2, -2, ...) of length q - 1 for the torus knot 1/q."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"torus knot needs odd q >= 3, got {q}")
-    return SEvenVector(tuple(2 if i % 2 == 0 else -2 for i in range(q - 1)))
+    return SEvenVector._unchecked((2, -2) * (q // 2))

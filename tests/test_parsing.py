@@ -157,6 +157,10 @@ def test_assemble_two_connector_matches_oracle_random():
         connectors = [n if i % 2 else m for i in range(count - 1)]
         want = oracle_assemble(g, (1,) * count, connectors)
         assert assemble_two_connector(V(g), m, n, count).entries == want
+    # the sizes above leave out the one invalid case: an empty generator
+    # with a zero connector
+    with pytest.raises(ValueError):
+        assemble_two_connector(V(()), 0, 2, 3)
 
 
 # ------------------------------------------------------------ find_parsings
@@ -351,6 +355,15 @@ def test_two_connector_decompose_matches_oracle_up_to_12():
             form = two_connector_decompose(V(entries))
             got = form and (form.generator.entries, form.m, form.n, form.count)
             assert got == oracle_two_connector_form(entries), entries
+
+
+def test_two_connector_generator_is_valid():
+    # the generator is cut from the vector without the entry check
+    for length in range(2, 13, 2):
+        for entries in oracle_vectors(length):
+            form = two_connector_decompose(V(entries))
+            if form is not None:
+                assert V(form.generator.entries) == form.generator, entries
 
 
 def test_two_connector_form_validation():

@@ -182,6 +182,17 @@ def test_lift_sweep_hits_target_and_order():
     assert checked == 6888
 
 
+def test_lift_results_are_valid():
+    # a lift is a parsing assembled without the entry check
+    for n in (2, 4, 6):
+        for entries in oracle_vectors(n):
+            c = V(entries)
+            ncr = crossing_number(c)
+            for target in range(3 * ncr, 3 * ncr + 12):
+                d = lift_construction(c, target)
+                assert V(d.entries) == d, (entries, target)
+
+
 def test_lift_accepts_any_target_from_3n():
     # targets past the 3n..3n+6 window: every vector of length <= 6,
     # every target in [3n, 3n + 11]

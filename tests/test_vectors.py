@@ -82,6 +82,8 @@ def test_expand_rejects_odd_or_zero_terms():
     with pytest.raises(ValueError):
         expand((2, 3))
     with pytest.raises(ValueError):
+        expand((2,))  # an odd term count
+    with pytest.raises(ValueError):
         expand((2, 0))
 
 
@@ -120,9 +122,14 @@ def test_canonical_vector_constant_on_orbit():
         assert cls.representative.entries in {u.entries for u in cls.representatives()}
 
 
-def test_vector_class_rejects_non_representative():
-    with pytest.raises(ValueError):
-        VectorClass(SEvenVector((-2, -2)))
+def test_vector_class_constructor_normalizes():
+    # like KnotClass, the constructor takes any vector of the class
+    assert VectorClass(SEvenVector((-2, -2))).representative.entries == (2, 2)
+    for n in (2, 4, 6):
+        for entries in oracle_vectors(n):
+            v = SEvenVector(entries)
+            # v is in its own orbit, so this also gives canonical_vector(v) == VectorClass(v)
+            assert {VectorClass(w) for w in v.orbit()} == {canonical_vector(v)}
 
 
 def test_class_representative_is_orbit_maximum():
@@ -137,6 +144,24 @@ def test_class_representative_is_orbit_maximum():
         got = _class_representative(entries)
         assert got == want
         assert (got is entries) == (entries == want)
+
+
+def test_unchecked_results_are_valid():
+    # vectors the library builds without the entry check pass it when
+    # rebuilt through the checking constructor
+    def valid(v):
+        return SEvenVector(v.entries) == v
+
+    for n in range(2, 13, 2):
+        for entries in oracle_vectors(n):
+            v = SEvenVector(entries)
+            assert all(map(valid, v.orbit())) and valid(canonical_vector(v).representative)
+            assert valid(vector_from_knot(knot_from_vector(v)).representative)
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        terms = [rng.choice((-1, 1)) * 2 * rng.randint(1, 5) for _ in range(2 * rng.randint(0, 8))]
+        assert valid(expand(terms))
+    assert all(valid(torus_vector(q)) for q in range(3, 100, 2))
 
 
 # ---------------------------------------------------------------- bijection
