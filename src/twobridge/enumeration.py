@@ -20,9 +20,10 @@ cr(J) >= 3 cr(K).  So assembling tiles of the representative of every
 knot K with 3 cr(K) <= n, and keeping the assemblies with n crossings,
 reaches every class with something below it and no other class, and
 the bases each class is reached from are its strictly-smaller set.  The
-catalog takes its smaller sets from that walk, and exact EK(n) is the
-largest of them, so it never lists the classes at n; the test suite
-checks both against a prefix scan of every class.
+walk counts each class once, at its shortest base, and keeps nothing.
+The catalog takes its smaller sets from that walk, and exact EK(n) is
+the largest of them, so it never lists the classes at n; the test
+suite checks both against a prefix scan of every class.
 
 Exact values are budgeted: past the budget EK(n) is refused rather
 than estimated.  The assisted mode instead squeezes EK(n)
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
-from .parsing import _tiles, smaller_knots
+from .parsing import _prefix_bases, _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction
 from .vectors import (
     SEvenVector,
@@ -157,23 +158,20 @@ def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int,
             stack.append(steps(*node))
 
 
-def _classes_with_smaller(n: int) -> dict[tuple[int, ...], set[KnotClass]]:
-    """Each class at n crossings with a knot below it, mapped to those knots.
+def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Each class at n crossings with a knot below it, once, with the bases of those knots.
 
-    A class, keyed by its representative, has a knot K below it exactly
-    when one of its vectors is an assembly of fold >= 3 over a vector of
-    K, which needs 3 cr(K) <= n.  Negating or reversing a whole assembly
-    over -b, b' or -b' (and negating it too if its last tile is negated)
-    gives an assembly in the same class over K's representative b, so
-    the walk starts from b alone.
+    Each K below the class has its representative b as the prefix that
+    the class representative a parses over (see ``is_strictly_greater``),
+    so a is an assembly over b, and prefixes of different lengths are
+    different knots.  So a is yielded from its shortest base only: where
+    the assembly is its own representative and no shorter prefix parses.
     """
-    found: dict[tuple[int, ...], set[KnotClass]] = {}
     for base_cr in range(3, n // 3 + 1):
         for b in _class_vectors(base_cr):
-            knot = _knot_of_entries(b)
-            for entries in _assemblies(b, base_cr, n):
-                found.setdefault(_class_representative(entries), set()).add(knot)
-    return found
+            for a in _assemblies(b, base_cr, n):
+                if _class_representative(a) is a and next(_prefix_bases(a, 2, len(b)), None) is None:
+                    yield a, [b, *_prefix_bases(a, len(b) + 2)]
 
 
 @dataclass(frozen=True)
@@ -213,14 +211,14 @@ class KnotCatalog:
 def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     """The full catalog at n crossings, strictly-smaller sets included.
 
-    The smaller sets are the ones the upward walk records; every class
-    it does not reach gets an empty set.  ``workers`` is accepted and
-    ignored, as in :func:`knot_classes`.
+    The upward walk yields each reached class once, at its shortest base,
+    and only the knots of those bases are computed; every class it does not
+    reach gets an empty set.  ``workers`` is ignored, as in :func:`knot_classes`.
     """
-    above = _classes_with_smaller(n)
+    above = dict(_classes_with_smaller(n))
     entries = []
     for rep, knot in sorted(_knots_by_vector(n).items(), key=lambda item: item[1].sort_key):
-        below = sorted(above.get(rep, ()), key=lambda k: k.sort_key)
+        below = sorted(map(_knot_of_entries, above.get(rep, ())), key=lambda k: k.sort_key)
         entries.append(CatalogEntry(knot, VectorClass(SEvenVector._unchecked(rep)), tuple(below)))
     return KnotCatalog(n, tuple(entries))
 
@@ -311,8 +309,8 @@ def epimorphism_number(
 ) -> int:
     """EK(n): the maximal number of knots strictly below an n-crossing knot.
 
-    ``exact`` is the largest smaller set that the upward walk records
-    (0 when it reaches no class), refused past the budget.
+    ``exact`` is the most bases the upward walk yields for one class (0
+    when it reaches none), refused past the budget; it keeps one integer.
     ``assisted`` first squeezes the value between the divisor-bound
     ceiling and certified witnesses, which settles many n far beyond
     any budget, and walks only when the squeeze stays open.
@@ -331,4 +329,4 @@ def epimorphism_number(
             return upper
     if n > budget:
         raise BudgetExceededError(n, budget)
-    return max(map(len, _classes_with_smaller(n).values()), default=0)
+    return max((len(bases) for _, bases in _classes_with_smaller(n)), default=0)

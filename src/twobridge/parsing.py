@@ -322,21 +322,23 @@ def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
     return frozenset(out)
 
 
-def _smaller_by_prefix_scan(v: SEvenVector) -> frozenset[KnotClass]:
-    """Knots of the even prefixes b that some orbit member parses over with fold >= 3.
+def _prefix_bases(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The prefixes of ea that ea parses over with fold >= 3, shortest first.
 
-    The last tile of an odd-fold parsing is b or -b, never reversed, so
-    a prefix is searched only when the orbit member also ends with b or
-    -b; every other prefix cannot parse and is skipped unsearched.
+    Their even lengths run from start to below stop, by default as far
+    as three tiles fit.  The fold is odd, so the last tile is b or -b:
+    a prefix that ea does not end with, up to sign, is skipped unsearched.
     """
-    out: set[KnotClass] = set()
-    for ea in entry_orbit(v.entries):
-        nea = tuple(map(operator.neg, ea))
-        for blen in range(2, (len(ea) - 2) // 3 + 1, 2):
-            b = ea[:blen]
-            if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and _parses(ea, b, 3):
-                out.add(_knot_of_entries(b))
-    return frozenset(out)
+    nea = tuple(map(operator.neg, ea))
+    for blen in range(start, stop or (len(ea) - 2) // 3 + 1, 2):
+        b = ea[:blen]
+        if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and _parses(ea, b, 3):
+            yield b
+
+
+def _smaller_by_prefix_scan(v: SEvenVector) -> frozenset[KnotClass]:
+    """Knots of the even prefixes b that some orbit member parses over with fold >= 3."""
+    return frozenset(_knot_of_entries(b) for ea in entry_orbit(v.entries) for b in _prefix_bases(ea))
 
 
 class NoCommonFamilyError(ValueError):

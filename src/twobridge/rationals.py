@@ -126,12 +126,15 @@ class EvenCF:
 
     @classmethod
     def parse(cls, text: str) -> "EvenCF":
+        """Parse ``"r+[a_1,...,a_k]"``; unreadable text or a rejected shape is an invalid fraction."""
         head, _, tail = text.strip().partition("+[")
-        if not tail.endswith("]"):
-            raise ValueError(f"cannot parse continued fraction from {text!r}")
         body = tail[:-1].strip()
-        terms = tuple(int(t) for t in body.split(",")) if body else ()
-        return cls(int(head), terms)
+        try:
+            if not tail.endswith("]"):
+                raise ValueError("expected r+[a_1,...,a_k]")
+            return cls(int(head), tuple(int(t) for t in body.split(",")) if body else ())
+        except ValueError as exc:
+            raise InvalidFractionError(f"cannot parse continued fraction from {text!r}: {exc}") from None
 
 
 def evaluate_terms(terms: Sequence[int], integer_part: int = 0) -> Fraction:

@@ -435,10 +435,14 @@ def test_exit_usage_error():
 
 
 def test_exit_invalid_fraction(capsys):
-    code, out, err = run(capsys, "convert", "4/8")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: invalid-fraction:")
+    # an even denominator, then an unclosed bracket, an unreadable integer
+    # part and an odd term in a continued fraction
+    for text in ("4/8", "0+[2,4", "x+[2,2]", "0+[2,3]"):
+        code, out, err = run(capsys, "convert", text)
+        assert code == 3, text
+        assert out == ""
+        assert err.startswith("error: invalid-fraction:")
+        assert err.count("\n") == 1
 
 
 def test_exit_budget(capsys):

@@ -9,7 +9,9 @@ with conftest's oracle.  EK values for the small window are frozen from
 the enumeration itself and pinned against the certified bounds.
 """
 
+import gc
 import os
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -37,7 +39,8 @@ from twobridge import (
     verify_witness_table,
 )
 from twobridge import enumeration
-from twobridge.enumeration import _assisted_lower_bound, _class_vectors, _classes_with_smaller
+from twobridge.enumeration import _assemblies, _assisted_lower_bound, _class_vectors, _classes_with_smaller
+from twobridge.vectors import _class_representative
 
 # EK(n) for n = 3..18: zero through 8 crossings, one from 9 through 14,
 # two for 15 through 17, then back to one at 18
@@ -118,6 +121,24 @@ def classes_above_by_assembly(n):
                             neg = tuple(-a for a in v)
                             out.add(max(v, neg, v[::-1], neg[::-1]))
     return out
+
+
+def base_knots(bases):
+    return {knot_from_vector(SEvenVector(b)) for b in bases}
+
+
+def map_walk(n):
+    """The knots below each reached class, by keeping one set per class.
+
+    Every assembly over every base representative is keyed by its class,
+    so a class reached from several bases collects all of them.
+    """
+    found = {}
+    for base_cr in range(3, n // 3 + 1):
+        for b in _class_vectors(base_cr):
+            for entries in _assemblies(b, base_cr, n):
+                found.setdefault(_class_representative(entries), set()).add(knot_from_vector(SEvenVector(b)))
+    return found
 
 
 # ---------------------------------------------------------------- classes
@@ -211,16 +232,31 @@ def test_classes_with_smaller_match_brute_assemblies():
         want = classes_above_by_assembly(n)
         got = {e.vector.representative.entries for e in enumerate_knots(n).entries if e.smaller}
         assert got == want, f"n = {n}"
-        assert set(_classes_with_smaller(n)) == want, f"n = {n}"
+        assert {rep for rep, _ in _classes_with_smaller(n)} == want, f"n = {n}"
 
 
 def test_recorded_smaller_sets_match_scan_past_the_window():
     # test_catalog_matches_scan_of_every_class covers n <= 17
     for n in range(18, 21):
-        recorded = _classes_with_smaller(n)
+        recorded = dict(_classes_with_smaller(n))
         assert recorded, f"n = {n}"
-        for rep, below in recorded.items():
-            assert below == smaller_knots(SEvenVector(rep)), (n, rep)
+        for rep, bases in recorded.items():
+            assert base_knots(bases) == smaller_knots(SEvenVector(rep)), (n, rep)
+
+
+def test_walk_yields_each_class_once():
+    for n in range(3, 22):
+        reps = [rep for rep, _ in _classes_with_smaller(n)]
+        assert len(reps) == len(set(reps)), f"n = {n}"
+
+
+def test_walk_bases_match_map_walk():
+    # every base is a different knot, so its length is the class's count
+    for n in range(18, 22):
+        walked = list(_classes_with_smaller(n))
+        got = {rep: base_knots(bases) for rep, bases in walked}
+        assert got == map_walk(n), f"n = {n}"
+        assert all(len(bases) == len(got[rep]) for rep, bases in walked), f"n = {n}"
 
 
 def test_catalog_json_shape():
@@ -263,6 +299,21 @@ def test_catalog_and_exact_ek_scan_no_prefixes(monkeypatch):
     monkeypatch.setattr(enumeration, "smaller_knots", refuse)
     assert enumerate_knots(15) == want
     assert epimorphism_number(15) == 2
+
+
+def test_exact_ek_memory_stays_flat():
+    # the walk keeps nothing between assemblies; one set of knots per
+    # reached class peaked at about 6 MiB here.  The peak also counts
+    # CPython's tuple free lists, bounded whatever n is, so they are
+    # emptied first to measure the same in any test order
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert epimorphism_number(26, budget=26) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_ek_lift_inequality():
