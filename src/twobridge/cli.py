@@ -99,10 +99,11 @@ def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
     for knot in bases:
         rep = vector_from_knot(knot).representative.entries
         # a parsing starts with its base, so only v's prefix can be one; a prefix
-        # that ends in 0 is no vector, so it becomes one only after the class check
+        # that ends in 0 is no vector, so it becomes one only after the class check;
+        # the base must lie strictly below v, so the 1-fold parsing v = base is refused
         prefix = v.entries[: len(rep)]
         found = _class_representative(prefix) == rep and find_parsings(v, SEvenVector._unchecked(prefix))
-        if not found:
+        if not found or found[0].fold < 3:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
         parsings.extend(found)
     return find_seams(v, tuple(parsings))

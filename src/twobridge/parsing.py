@@ -18,12 +18,11 @@ greater than the knot of b in the epimorphism order; the 1-fold parsing
 is just a = b.  A parsing starts with its base and survives negating or
 reversing both vectors at once, so J > K exactly when J's representative
 parses, with fold >= 3, over its own prefix of |K| entries and that
-prefix is K's representative.  The knots strictly below a knot are
-collected by scanning the even-length prefixes of the four
-representatives of its vector class.  Tiles at odd positions are b
-itself, not b', and the fold is odd, so a parsing also ends with b or
--b: the scan searches only the prefixes that the representative ends
-with, up to sign.
+prefix is K's representative.  For the same reason the knots strictly
+below a knot are collected by scanning the even-length prefixes of its
+vector as given.  Tiles at odd positions are b itself, not b', and the
+fold is odd, so a parsing also ends with b or -b: the scan searches only
+the prefixes that the vector ends with, up to sign.
 
 Vectors assembled from 2P+1 never-negated tiles with two alternating
 connectors m, n play a special role: for such a vector, built from its
@@ -43,13 +42,12 @@ their tiles from it.  Knots are read off entry tuples with
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector, entry_orbit
+from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector
 
 __all__ = [
     "NoCommonFamilyError",
@@ -67,7 +65,7 @@ __all__ = [
 
 def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
     """The next tile of an assembly over b, keyed by (parity of the tile count so far, sign)."""
-    neg = tuple(map(operator.neg, b))
+    neg = tuple([-x for x in b])
     return {(0, 1): b, (0, -1): neg, (1, 1): b[::-1], (1, -1): neg[::-1]}
 
 
@@ -299,13 +297,17 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     Two-connector vectors are handled by the divisor recursion on their
     generated form; everything else falls back to the complete prefix
     scan.  Both routes produce the same set where they overlap.
+
+    The scan reads v as given: negating a parsing of a over b gives one
+    of -a over -b, reversing it one of a' over b' or -b', and b, -b and
+    b' are one knot, so every orientation of v finds the same knots.
     """
     if v.is_empty:
         raise ValueError("the unknot has nothing below it")
     form = two_connector_decompose(v)
     if form is not None:
         return _smaller_from_form(form)
-    return _smaller_by_prefix_scan(v)
+    return frozenset(map(_knot_of_entries, _prefix_bases(v.entries)))
 
 
 def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
@@ -329,16 +331,11 @@ def _prefix_bases(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = Non
     as three tiles fit.  The fold is odd, so the last tile is b or -b:
     a prefix that ea does not end with, up to sign, is skipped unsearched.
     """
-    nea = tuple(map(operator.neg, ea))
+    nea = tuple([-x for x in ea])
     for blen in range(start, stop or (len(ea) - 2) // 3 + 1, 2):
         b = ea[:blen]
         if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and _parses(ea, b, 3):
             yield b
-
-
-def _smaller_by_prefix_scan(v: SEvenVector) -> frozenset[KnotClass]:
-    """Knots of the even prefixes b that some orbit member parses over with fold >= 3."""
-    return frozenset(_knot_of_entries(b) for ea in entry_orbit(v.entries) for b in _prefix_bases(ea))
 
 
 class NoCommonFamilyError(ValueError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parsing import Parsing, is_strictly_greater
-from .rationals import KnotClass
 from .vectors import SEvenVector, _knot_of_entries, canonical_vector, crossing_number
 
 __all__ = [
@@ -97,11 +96,9 @@ def negate_segments(seams: SeamSet, segments: tuple[int, ...]) -> SEvenVector:
         ) from exc
 
     out_class = canonical_vector(out)
-    base_classes: dict[KnotClass, SEvenVector] = {}
-    for p in seams.parsings:
-        base_classes.setdefault(_knot_of_entries(p.base.entries), p.base)
-    for knot, base in base_classes.items():
-        if not is_strictly_greater(out_class, canonical_vector(base)):
+    for base in dict.fromkeys(canonical_vector(p.base) for p in seams.parsings):
+        if not is_strictly_greater(out_class, base):
+            knot = _knot_of_entries(base.representative.entries)
             raise ValueError(
                 f"negating segments {chosen} loses the order above {knot.canonical}"
             )

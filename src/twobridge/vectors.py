@@ -33,7 +33,6 @@ class-checked prefixes (even prefixes of a vector that end nonzero).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -102,8 +101,10 @@ class SEvenVector:
         return not self.entries
 
     def orbit(self) -> tuple["SEvenVector", ...]:
-        """The distinct vectors among {v, -v, reverse(v), -reverse(v)}."""
-        return tuple(map(SEvenVector._unchecked, entry_orbit(self.entries)))
+        """The distinct vectors among {v, -v, reverse(v), -reverse(v)}, in that order."""
+        e = self.entries
+        neg = tuple([-x for x in e])
+        return tuple(map(SEvenVector._unchecked, dict.fromkeys((e, neg, e[::-1], neg[::-1]))))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)
@@ -116,14 +117,8 @@ class SEvenVector:
         return cls(tuple(int(t) for t in text.split(",")))
 
 
-def entry_orbit(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct tuples among {e, -e, reverse(e), -reverse(e)}, in that order."""
-    neg = tuple(map(operator.neg, entries))
-    return tuple(dict.fromkeys((entries, neg, entries[::-1], neg[::-1])))
-
-
 def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographic maximum of :func:`entry_orbit` of entries; () for ().
+    """The lexicographic maximum of entries, -entries and their reversals; () for ().
 
     The ends of a valid vector are nonzero, so the maximum is the larger
     of the orbit's two members that start positive: e or -e, and the
@@ -133,8 +128,8 @@ def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
     if not entries:
         return entries
     if entries[0] < 0:
-        entries = tuple(map(operator.neg, entries))
-    rev = entries[::-1] if entries[-1] > 0 else tuple(map(operator.neg, reversed(entries)))
+        entries = tuple([-x for x in entries])
+    rev = entries[::-1] if entries[-1] > 0 else tuple([-x for x in reversed(entries)])
     return entries if entries >= rev else rev
 
 

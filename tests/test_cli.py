@@ -478,6 +478,9 @@ def test_exit_value_error(capsys):
     assert run(capsys, "seams", "2,2", "--wrt", "1/5") == (
         1, "", "error: the vector has no parsings with respect to 1/5\n"
     )
+    # a base must lie strictly below the vector: its own knot is refused
+    for argv, knot in ((("seams", "1/27", "--wrt", "1/27"), "1/27"), (("seams", "2,2", "--wrt", "2/5"), "2/5")):
+        assert run(capsys, *argv) == (1, "", f"error: the vector has no parsings with respect to {knot}\n")
     assert run(capsys, "cm", "-1") == (1, "", "error: m must be nonnegative, got -1\n")
     code, _, err = run(capsys, "torus", "4")
     assert code == 1

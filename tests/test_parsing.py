@@ -460,18 +460,31 @@ def test_smaller_knots_matches_unfiltered_scan_random():
             vectors.append(a)
             misses += 1
     assert sum(1 for a in vectors if two_connector_decompose(V(a)) is None) > 100
+    # the scan reads the vector as given, so every orientation must agree
     for a in vectors:
         v = V(a)
-        assert smaller_knots(v) == unfiltered_smaller(v), a
+        want = unfiltered_smaller(v)
+        for w in v.orbit():
+            assert smaller_knots(w) == want, w.entries
 
 
 def test_smaller_knots_long_assembly_with_negated_last_tile():
+    # a random 5-fold assembly, and the 1538-entry vector of the CI smoke
+    # step: the 3-fold assembly b, -b', -b over such an assembly of a
+    # 170-entry vector; each in all four orientations
     rng = random.Random(2027)
-    base = random_vector(rng, 300)
-    a = random_assembly(rng, base.entries, 5, -1)
-    assert len(a) >= 1500
-    assert two_connector_decompose(V(a)) is None
-    assert knot_from_vector(base) in smaller_knots(V(a))
+    base = random_vector(rng, 300).entries
+    tri = lambda b: b + (2,) + tuple(-x for x in b[::-1]) + (-2,) + tuple(-x for x in b)
+    small = tuple(2 if i * i % 7 < 4 else -2 for i in range(170))
+    for b, a in ((base, random_assembly(rng, base, 5, -1)), (tri(small), tri(tri(small)))):
+        assert len(a) >= 1500
+        assert two_connector_decompose(V(a)) is None
+        want = unfiltered_smaller(V(a))
+        assert knot_from_vector(V(b)) in want
+        orbit = V(a).orbit()
+        assert len(orbit) == 4
+        for w in orbit:
+            assert smaller_knots(w) == want, w.entries
 
 
 # ----------------------------------------------------- chain family facts
