@@ -34,7 +34,7 @@ from .enumeration import (
     epimorphism_number,
     verify_witness_table,
 )
-from .parsing import Parsing, find_parsings, is_strictly_greater, smaller_knots, two_connector_decompose
+from .parsing import _parsing_below, is_strictly_greater, smaller_knots, two_connector_decompose
 from .rationals import (
     CFDivisionError,
     EvenCF,
@@ -43,12 +43,10 @@ from .rationals import (
     KnotClass,
     canonical_fraction,
     even_expansion,
-    evaluate_cf,
 )
 from .seams import SeamSet, find_seams, lift_construction, negate_segments
 from .vectors import (
     SEvenVector,
-    _class_representative,
     canonical_vector,
     crossing_number,
     expand,
@@ -75,37 +73,26 @@ _KNOWN_EK = {
 }
 
 
-def _as_knot(text: str) -> KnotClass:
-    """Read a knot from fraction, continued fraction, or vector syntax."""
-    if "[" in text:
-        return canonical_fraction(evaluate_cf(EvenCF.parse(text)))
-    if "," in text:
-        return knot_from_vector(SEvenVector.parse(text))
-    return canonical_fraction(Fraction.parse(text))
-
-
 def _as_vector(text: str) -> SEvenVector:
-    """Read a vector; fraction input goes through the bijection."""
-    if "[" in text:
-        return expand(EvenCF.parse(text))
+    """Read a knot's vector from vector, continued fraction or fraction syntax."""
+    if "[" in text:  # before the comma test: a continued fraction has commas too
+        cf = EvenCF.parse(text)
+        if not cf.terms:
+            raise InvalidFractionError(f"{cf.r}/1 does not identify a nontrivial 2-bridge knot")
+        return expand(cf)
     if "," in text:
         return SEvenVector.parse(text)
     return vector_from_knot(canonical_fraction(Fraction.parse(text))).representative
 
 
 def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
-    """Seams of v with respect to every parsing over the given base knots."""
-    parsings: list[Parsing] = []
+    """Seams of v with respect to its parsings over the given base knots, each strictly below v."""
+    parsings = []
     for knot in bases:
-        rep = vector_from_knot(knot).representative.entries
-        # a parsing starts with its base, so only v's prefix can be one; a prefix
-        # that ends in 0 is no vector, so it becomes one only after the class check;
-        # the base must lie strictly below v, so the 1-fold parsing v = base is refused
-        prefix = v.entries[: len(rep)]
-        found = _class_representative(prefix) == rep and find_parsings(v, SEvenVector._unchecked(prefix))
-        if not found or found[0].fold < 3:
+        found = _parsing_below(v.entries, vector_from_knot(knot).representative.entries)
+        if found is None:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
-        parsings.extend(found)
+        parsings.append(found)
     return find_seams(v, tuple(parsings))
 
 
@@ -115,7 +102,7 @@ def _below(v: SEvenVector) -> list[KnotClass]:
 
 def _seam_bases(v: SEvenVector, wrt: Optional[Sequence[str]]) -> list[KnotClass]:
     if wrt:
-        return sorted({_as_knot(t) for t in wrt}, key=lambda k: k.sort_key)
+        return sorted({knot_from_vector(_as_vector(t)) for t in wrt}, key=lambda k: k.sort_key)
     bases = _below(v)
     if not bases:
         raise ValueError("no knots lie strictly below this vector; pass --wrt explicitly")
@@ -155,8 +142,8 @@ def _knot_fields(v: SEvenVector) -> list[tuple[str, object]]:
 
 
 def _cmd_convert(args):
-    knot = _as_knot(args.input)
-    vec = vector_from_knot(knot).representative
+    vec = canonical_vector(_as_vector(args.input)).representative
+    knot = knot_from_vector(vec)
     cf, n = even_expansion(knot.canonical), crossing_number(vec)
     return _report([("fraction", knot), ("even-cf", cf), ("vector", vec), ("crossing-number", n)])
 
@@ -309,7 +296,8 @@ def _checks(budget: int):
     """(name, cases, OK detail) per check, each row made after the one before has run."""
     cm_cases = ((f"m={m}", least_odd_with_divisors(m), want) for m, want in sorted(_KNOWN_CM.items()))
     yield "cm-table", cm_cases, f"{len(_KNOWN_CM)} values"
-    top = min(budget, max(_KNOWN_EK))
+    # the window always holds n = 3, so a budget below 3 is refused, not passed vacuously
+    top = max(3, min(budget, max(_KNOWN_EK)))
     ek_cases = (
         (f"n={n}", epimorphism_number(n, mode="exact", budget=budget), _KNOWN_EK[n])
         for n in range(3, top + 1)

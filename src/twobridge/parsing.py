@@ -24,13 +24,12 @@ vector as given.  Tiles at odd positions are b itself, not b', and the
 fold is odd, so a parsing also ends with b or -b: the scan searches only
 the prefixes that the vector ends with, up to sign.
 
-Vectors assembled from 2P+1 never-negated tiles with two alternating
-connectors m, n play a special role: for such a vector, built from its
-shortest generator, the vectors it parses with respect to are exactly
-the assemblies over divisors of the tile count together with whatever
-the generator itself parses with respect to.  That yields a fast
-divisor-based route to the strictly-smaller set which agrees with the
-prefix scan wherever both apply.
+A two-connector form, 2P+1 tiles over g with connectors m, n, m, n,
+..., is a parsing over g with every sign +1, so the same scan finds it.
+For a form on its shortest generator, the vectors it parses with respect
+to are exactly the assemblies over divisors of the tile count together
+with whatever g itself parses with respect to: a fast divisor-based
+route to the strictly-smaller set which agrees with the prefix scan.
 
 ``_tiles`` is the one statement of the layout: which orientation and
 sign the next tile takes.  :class:`Parsing` (its blocks, assembly and
@@ -47,7 +46,7 @@ from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, _knot_of_entries, connector_vector
+from .vectors import SEvenVector, VectorClass, _class_representative, _knot_of_entries, connector_vector
 
 __all__ = [
     "NoCommonFamilyError",
@@ -126,14 +125,12 @@ class Parsing:
         }
 
 
-def _connector_read(entries: tuple[int, ...], pos: int) -> Optional[tuple[int, int]]:
-    """The connector at pos as (value, length): the whole run there, or None past the end.
+def _connector_read(entries: tuple[int, ...], pos: int) -> tuple[int, int]:
+    """The connector at pos, before the end, as (value, length): the whole run there.
 
     A zero entry is the zero connector; a nonzero entry s starts the run
     (s, 0, s, ..., 0, s), read as far as it goes.
     """
-    if pos >= len(entries):
-        return None
     s = entries[pos]
     if s == 0:
         return 0, 1
@@ -177,12 +174,13 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> Optional[tuple[li
     return (signs, connectors) if len(signs) % 2 else None
 
 
-def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> bool:
+def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> Optional[tuple[list[int], list[int]]]:
+    """The scan of ea over eb when its fold is >= min_fold, else None; a short ea is not scanned."""
     la, lb = len(ea), len(eb)
     if lb == 0 or (min_fold > 1 and la < min_fold * lb + (min_fold - 1)):
-        return False
+        return None
     found = _scan_parsing(ea, eb)
-    return found is not None and len(found[0]) >= min_fold
+    return found if found and len(found[0]) >= min_fold else None
 
 
 def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
@@ -197,24 +195,28 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
     """True when the parsing of a with respect to b exists and has fold >= min_fold."""
-    return _parses(a.entries, b.entries, min_fold)
+    return _parses(a.entries, b.entries, min_fold) is not None
+
+
+def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> Optional[Parsing]:
+    """The fold >= 3 parsing of entries over its own prefix in rep's class, or None.
+
+    A parsing starts with its base, so only the prefix of len(rep) entries
+    can be one; a prefix cut at a 0 lies in no class.
+    """
+    b = entries[: len(rep)]
+    found = _class_representative(b) == rep and _parses(entries, b, 3)
+    return Parsing(SEvenVector._unchecked(b), *found) if found else None
 
 
 def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
     """Strict order on knots via their vector classes.
 
-    A parsing starts with its base and survives negating or reversing
-    both vectors at once, so j > k exactly when j's representative has a
-    fold >= 3 parsing over its own prefix of len(k) entries and that
-    prefix lies in k's class.  That prefix is then k's representative
-    itself: the four orbit members of an assembly over b start with b,
-    -b, b' and -b', so the lexicographic maximum of j's orbit starts with
-    the maximum of b's orbit.  One tuple comparison and at most one scan;
-    equal classes fail the fold-3 length test.
+    A parsing survives negating or reversing both vectors at once, so
+    j > k exactly when j's representative parses, with fold >= 3, over
+    its own prefix in k's class.  Equal classes fail the length test.
     """
-    a = j.representative.entries
-    b = a[: len(k)]
-    return b == k.representative.entries and _parses(a, b, 3)
+    return _parsing_below(j.representative.entries, k.representative.entries) is not None
 
 
 @dataclass(frozen=True)
@@ -261,33 +263,27 @@ def _assemble_entries(g: tuple[int, ...], m: int, n: int, count: int) -> tuple[i
 def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
     """The two-connector form of v built on its shortest generator, if any.
 
-    Searches even generator lengths ascending from 0, the empty
-    generator; the first assembly that reproduces v wins.  The connector
-    pair is unique when a form exists, and a generator found this way
-    never decomposes again with the same connectors, so the returned
-    form is the fully generated one.
-
-    Each generator length reads one m and one n connector, each the
-    whole run at its position.  The true m run is followed by g', or,
-    with an empty generator, by the nonzero n run; the true n run by g,
-    by the next m run or by the end.  Each of these starts with a
-    nonzero entry, so no shorter read can be right.
+    The empty generator comes first: v is then its first two connector
+    runs repeated.  A nonempty generator g is a prefix that v ends with,
+    not cut at a 0, over which v's parsing has fold >= 3, every sign +1
+    and alternating connectors; the parsing over g is unique, so the
+    first such g, shortest first, gives the form.
     """
-    entries = v.entries
-    lv = len(entries)
-    glen = 0
-    while 3 * glen + 2 <= lv:
-        g = entries[:glen]
-        if not g or g[-1] != 0:
-            m, mlen = _connector_read(entries, glen)
-            pos = glen + mlen
-            n_read = _connector_read(entries, pos + glen)
-            if n_read is not None and entries[pos : pos + glen] == g[::-1]:
-                n, nlen = n_read
-                reps, rest = divmod(lv - glen, 2 * glen + mlen + nlen)
-                if not rest and _assemble_entries(g, m, n, 2 * reps + 1) == entries:
-                    return TwoConnectorForm(SEvenVector._unchecked(g), m, n, 2 * reps + 1)
-        glen += 2
+    e = v.entries
+    if not e:
+        return None
+    m, mlen = _connector_read(e, 0)
+    n, nlen = _connector_read(e, mlen)  # a run has odd length, so v is never one run
+    reps, rest = divmod(len(e), mlen + nlen)
+    if not rest and e[: mlen + nlen] * reps == e:
+        return TwoConnectorForm(SEvenVector._unchecked(()), m, n, 2 * reps + 1)
+    for glen in range(2, (len(e) - 2) // 3 + 1, 2):
+        g = e[:glen]
+        found = g[-1] != 0 and e[-glen:] == g and _parses(e, g, 3)
+        if found:
+            signs, connectors = found
+            if -1 not in signs and connectors[2:] == connectors[:-2]:
+                return TwoConnectorForm(SEvenVector._unchecked(g), connectors[0], connectors[1], len(signs))
     return None
 
 

@@ -443,6 +443,21 @@ def test_exit_invalid_fraction(capsys):
         assert out == ""
         assert err.startswith("error: invalid-fraction:")
         assert err.count("\n") == 1
+    # r+[] is r/1, the unknot: every verb, and --wrt, refuses it as convert does
+    argvs = [
+        ("convert", "{}"),
+        ("cr", "{}"),
+        ("smaller", "{}"),
+        ("compare", "{}", "1/3"),
+        ("seams", "{}"),
+        ("negate", "{}", "--segments", "1"),
+        ("lift", "{}", "--target", "9"),
+        ("seams", "1/27", "--wrt", "{}"),
+    ]
+    for argv in argvs:
+        for r in ("0", "3", "-1"):
+            want = f"error: invalid-fraction: {r}/1 does not identify a nontrivial 2-bridge knot\n"
+            assert run(capsys, *(a.format(f"{r}+[]") for a in argv)) == (3, "", want), (argv, r)
 
 
 def test_exit_budget(capsys):
@@ -451,6 +466,16 @@ def test_exit_budget(capsys):
     assert err.startswith("error: budget-exceeded:")
     code, _, err = run(capsys, "enumerate", "19")
     assert code == 4
+
+
+@pytest.mark.parametrize("budget", ["2", "-5"])
+def test_verify_budget_below_the_ek_window(capsys, budget):
+    # the EK window always starts at n = 3, so a smaller budget is refused
+    # as ek 3 refuses it, not passed over an empty window
+    _, _, err = run(capsys, "ek", "3", "--budget", budget)
+    assert err.startswith("error: budget-exceeded:") and err.count("\n") == 1
+    assert run(capsys, "verify-paper", "--budget", budget) == (4, "", err)
+    assert run(capsys, "verify-paper", "--json", "--budget", budget) == (4, "", err)
 
 
 def test_exit_budget_assisted_huge_n(capsys):

@@ -357,6 +357,61 @@ def test_two_connector_decompose_matches_oracle_up_to_12():
             assert got == oracle_two_connector_form(entries), entries
 
 
+def test_two_connector_decompose_passes_mixed_sign_parsings():
+    # over a prefix shorter than the generator the scan can find a fold >= 3
+    # parsing with mixed signs: no form, so the search goes on.  Vectors of
+    # at most 12 entries never reach this path
+    g = V((2, 2, 2, -2, -2, -2, 2, 2))
+    v = assemble_two_connector(g, 2, 2, 3)
+    (p,) = find_parsings(v, V((2, 2)))
+    assert (len(v), p.fold, set(p.signs)) == (26, 9, {1, -1})
+    form = two_connector_decompose(v)
+    assert (form.generator.entries, form.m, form.n, form.count) == (g.entries, 2, 2, 3)
+    assert oracle_two_connector_form(v.entries) == (g.entries, 2, 2, 3)
+
+    # random assemblies of at most 60 entries over a mixed-sign assembly
+    rng = random.Random(1818)
+    checked = passed_by = 0
+    while checked < 150:
+        signs, connectors = [1], []
+        for _ in range(rng.choice((2, 4))):
+            c = rng.randrange(-4, 6, 2)
+            signs.append(signs[-1] if c == 0 else rng.choice((1, -1)))
+            connectors.append(c)
+        if -1 not in signs:
+            continue
+        inner = Parsing(random_vector(rng, rng.choice((2, 4))), tuple(signs), tuple(connectors))
+        v = assemble_two_connector(inner.assemble(), rng.randrange(-4, 6, 2), rng.randrange(-4, 6, 2), 3)
+        if len(v) > 60:
+            continue
+        form = two_connector_decompose(v)
+        got = form and (form.generator.entries, form.m, form.n, form.count)
+        assert got == oracle_two_connector_form(v.entries), v
+        checked += 1
+        passed_by += any(
+            len(p.signs) >= 3 and -1 in p.signs
+            for blen in range(2, len(form.generator) if form else 0, 2)
+            if v.entries[blen - 1]
+            for p in find_parsings(v, V(v.entries[:blen]))
+        )
+    assert passed_by > 100, passed_by
+
+    # all-plus parsings, every other one with alternating connectors: the
+    # scan finds a form over the base only when they alternate
+    forms = 0
+    for i in range(150):
+        fold = rng.choice((5, 7))
+        connectors = [rng.randrange(-2, 4, 2) for _ in range(fold - 1)]
+        if i % 2:
+            connectors = [connectors[j % 2] for j in range(fold - 1)]
+        v = Parsing(random_vector(rng, 2), (1,) * fold, tuple(connectors)).assemble()
+        form = two_connector_decompose(v)
+        got = form and (form.generator.entries, form.m, form.n, form.count)
+        assert got == oracle_two_connector_form(v.entries), v
+        forms += form is not None
+    assert 70 < forms < 140, forms
+
+
 def test_two_connector_generator_is_valid():
     # the generator is cut from the vector without the entry check
     for length in range(2, 13, 2):
