@@ -23,6 +23,8 @@ calls.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,17 +95,14 @@ def _divisor_ceiling(
     divisor count, each further one multiplies it by at most 3/2, and no
     prime contributes more than e + 1.
     """
-    k = 0
-    while True:
-        if len(primes) < i + k + 2:
-            _add_odd_prime(primes, prefix)
-        if prefix[i + k + 1] > room * prefix[i]:
-            break
-        k += 1
+    fits = room * prefix[i]
+    while prefix[-1] <= fits:
+        _add_odd_prime(primes, prefix)
+    k = bisect_right(prefix, fits, i) - 1 - i  # room >= 1, so prefix[i] fits
     p = primes[i]
-    s, power = 0, p
-    while power <= room:
-        s, power = s + 1, power * p
+    s = int(room.bit_length() / math.log2(p)) + 1  # p^s <= room < 2^bits; the + 1 covers rounding
+    while p**s > room:
+        s -= 1
     bound = 2**k * 3 ** (s - k) // 2 ** (s - k)
     return bound if e is None else min(bound, (e + 1) ** k)
 

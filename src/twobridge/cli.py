@@ -34,7 +34,7 @@ from .enumeration import (
     epimorphism_number,
     verify_witness_table,
 )
-from .parsing import _parsing_below, is_strictly_greater, smaller_knots, two_connector_decompose
+from .parsing import Parsing, _parsing_below, is_strictly_greater, smaller_knots, two_connector_decompose
 from .rationals import (
     CFDivisionError,
     EvenCF,
@@ -92,7 +92,8 @@ def _gather_seams(v: SEvenVector, bases: Sequence[KnotClass]) -> SeamSet:
         found = _parsing_below(v.entries, vector_from_knot(knot).representative.entries)
         if found is None:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
-        parsings.append(found)
+        base, signs, connectors = found
+        parsings.append(Parsing(SEvenVector._unchecked(base), signs, connectors))
     return find_seams(v, tuple(parsings))
 
 

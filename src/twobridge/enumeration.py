@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
-from .parsing import _prefix_bases, _tiles, smaller_knots
+from .parsing import _prefix_parsings, _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction
 from .vectors import (
     SEvenVector,
@@ -170,8 +170,8 @@ def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[
     for base_cr in range(3, n // 3 + 1):
         for b in _class_vectors(base_cr):
             for a in _assemblies(b, base_cr, n):
-                if _class_representative(a) is a and next(_prefix_bases(a, 2, len(b)), None) is None:
-                    yield a, [b, *_prefix_bases(a, len(b) + 2)]
+                if _class_representative(a) is a and next(_prefix_parsings(a, 2, len(b)), None) is None:
+                    yield a, [b, *(p for p, _, _ in _prefix_parsings(a, len(b) + 2))]
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,17 @@ greater than the knot of b in the epimorphism order; the 1-fold parsing
 is just a = b.  A parsing starts with its base and survives negating or
 reversing both vectors at once, so J > K exactly when J's representative
 parses, with fold >= 3, over its own prefix of |K| entries and that
-prefix is K's representative.  For the same reason the knots strictly
-below a knot are collected by scanning the even-length prefixes of its
-vector as given.  Tiles at odd positions are b itself, not b', and the
-fold is odd, so a parsing also ends with b or -b: the scan searches only
-the prefixes that the vector ends with, up to sign.
+prefix is K's representative, and the knots below a knot are those of
+the prefixes its vector, as given, parses over.  One generator,
+``_prefix_parsings``, states which prefixes can be bases; the order
+test, the walk of ``enumeration``, ``smaller_knots`` and
+``two_connector_decompose`` all read it.
 
 A two-connector form, 2P+1 tiles over g with connectors m, n, m, n,
-..., is a parsing over g with every sign +1, so the same scan finds it.
-For a form on its shortest generator, the vectors it parses with respect
-to are exactly the assemblies over divisors of the tile count together
-with whatever g itself parses with respect to: a fast divisor-based
-route to the strictly-smaller set which agrees with the prefix scan.
+..., is a parsing over g with every sign +1, so the same scan finds it,
+and ``smaller_knots`` stops there: the knots below are those of the
+prefixes before g and of the assemblies over g whose tile count divides
+the form's.
 
 ``_tiles`` is the one statement of the layout: which orientation and
 sign the next tile takes.  :class:`Parsing` (its blocks, assembly and
@@ -174,6 +173,10 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> Optional[tuple[li
     return (signs, connectors) if len(signs) % 2 else None
 
 
+# A parsing as the prefix scan finds it: (base, signs, connectors).
+_Scan = tuple[tuple[int, ...], list[int], list[int]]
+
+
 def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> Optional[tuple[list[int], list[int]]]:
     """The scan of ea over eb when its fold is >= min_fold, else None; a short ea is not scanned."""
     la, lb = len(ea), len(eb)
@@ -198,15 +201,31 @@ def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) ->
     return _parses(a.entries, b.entries, min_fold) is not None
 
 
-def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> Optional[Parsing]:
-    """The fold >= 3 parsing of entries over its own prefix in rep's class, or None.
+def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = None) -> Iterator[_Scan]:
+    """Each prefix that ea parses over with fold >= 3, shortest first, as (prefix, signs, connectors).
+
+    This is the one rule for which prefixes can be bases.  Their even
+    lengths run from start to below stop, by default as far as three
+    tiles fit; a prefix cut at a 0 lies in no class.  Tiles at odd places
+    are b itself, not b', and the fold is odd, so the last tile is b or
+    -b: a prefix that ea does not end with, up to sign, is not scanned.
+    """
+    nea = tuple([-x for x in ea])
+    for blen in range(start, stop or (len(ea) - 2) // 3 + 1, 2):
+        b = ea[:blen]
+        if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and (found := _parses(ea, b, 3)):
+            yield b, *found
+
+
+def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> Optional[_Scan]:
+    """The fold >= 3 parsing of entries over its prefix in rep's class, as a ``_Scan``, or None.
 
     A parsing starts with its base, so only the prefix of len(rep) entries
-    can be one; a prefix cut at a 0 lies in no class.
+    can be one; the empty class lies below nothing.
     """
-    b = entries[: len(rep)]
-    found = _class_representative(b) == rep and _parses(entries, b, 3)
-    return Parsing(SEvenVector._unchecked(b), *found) if found else None
+    if not rep or _class_representative(entries[: len(rep)]) != rep:
+        return None
+    return next(_prefix_parsings(entries, len(rep), len(rep) + 1), None)
 
 
 def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
@@ -260,39 +279,42 @@ def _assemble_entries(g: tuple[int, ...], m: int, n: int, count: int) -> tuple[i
     return g + period * (count // 2)
 
 
-def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
-    """The two-connector form of v built on its shortest generator, if any.
+def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Optional[TwoConnectorForm]]:
+    """The prefixes that the nonempty e parses over, shortest first and up to its form, and that form.
 
-    The empty generator comes first: v is then its first two connector
-    runs repeated.  A nonempty generator g is a prefix that v ends with,
-    not cut at a 0, over which v's parsing has fold >= 3, every sign +1
-    and alternating connectors; the parsing over g is unique, so the
-    first such g, shortest first, gives the form.
+    The empty generator comes first: e is its first two connector runs
+    repeated.  Otherwise the first all-plus parsing with alternating
+    connectors is the form on the shortest generator; with none, every
+    prefix e parses over is listed.
     """
-    e = v.entries
-    if not e:
-        return None
     m, mlen = _connector_read(e, 0)
-    n, nlen = _connector_read(e, mlen)  # a run has odd length, so v is never one run
+    n, nlen = _connector_read(e, mlen)  # a run has odd length, so e is never one run
     reps, rest = divmod(len(e), mlen + nlen)
     if not rest and e[: mlen + nlen] * reps == e:
-        return TwoConnectorForm(SEvenVector._unchecked(()), m, n, 2 * reps + 1)
-    for glen in range(2, (len(e) - 2) // 3 + 1, 2):
-        g = e[:glen]
-        found = g[-1] != 0 and e[-glen:] == g and _parses(e, g, 3)
-        if found:
-            signs, connectors = found
-            if -1 not in signs and connectors[2:] == connectors[:-2]:
-                return TwoConnectorForm(SEvenVector._unchecked(g), connectors[0], connectors[1], len(signs))
-    return None
+        return [], TwoConnectorForm(SEvenVector._unchecked(()), m, n, 2 * reps + 1)
+    bases = []
+    for b, signs, connectors in _prefix_parsings(e):
+        if -1 not in signs and connectors[2:] == connectors[:-2]:
+            return bases, TwoConnectorForm(SEvenVector._unchecked(b), connectors[0], connectors[1], len(signs))
+        bases.append(b)
+    return bases, None
+
+
+def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
+    """The two-connector form of v built on its shortest generator, if any (see ``_bases_and_form``)."""
+    return _bases_and_form(v.entries)[1] if v.entries else None
 
 
 def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
-    """All nontrivial knots strictly below the knot of v.
+    """All nontrivial knots strictly below the knot of v, from one prefix scan.
 
-    Two-connector vectors are handled by the divisor recursion on their
-    generated form; everything else falls back to the complete prefix
-    scan.  Both routes produce the same set where they overlap.
+    They are the knots of the prefixes v parses over.  The scan stops at
+    the generator g of v's two-connector form, if any.  The longer
+    prefixes give the knots of the assemblies over g whose tile count d
+    divides v's (the divisor theorem; d = 1 is g itself).  The shorter
+    ones that v parses over are exactly those g parses over: v is an
+    all-plus assembly of g, so a parsing of g over b makes one of v over
+    b, and the divisor theorem gives the converse.  So g needs no scan.
 
     The scan reads v as given: negating a parsing of a over b gives one
     of -a over -b, reversing it one of a' over b' or -b', and b, -b and
@@ -300,38 +322,13 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     """
     if v.is_empty:
         raise ValueError("the unknot has nothing below it")
-    form = two_connector_decompose(v)
+    bases, form = _bases_and_form(v.entries)
     if form is not None:
-        return _smaller_from_form(form)
-    return frozenset(map(_knot_of_entries, _prefix_bases(v.entries)))
-
-
-def _smaller_from_form(form: TwoConnectorForm) -> frozenset[KnotClass]:
-    out: set[KnotClass] = set()
-    g = form.generator.entries
-    # the tile count is odd, so are its divisors; with an empty generator
-    # the bare tile (d = 1) is the unknot
-    for d in range(1 if g else 3, form.count, 2):
-        if form.count % d == 0:
-            out.add(_knot_of_entries(_assemble_entries(g, form.m, form.n, d)))
-    if g:
-        out |= smaller_knots(form.generator)
-        out.add(_knot_of_entries(g))
-    return frozenset(out)
-
-
-def _prefix_bases(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """The prefixes of ea that ea parses over with fold >= 3, shortest first.
-
-    Their even lengths run from start to below stop, by default as far
-    as three tiles fit.  The fold is odd, so the last tile is b or -b:
-    a prefix that ea does not end with, up to sign, is skipped unsearched.
-    """
-    nea = tuple([-x for x in ea])
-    for blen in range(start, stop or (len(ea) - 2) // 3 + 1, 2):
-        b = ea[:blen]
-        if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and _parses(ea, b, 3):
-            yield b
+        g = form.generator.entries
+        # the tile count is odd, so are its divisors; over an empty g, d = 1 is the unknot
+        divisors = [d for d in range(1 if g else 3, form.count, 2) if form.count % d == 0]
+        bases += [_assemble_entries(g, form.m, form.n, d) for d in divisors]
+    return frozenset(map(_knot_of_entries, bases))
 
 
 class NoCommonFamilyError(ValueError):

@@ -290,6 +290,15 @@ def test_is_strictly_greater_frozen():
     assert not is_strictly_greater(t27, t27)
 
 
+def test_is_strictly_greater_empty_class():
+    # the unknot's class is empty: nothing lies below it and it lies below
+    # nothing, and neither question scans an empty prefix
+    empty = canonical_vector(SEvenVector(()))
+    for k in (empty, canonical_vector(torus_vector(3)), canonical_vector(torus_vector(27))):
+        assert not is_strictly_greater(empty, k)
+        assert not is_strictly_greater(k, empty)
+
+
 def test_strict_order_antisymmetric_small():
     classes = classes_with_crossing_up_to(10)
     assert len(classes) == 1 + 1 + 2 + 3 + 7 + 12 + 24 + 45
@@ -540,6 +549,34 @@ def test_smaller_knots_long_assembly_with_negated_last_tile():
         assert len(orbit) == 4
         for w in orbit:
             assert smaller_knots(w) == want, w.entries
+
+
+def test_smaller_knots_nested_forms_match_unfiltered_scan():
+    # two-connector assemblies over a generator that has knots below it:
+    # the scan stops at the generator and lists the divisor assemblies
+    # over it, so the knots below the generator must come from the
+    # prefixes before it; each in all four orientations
+    v = assemble_two_connector(torus_vector(9), 2, 4, 15)
+    assert len(v) == 148
+    assert {str(k) for k in smaller_knots(v)} == {"1/3", "1/9", "53/945", "5617/100161"}
+    rng = random.Random(1919)
+    generators = [torus_vector(9).entries, torus_vector(15).entries]
+    while len(generators) < 8:
+        base = random_vector(rng, rng.randrange(2, 9, 2)).entries
+        signs = (1, rng.choice((1, -1)), rng.choice((1, -1)))
+        if -1 in signs:
+            connectors = [rng.choice([c for c in range(-4, 6, 2) if c or signs[i] == signs[i + 1]]) for i in range(2)]
+            generators.append(oracle_assemble(base, signs, connectors))
+    nested = 0
+    for g in generators:
+        for _ in range(4):
+            v = assemble_two_connector(V(g), rng.randrange(-4, 6, 2), rng.randrange(-4, 6, 2), rng.randrange(3, 17, 2))
+            want = unfiltered_smaller(v)
+            for w in v.orbit():
+                assert smaller_knots(w) == want, w.entries
+            form = two_connector_decompose(v)
+            nested += form is not None and bool(unfiltered_smaller(form.generator))
+    assert nested >= 24, nested
 
 
 # ----------------------------------------------------- chain family facts
