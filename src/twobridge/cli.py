@@ -352,61 +352,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("convert", parents=[common], help="fraction, continued fraction, and vector forms of a knot")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_convert)
+    def verb(name, handler, summary, *positionals, **defaults):
+        """A verb with the common flags, its positionals (m, n and q are integers) and its handler."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg in ("m", "n", "q") else None)
+        p.set_defaults(handler=handler, **defaults)
+        return p
 
-    p = sub.add_parser("cr", parents=[common], help="crossing number of a knot or vector")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_cr)
-
-    p = sub.add_parser("smaller", parents=[common], help="knots strictly below a knot or vector")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_smaller)
-
-    p = sub.add_parser("compare", parents=[common], help="order relation between two knots")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("cm", parents=[common], help="least odd number with at least m nontrivial proper divisors")
-    p.add_argument("m", type=int)
-    p.add_argument("--table", action="store_true", help="print all values up to m")
-    p.set_defaults(handler=_cmd_cm)
-
-    p = sub.add_parser("ek", parents=[common], help="largest number of knots below any knot with n crossings")
-    p.add_argument("n", type=int)
-    mode = p.add_mutually_exclusive_group()
+    verb("convert", _cmd_convert, "fraction, continued fraction, and vector forms of a knot", "input")
+    verb("cr", _cmd_cr, "crossing number of a knot or vector", "input")
+    verb("smaller", _cmd_smaller, "knots strictly below a knot or vector", "input")
+    verb("compare", _cmd_compare, "order relation between two knots", "a", "b")
+    cm = verb("cm", _cmd_cm, "least odd number with at least m nontrivial proper divisors", "m")
+    cm.add_argument("--table", action="store_true", help="print all values up to m")
+    ek = verb("ek", _cmd_ek, "largest number of knots below any knot with n crossings", "n", mode="exact")
+    mode = ek.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
     mode.add_argument("--assisted", dest="mode", action="store_const", const="assisted")
-    p.set_defaults(handler=_cmd_ek, mode="exact")
-
-    p = sub.add_parser("enumerate", parents=[common], help="catalog of all 2-bridge knots with n crossings")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("seams", parents=[common], help="common cut positions over all parsings of a vector")
-    p.add_argument("input")
-    p.add_argument("--wrt", action="append", metavar="BASE", help="base knot; repeatable (default: every smaller knot)")
-    p.set_defaults(handler=_cmd_seams)
-
-    p = sub.add_parser("negate", parents=[common], help="negate seam segments and re-verify the order")
-    p.add_argument("input")
-    p.add_argument("--segments", required=True, help="comma separated 1-based segment numbers")
-    p.add_argument("--wrt", action="append", metavar="BASE", help="base knot; repeatable (default: every smaller knot)")
-    p.set_defaults(handler=_cmd_negate)
-
-    p = sub.add_parser("lift", parents=[common], help="vector with a chosen crossing number strictly above a given one")
-    p.add_argument("input")
-    p.add_argument("--target", type=int, required=True, help="crossing number of the lifted vector")
-    p.set_defaults(handler=_cmd_lift)
-
-    p = sub.add_parser("torus", parents=[common], help="the (2,q) torus knot, its vector, and the knots below it")
-    p.add_argument("q", type=int)
-    p.set_defaults(handler=_cmd_torus)
-
-    p = sub.add_parser("verify-paper", parents=[common], help="check the built-in reference tables and constructions")
-    p.set_defaults(handler=_cmd_verify, default_budget=VERIFY_DEFAULT_BUDGET)
+    verb("enumerate", _cmd_enumerate, "catalog of all 2-bridge knots with n crossings", "n")
+    seams = verb("seams", _cmd_seams, "common cut positions over all parsings of a vector", "input")
+    negate = verb("negate", _cmd_negate, "negate seam segments and re-verify the order", "input")
+    negate.add_argument("--segments", required=True, help="comma separated 1-based segment numbers")
+    for p in (seams, negate):
+        p.add_argument("--wrt", action="append", metavar="BASE", help="base knot; repeatable (default: every smaller knot)")
+    lift = verb("lift", _cmd_lift, "vector with a chosen crossing number strictly above a given one", "input")
+    lift.add_argument("--target", type=int, required=True, help="crossing number of the lifted vector")
+    verb("torus", _cmd_torus, "the (2,q) torus knot, its vector, and the knots below it", "q")
+    verb(
+        "verify-paper", _cmd_verify, "check the built-in reference tables and constructions",
+        default_budget=VERIFY_DEFAULT_BUDGET,
+    )
 
     return parser
 

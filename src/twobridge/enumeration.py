@@ -123,39 +123,35 @@ def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int,
     """Every assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd fold
     f >= 3 over b, which has base_cr crossings, with n crossings in all.
 
-    A depth-first search that tracks the crossing number: a tile adds
-    cr(b), a zero connector (only between tiles of equal sign, whose
-    facing entries then agree) adds 0, and a connector c != 0 adds |c|
-    less one per sign change at its two ends.  Each step adds at least
-    cr(b) >= 3, so a branch ends once another step would pass n.  The
-    stack holds one lazy iterator of steps per tile.
+    A depth-first search that tracks the crossing number, with the plain
+    stack of (entries, crossing number, tile count, last sign) that
+    ``_class_vectors`` uses: a tile adds cr(b), a zero connector (only
+    between tiles of equal sign, whose facing entries then agree) adds
+    0, and a connector c != 0 adds |c| less one per sign change at its
+    two ends.  Each step adds at least cr(b) >= 3, so a branch ends once
+    another step would pass n.  Children are pushed shortest connector
+    first, so popped last: the siblings waiting beside a branch have
+    shorter connectors than the ones it took, whose sizes sum to about n
+    at most, so the stack holds O(n) nodes.
     """
     tiles = _tiles(b)
-
-    def steps(entries: tuple[int, ...], cr: int, count: int, sign: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-        """Each (entries, crossing number, tile count, last sign) one tile further."""
-        room = n - cr - base_cr  # what the next connector may add
-        for s in (1, -1):
-            tile = tiles[(count % 2, s)]
-            if s == sign:
-                yield entries + (0,) + tile, cr + base_cr, count + 1, s
-            for end in (2, -2):
-                changes = (entries[-1] != end) + (end != tile[0])
-                for size in range(2, room + changes + 1, 2):
-                    run = connector_vector(size * end // 2)
-                    yield entries + run + tile, cr + size - changes + base_cr, count + 1, s
-
-    stack = [steps(b, base_cr, 1, 1)]
+    stack = [(b, base_cr, 1, 1)]
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        entries, cr, count, _ = node
+        entries, cr, count, sign = stack.pop()
         if cr == n and count % 2:
             yield entries
-        if cr + base_cr <= n:
-            stack.append(steps(*node))
+        room = n - cr - base_cr  # what the next connector may add
+        if room < 0:
+            continue
+        stack.append((entries + (0,) + tiles[(count % 2, sign)], cr + base_cr, count + 1, sign))
+        for size in range(2, room + 3, 2):
+            for s in (1, -1):
+                tile = tiles[(count % 2, s)]
+                for end in (2, -2):
+                    changes = (entries[-1] != end) + (end != tile[0])
+                    if size - changes <= room:
+                        run = connector_vector(size * end // 2)
+                        stack.append((entries + run + tile, cr + size - changes + base_cr, count + 1, s))
 
 
 def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:

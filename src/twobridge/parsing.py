@@ -34,7 +34,8 @@ the form's.
 sign the next tile takes.  :class:`Parsing` (its blocks, assembly and
 boundaries), the two-connector assembly and the parse scan all read
 their tiles from it.  Knots are read off entry tuples with
-``vectors._knot_of_entries``.
+``vectors._knot_of_entries``, and connector runs with
+``vectors._connector_read``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, _class_representative, _knot_of_entries, connector_vector
+from .vectors import SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, connector_vector
 
 __all__ = [
     "NoCommonFamilyError",
@@ -124,21 +125,6 @@ class Parsing:
         }
 
 
-def _connector_read(entries: tuple[int, ...], pos: int) -> tuple[int, int]:
-    """The connector at pos, before the end, as (value, length): the whole run there.
-
-    A zero entry is the zero connector; a nonzero entry s starts the run
-    (s, 0, s, ..., 0, s), read as far as it goes.
-    """
-    s = entries[pos]
-    if s == 0:
-        return 0, 1
-    j = pos + 1
-    while j + 1 < len(entries) and entries[j] == 0 and entries[j + 1] == s:
-        j += 2
-    return s * ((j - pos + 1) // 2), j - pos
-
-
 def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> Optional[tuple[list[int], list[int]]]:
     """The signs and connectors of the parsing of ea with respect to eb, or None.
 
@@ -210,10 +196,11 @@ def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = 
     are b itself, not b', and the fold is odd, so the last tile is b or
     -b: a prefix that ea does not end with, up to sign, is not scanned.
     """
-    nea = tuple([-x for x in ea])
-    for blen in range(start, stop or (len(ea) - 2) // 3 + 1, 2):
+    hi = stop or (len(ea) - 2) // 3 + 1
+    ntail = tuple([-x for x in ea[-hi:]])  # every tail compared is shorter than hi
+    for blen in range(start, hi, 2):
         b = ea[:blen]
-        if b[-1] != 0 and b in (ea[-blen:], nea[-blen:]) and (found := _parses(ea, b, 3)):
+        if b[-1] != 0 and b in (ea[-blen:], ntail[-blen:]) and (found := _parses(ea, b, 3)):
             yield b, *found
 
 

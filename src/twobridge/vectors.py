@@ -5,8 +5,10 @@ whose first and last entries are nonzero and in which every zero has
 equal nonzero neighbors.  Expanding each even partial quotient 2m of an
 all-even continued fraction into the run +/-(2, 0, 2, ..., 0, 2) with m
 nonzero entries, and concatenating the runs, turns the continued
-fraction normal form into such a vector; contraction (merging across
-zeros) inverts the expansion.
+fraction normal form into such a vector; contraction, the value of each
+run in order, inverts the expansion.  A run is written by
+``connector_vector`` and read by ``_connector_read``, for partial
+quotients here and for parsing connectors in :mod:`twobridge.parsing`.
 
 Vectors are considered up to negation and reversal.  Evaluating a vector
 as a continued fraction (integer part 0) and canonicalizing the result
@@ -178,6 +180,21 @@ def connector_vector(c: int) -> tuple[int, ...]:
     return (s,) + (0, s) * (abs(c) // 2 - 1)
 
 
+def _connector_read(entries: tuple[int, ...], pos: int) -> tuple[int, int]:
+    """The run at pos, before the end, as (value, length), inverting :func:`connector_vector`.
+
+    A zero entry is the zero connector; a nonzero entry s starts the run
+    (s, 0, s, ..., 0, s), read as far as it goes.
+    """
+    s = entries[pos]
+    if s == 0:
+        return 0, 1
+    j = pos + 1
+    while j + 1 < len(entries) and entries[j] == 0 and entries[j + 1] == s:
+        j += 2
+    return s * ((j - pos + 1) // 2), j - pos
+
+
 def expand(cf: Union[EvenCF, Iterable[int]]) -> SEvenVector:
     """Expand the terms of an EvenCF, or plain terms checked as one, into a vector.
 
@@ -189,21 +206,12 @@ def expand(cf: Union[EvenCF, Iterable[int]]) -> SEvenVector:
 
 
 def contract(v: SEvenVector) -> tuple[int, ...]:
-    """Merge entries across zeros, inverting :func:`expand`.
-
-    Every zero has equal neighbors, so each merge grows the running term
-    by the same sign and the result is a tuple of nonzero even integers.
-    """
-    out: list[int] = []
-    merge = False
-    for a in v.entries:
-        if a == 0:
-            merge = True
-        elif merge:
-            out[-1] += a
-            merge = False
-        else:
-            out.append(a)
+    """The value of each run of v, in order, inverting :func:`expand`."""
+    e, out, pos = v.entries, [], 0
+    while pos < len(e):
+        c, clen = _connector_read(e, pos)
+        out.append(c)
+        pos += clen
     return tuple(out)
 
 

@@ -5,6 +5,7 @@ determinism cases spawn real subprocesses so that worker-count and
 process-boundary effects are covered end to end.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -18,7 +19,7 @@ from test_enumeration import classes_by_direct_generator
 import twobridge.cli
 import twobridge.enumeration
 from twobridge import Fraction, WitnessReport, bound_entry, torus_vector
-from twobridge.cli import main
+from twobridge.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -432,6 +433,53 @@ def test_exit_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["bogus-verb"])
     assert info.value.code == 2
+
+
+# Each verb with the arguments it needs and the handler it runs.
+VERBS = {
+    "convert": (["1/3"], "_cmd_convert"),
+    "cr": (["1/3"], "_cmd_cr"),
+    "smaller": (["1/3"], "_cmd_smaller"),
+    "compare": (["1/3", "1/5"], "_cmd_compare"),
+    "cm": (["5"], "_cmd_cm"),
+    "ek": (["9"], "_cmd_ek"),
+    "enumerate": (["9"], "_cmd_enumerate"),
+    "seams": (["1/27"], "_cmd_seams"),
+    "negate": (["1/27", "--segments", "1"], "_cmd_negate"),
+    "lift": (["1/3", "--target", "9"], "_cmd_lift"),
+    "torus": (["9"], "_cmd_torus"),
+    "verify-paper": ([], "_cmd_verify"),
+}
+
+
+def test_every_verb_takes_the_common_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(VERBS)
+    common = ["--json", "--budget", "1", "--workers", "2", "--out", "F", "--config", "C"]
+    for verb, (argv, handler) in VERBS.items():
+        args = parser.parse_args([verb, *argv, *common])
+        assert (args.json, args.budget, args.workers, args.out, args.config) == (True, 1, 2, "F", "C"), verb
+        assert args.handler is getattr(twobridge.cli, handler), verb
+
+
+@pytest.mark.parametrize("argv", [["cm", "x"], ["ek", "1.5"], ["enumerate", "nine"], ["torus", "9/1"]])
+def test_integer_positionals_refuse_other_text(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"invalid int value: '{argv[1]}'" in capsys.readouterr().err
+
+
+def test_verify_default_budget(capsys, monkeypatch):
+    monkeypatch.setattr(twobridge.cli, "_cmd_verify", lambda args: (str(args.budget), {}, 0))
+    assert run(capsys, "verify-paper") == (0, "14\n", "")
+    assert run(capsys, "verify-paper", "--budget", "9") == (0, "9\n", "")
+    # no other verb carries a default budget of its own
+    parser = build_parser()
+    for verb, (argv, _) in VERBS.items():
+        if verb != "verify-paper":
+            assert not hasattr(parser.parse_args([verb, *argv]), "default_budget"), verb
 
 
 def test_exit_invalid_fraction(capsys):
