@@ -196,13 +196,15 @@ def _cmd_enumerate(args):
     if args.n > args.budget:
         raise BudgetExceededError(args.n, args.budget)
     catalog = enumerate_knots(args.n)
+    if args.json:  # a catalog is large: build only the form that is printed
+        return "", catalog.to_json_dict(), 0
     lines = [f"n: {catalog.crossing_number}", f"count: {len(catalog.entries)}", f"ek: {catalog.ek}"]
     for entry in catalog.entries:
         below = ";".join(str(k.canonical) for k in entry.smaller) or "-"
         lines.append(
             f"knot={entry.knot.canonical} vector={entry.vector} smaller={below}"
         )
-    return "\n".join(lines), catalog.to_json_dict(), 0
+    return "\n".join(lines), None, 0
 
 
 def _cmd_seams(args):
@@ -405,11 +407,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        as_json = args.json or config.get("json", False)
+        args.json = args.json or config.get("json", False)
         if args.budget is None:
             args.budget = config.get("budget", getattr(args, "default_budget", DEFAULT_BUDGET))
         text, payload, code = args.handler(args)
-        rendered = json.dumps(payload, indent=2, sort_keys=True) if as_json else text
+        rendered = json.dumps(payload, indent=2, sort_keys=True) if args.json else text
         if not rendered.endswith("\n"):
             rendered += "\n"
         if args.out:

@@ -7,10 +7,13 @@ Knot classes are generated as vectors: every knot has exactly one
 vector class, and its representative (the orbit's lexicographic
 maximum) starts with 2.  A depth-first search grows vectors from (2,)
 one entry at a time, and the crossing number rises with every step, so
-the search stops at n crossings and never needs a fraction until the
-knot of each representative is read off.  The test suite cross-checks
-this against a direct generator of expanded even vectors and against
-the Ernst-Sumners count.
+the search stops at n crossings.  It carries the continuants h/k and
+h0/k0 of each vector (appending x maps (h, h0) to (x h + h0, h), and
+0, x maps it to (x h0 + h, h0)), and since h k0 - h0 k = +/-1 the knot
+of each representative is read off them: q = |k| and p the least of
++/-h and +/-k0 mod q, with no fraction evaluated or inverted.  The
+test suite cross-checks this against a direct generator of expanded
+even vectors, the Ernst-Sumners count and a stdlib fraction oracle.
 
 Almost every class has nothing below it, and the strictly-smaller sets
 come from generating upward.  J > K exactly when some vector of J
@@ -41,7 +44,6 @@ from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import _prefix_parsings, _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction
 from .vectors import (
-    SEvenVector,
     VectorClass,
     _class_representative,
     _knot_of_entries,
@@ -78,8 +80,8 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _class_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    """The class representative of every knot with crossing number n.
+def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
+    """The class representative of every knot with crossing number n, with its knot.
 
     An iterative depth-first search over the vectors that start with 2.
     A vector with last entry x grows by x (two more crossings), by 0, x
@@ -89,26 +91,36 @@ def _class_vectors(n: int) -> Iterator[tuple[int, ...]]:
     reaches n.  A leaf with n crossings and even length is kept when it
     is its class representative; it starts with 2, so that takes one
     comparison with the reversal that also starts with 2.
+
+    Each node carries the continuants of its vector e: [e] = h/k with
+    previous convergent h0/k0, from 0/1 and 1/0 before any entry.
+    Appending x maps (h, h0) to (x h + h0, h), appending 0, x maps it to
+    (x h0 + h, h0), and k and k0 follow the same maps.  Every entry
+    multiplies by a matrix of determinant -1, so h k0 - h0 k = +/-1:
+    h/k is reduced, q = |k|, and k0 = +/-h^-1 (mod q).  So the knot's
+    canonical p, the least of the orbit {h, -h, h^-1, -h^-1} mod q, is
+    the least of h, -h, k0, -k0 mod q, and no leaf evaluates its vector.
     """
     if n < 3:
         raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
-    stack = [((2,), 2)]
+    stack = [((2,), 2, 1, 0, 2, 1)]
     while stack:
-        e, cr = stack.pop()
+        e, cr, h, h0, k, k0 = stack.pop()
         if cr == n:
             if len(e) % 2 == 0 and _class_representative(e) is e:
-                yield e
+                q = abs(k)
+                yield e, KnotClass._unchecked(Fraction(min(h % q, -h % q, k0 % q, -k0 % q), q))
             continue
         x = e[-1]
         if cr + 2 <= n:
-            stack.append((e + (x,), cr + 2))
-            stack.append((e + (0, x), cr + 2))
-        stack.append((e + (-x,), cr + 1))
+            stack.append((e + (x,), cr + 2, x * h + h0, h, x * k + k0, k))
+            stack.append((e + (0, x), cr + 2, x * h0 + h, h0, x * k0 + k, k0))
+        stack.append((e + (-x,), cr + 1, h0 - x * h, h, k0 - x * k, k))
 
 
 def _knots_by_vector(n: int) -> dict[tuple[int, ...], KnotClass]:
     """Every knot with crossing number n, keyed by its class representative."""
-    return {e: _knot_of_entries(e) for e in _class_vectors(n)}
+    return dict(_class_vectors(n))
 
 
 def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
@@ -164,7 +176,7 @@ def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[
     the assembly is its own representative and no shorter prefix parses.
     """
     for base_cr in range(3, n // 3 + 1):
-        for b in _class_vectors(base_cr):
+        for b, _ in _class_vectors(base_cr):
             for a in _assemblies(b, base_cr, n):
                 if _class_representative(a) is a and next(_prefix_parsings(a, 2, len(b)), None) is None:
                     yield a, [b, *(p for p, _, _ in _prefix_parsings(a, len(b) + 2))]
@@ -209,13 +221,16 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
 
     The upward walk yields each reached class once, at its shortest base,
     and only the knots of those bases are computed; every class it does not
-    reach gets an empty set.  ``workers`` is ignored, as in :func:`knot_classes`.
+    reach gets an empty set.  Each class comes with its knot from the class
+    search, as its representative, so neither is normalized again.
+    ``workers`` is ignored, as in :func:`knot_classes`.
     """
     above = dict(_classes_with_smaller(n))
     entries = []
     for rep, knot in sorted(_knots_by_vector(n).items(), key=lambda item: item[1].sort_key):
-        below = sorted(map(_knot_of_entries, above.get(rep, ())), key=lambda k: k.sort_key)
-        entries.append(CatalogEntry(knot, VectorClass(SEvenVector._unchecked(rep)), tuple(below)))
+        bases = above.get(rep)
+        below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
+        entries.append(CatalogEntry(knot, VectorClass._unchecked(rep), below))
     return KnotCatalog(n, tuple(entries))
 
 

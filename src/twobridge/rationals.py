@@ -197,10 +197,19 @@ class KnotClass:
     constructor accepts any fraction of the class and normalizes it to
     that representative, as :class:`Fraction` normalizes sign and gcd.
     Requires q >= 3; q = 1 would be the unknot, which no fraction class
-    in this package represents.
+    in this package represents.  ``KnotClass._unchecked`` skips that
+    normalization where the caller has already found the representative
+    (the catalog reads it off the continuants of its search).
     """
 
     canonical: Fraction
+
+    @classmethod
+    def _unchecked(cls, canonical: Fraction) -> "KnotClass":
+        """A knot on a fraction the caller promises is its class representative; it is not re-normalized."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "canonical", canonical)
+        return k
 
     def __post_init__(self) -> None:
         f = self.canonical

@@ -31,6 +31,10 @@ odd-length runs, nonzero ends), a checked ``Parsing``'s assembly (a zero
 connector joins equal-sign tiles, whose facing ends agree), the generated
 catalog representatives, and the ``two_connector_decompose`` generator and
 class-checked prefixes (even prefixes of a vector that end nonzero).
+Two more private paths skip normalization for the catalog, whose search
+yields each class representative with its knot: ``VectorClass._unchecked``
+takes a tuple that already is its class representative, and
+``KnotClass._unchecked`` a fraction that already is its knot's canonical one.
 """
 
 from __future__ import annotations
@@ -150,6 +154,13 @@ class VectorClass:
         rep = _class_representative(self.representative.entries)
         if rep is not self.representative.entries:
             object.__setattr__(self, "representative", SEvenVector._unchecked(rep))
+
+    @classmethod
+    def _unchecked(cls, rep: tuple[int, ...]) -> "VectorClass":
+        """The class of an entry tuple the caller promises is its class representative; it is not re-normalized."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "representative", SEvenVector._unchecked(rep))
+        return c
 
     def representatives(self) -> tuple[SEvenVector, ...]:
         return self.representative.orbit()

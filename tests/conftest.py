@@ -6,6 +6,7 @@ the same answer.  The acceptance module reports one PASS/FAIL line per
 criterion through the terminal-summary hook at the bottom.
 """
 
+import fractions
 import math
 
 
@@ -65,6 +66,21 @@ def ernst_sumners_count(n):
     total, rest = divmod(2 ** (n - 3) + e, 3)
     assert rest == 0, f"closed form is not integral at n = {n}"
     return total
+
+
+def oracle_knot(entries):
+    """(p, q) of the knot a vector denotes, from the definitions.
+
+    Evaluates [a_1, ..., a_k] = 1/(a_1 + 1/(a_2 + ...)) right to left over
+    stdlib fractions, then takes the least member of the orbit
+    {p, -p, p^-1, -p^-1} mod q.
+    """
+    val = fractions.Fraction(0)
+    for a in reversed(entries):
+        val = 1 / (a + val)
+    q = val.denominator
+    p, inv = val.numerator % q, pow(val.numerator, -1, q)
+    return min(p, q - p, inv, q - inv), q
 
 
 def euclid_quotient_sum(p, q):

@@ -180,6 +180,16 @@ def test_enumerate_json(capsys):
     }
 
 
+def test_enumerate_prints_the_form_asked_for(tmp_path, capsys):
+    # a config file's json flag picks the JSON form as --json does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"json": True}))
+    as_json = run(capsys, "enumerate", "9", "--json")
+    assert run(capsys, "enumerate", "9", "--config", str(cfg)) == as_json
+    assert json.loads(as_json[1])["knots"][0]["q"] == 9
+    assert run(capsys, "enumerate", "9")[1].splitlines()[:3] == ["n: 9", "count: 24", "ek: 1"]
+
+
 def test_enumerate_matches_direct_generator(capsys):
     code, out, _ = run(capsys, "enumerate", "8", "--json")
     assert code == 0

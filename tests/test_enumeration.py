@@ -5,23 +5,29 @@ library's class generator, the direct vector generator from conftest,
 and the Ernst-Sumners count.  The catalog, whose smaller sets are the
 ones upward generation records, is checked against one that scans every
 class, and the classes it reaches against brute-force assemblies built
-with conftest's oracle.  EK values for the small window are frozen from
-the enumeration itself and pinned against the certified bounds.
+with conftest's oracle.  Each catalog knot, which the class generator
+reads off its continuants, is checked against conftest's stdlib fraction
+oracle, and the catalog's JSON bytes are pinned by digest.  EK values for
+the small window are frozen from the enumeration itself and pinned
+against the certified bounds.
 """
 
 import gc
+import hashlib
+import json
 import os
 import tracemalloc
 from itertools import product
 
 import pytest
-from conftest import ernst_sumners_count, oracle_assemble, oracle_vectors
+from conftest import ernst_sumners_count, oracle_assemble, oracle_knot, oracle_vectors
 
 from twobridge import (
     BudgetExceededError,
     CatalogEntry,
     Fraction,
     KnotCatalog,
+    KnotClass,
     SEvenVector,
     TWO_SMALLER_WITNESSES,
     canonical_fraction,
@@ -49,6 +55,27 @@ KNOWN_EK = {
     **{n: 1 for n in range(9, 15)},
     **{n: 2 for n in range(15, 18)},
     18: 1,
+}
+
+# SHA-256 of json.dumps(enumerate_knots(n).to_json_dict(), indent=2,
+# sort_keys=True), the bytes `enumerate n --json` prints, for n = 3..18
+CATALOG_SHA256 = {
+    3: "e23df413a0ec4eb33d917d31cdd3df949e6224f3009cc67da4b04e721be98520",
+    4: "e99d66c5267bd3ed0901aff503247bcf8b606e1325668bd93b700bb3091a1155",
+    5: "c82c56e141936d6b3764108a66ab3c165c110b07955cae8871f1942134740f5e",
+    6: "9d3c221af9f7ee163e37a9acc7c498540ccf392833cfa65b979a1998fc0a97b9",
+    7: "dd4f9df99e2f573007dd88d630513b110373957c75d86fe76da51361c85bcf85",
+    8: "ad142ad10a2ce88ed25342f22c02eb509b109b29aba87821f6be63b92504b71b",
+    9: "dee084b4f6bcfdf65e34644f9a1792351ed7a681ea45568916d2700bcce1b4f2",
+    10: "96f51d4d981f37cc014e69bb30a7ab0aaa0946f7570bdcd995ee53b842f0a01d",
+    11: "deffa24e41e4d843aea3be08719ba993b0836519c661f6a73b7163177cff7106",
+    12: "6e004e4893efba7492a9d1b553d1971807e5694719408a3e46ec6bb52de08523",
+    13: "9faa2735e308be4f61b7896917042454aebfbdecccee8774b94ded48c10643f6",
+    14: "bb8c3c04022ffabb509686448d357476a06d0d1a166e654617539df4199a999b",
+    15: "83acc83af53db17c45a54de23239ac0dbb6c9eeac0a52c5e6275a458a6cb7bb8",
+    16: "1448cde9a64671fdaa8f88959e14a8e7ee71549900465f5325badf42082f2c25",
+    17: "2ce31b57ef9ba1c166147f42f9dadca49eee7e6099d12bdeb7fdb49e6f923e8e",
+    18: "aab8e015246d14039c06a576c089a988baf2a945a0f68f46b1df523658c477ea",
 }
 
 # class counts per crossing number, 3..11
@@ -135,7 +162,7 @@ def map_walk(n):
     """
     found = {}
     for base_cr in range(3, n // 3 + 1):
-        for b in _class_vectors(base_cr):
+        for b, _ in _class_vectors(base_cr):
             for entries in _assemblies(b, base_cr, n):
                 found.setdefault(_class_representative(entries), set()).add(knot_from_vector(SEvenVector(b)))
     return found
@@ -165,7 +192,7 @@ def test_class_vectors_are_orbit_maxima_of_every_vector():
     # one representative per class, and exactly the orbit maxima of the
     # vectors with n crossings
     for n in range(3, 15):
-        reps = list(_class_vectors(n))
+        reps = [e for e, _ in _class_vectors(n)]
         assert len(reps) == len(set(reps)), f"n = {n}"
         want = set()
         for length in range(2, n, 2):
@@ -259,6 +286,29 @@ def test_walk_bases_match_map_walk():
         assert all(len(bases) == len(got[rep]) for rep, bases in walked), f"n = {n}"
 
 
+def test_catalog_bytes_frozen():
+    for n, want in CATALOG_SHA256.items():
+        data = json.dumps(enumerate_knots(n).to_json_dict(), indent=2, sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == want, f"n = {n}"
+
+
+def test_catalog_knots_match_oracle():
+    for n in range(3, 15):
+        for e in enumerate_knots(n).entries:
+            got = (e.knot.canonical.p, e.knot.canonical.q)
+            assert got == oracle_knot(e.vector.representative.entries), (n, str(e.knot))
+
+
+def test_catalog_knots_are_normalized():
+    # every knot the catalog builds, listed or below a listed one, is the
+    # value the checking constructor gives, equal and with an equal hash
+    for n in range(3, 17):
+        for e in enumerate_knots(n).entries:
+            for knot in (e.knot, *e.smaller):
+                checked = KnotClass(knot.canonical)
+                assert knot == checked and hash(knot) == hash(checked), (n, str(knot))
+
+
 def test_catalog_json_shape():
     d = enumerate_knots(9).to_json_dict()
     assert d["n"] == 9
@@ -288,6 +338,18 @@ def test_exact_ek_lists_no_classes(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_knots_by_vector", refuse)
     assert epimorphism_number(18) == 1
+
+
+def test_catalog_lists_classes_through_one_name(monkeypatch):
+    # the counterpart of test_exact_ek_lists_no_classes: the catalog and
+    # knot_classes list the classes at n through _knots_by_vector alone
+    def refuse(n):
+        raise AssertionError(f"listed every class at n = {n}")
+
+    monkeypatch.setattr(enumeration, "_knots_by_vector", refuse)
+    for listing in (enumerate_knots, knot_classes):
+        with pytest.raises(AssertionError, match="n = 9"):
+            listing(9)
 
 
 def test_catalog_and_exact_ek_scan_no_prefixes(monkeypatch):
