@@ -5,15 +5,15 @@ any single 2-bridge knot with crossing number n.
 
 Knot classes are generated as vectors: every knot has exactly one
 vector class, and its representative (the orbit's lexicographic
-maximum) starts with 2.  A depth-first search grows vectors from (2,)
-one entry at a time, and the crossing number rises with every step, so
-the search stops at n crossings.  It carries the continuants h/k and
-h0/k0 of each vector (appending x maps (h, h0) to (x h + h0, h), and
-0, x maps it to (x h0 + h, h0)), and since h k0 - h0 k = +/-1 the knot
-of each representative is read off them: q = |k| and p the least of
-+/-h and +/-k0 mod q, with no fraction evaluated or inverted.  The
-test suite cross-checks this against a direct generator of expanded
-even vectors, the Ernst-Sumners count and a stdlib fraction oracle.
+maximum) starts with 2 and has even length.  A meet-in-the-middle
+search builds each representative once, from its two halves normalized
+to start with 2, and keeps it when the first half is at least the
+second; the halves are few (573 at n = 18 and 58,047 at n = 30, against
+10,965 and 44,741,973 classes).  Each half carries its product of
+[[x, 1], [1, 0]] matrices, and the knot is read off the product for the
+whole vector, with no fraction evaluated or inverted.  The test suite
+cross-checks this against a direct generator of expanded even vectors,
+the Ernst-Sumners count and a stdlib fraction oracle.
 
 Almost every class has nothing below it, and the strictly-smaller sets
 come from generating upward.  J > K exactly when some vector of J
@@ -37,6 +37,7 @@ to the exact walk when the squeeze is not tight.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -80,46 +81,94 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def _halves(n: int) -> list[list[tuple]]:
+    """The half-vectors of the class search at n crossings, by length.
+
+    Level m - 1 holds the halves of length m <= (n - 1) // 2 that may lie
+    in a vector with n crossings, as (entries, c, last, a, b, g, d):
+    entries start with 2 and may end in 0, c is 2 per nonzero entry less
+    one per sign change, last is the last nonzero entry, and
+    [[a, b], [g, d]] is the product of [[x, 1], [1, 0]] over the entries.
+    The other half has c >= m, and c >= m + 1 where the junction changes
+    sign, so a half with c > n - m is in no vector with n crossings: it
+    is dropped, and so is everything grown from it, which is longer and
+    has no smaller c.
+    """
+    level = [((2,), 2, 2, 2, 1, 1, 0)]
+    levels = []
+    for m in range(1, (n - 1) // 2 + 1):
+        level = [h for h in level if h[1] <= n - m]
+        levels.append(level)
+        grown = []
+        for e, c, x, a, b, g, d in level:
+            grown.append((e + (x,), c + 2, x, x * a + b, a, x * g + d, g))
+            if e[-1]:
+                grown.append((e + (-x,), c + 1, -x, b - x * a, a, d - x * g, g))
+                grown.append((e + (0,), c, x, b, a, d, g))
+        level = grown
+    return levels
+
+
 def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
     """The class representative of every knot with crossing number n, with its knot.
 
-    An iterative depth-first search over the vectors that start with 2.
-    A vector with last entry x grows by x (two more crossings), by 0, x
-    (two more) or by -x (one more), so every valid vector that starts
-    with 2 and has at most n crossings is reached exactly once, and the
-    crossing number rises with every step: a branch ends once it
-    reaches n.  A leaf with n crossings and even length is kept when it
-    is its class representative; it starts with 2, so that takes one
-    comparison with the reversal that also starts with 2.
+    A meet-in-the-middle search.  The representative e of a class, the
+    lexicographic maximum of its orbit, starts with 2 and has even
+    length 2m.  Split it into L = e[:m] and R', the reversal of e[m:]
+    negated if need be to start with 2, so that e = L + s rev(R') for a
+    sign s.  The other orbit member that starts with 2 begins with R',
+    so e is its class representative exactly when L >= R' (when L = R',
+    e is that member).  So each half L of length m (see ``_halves``)
+    meets, for each s, every half R' <= L that gives n crossings, found
+    with one ``bisect_right`` into a sorted group: the junction costs one
+    crossing when the facing nonzero entries differ, a 0 there needs
+    them to agree, and two 0s may not meet.  Every class is built once,
+    and no vector of odd length is built.
 
-    Each node carries the continuants of its vector e: [e] = h/k with
-    previous convergent h0/k0, from 0/1 and 1/0 before any entry.
-    Appending x maps (h, h0) to (x h + h0, h), appending 0, x maps it to
-    (x h0 + h, h0), and k and k0 follow the same maps.  Every entry
-    multiplies by a matrix of determinant -1, so h k0 - h0 k = +/-1:
-    h/k is reduced, q = |k|, and k0 = +/-h^-1 (mod q).  So the knot's
-    canonical p, the least of the orbit {h, -h, h^-1, -h^-1} mod q, is
-    the least of h, -h, k0, -k0 mod q, and no leaf evaluates its vector.
+    The knot is read off the product M(e) of [[x, 1], [1, 0]] over the
+    entries, [[k, k0], [h, h0]] for [e] = h/k with previous convergent
+    h0/k0.  M(e) = M(L) M(t) for the tail t = s rev(R'), and M(t) comes
+    from M(R'): M(rev X) = M(X)^T and M(-X) = (-1)^|X| D M(X) D with
+    D = diag(1, -1), whose sign (-1)^m changes nothing below and is
+    dropped.  det M(e) = 1, so k0 = -h^-1 (mod k): q = |k| and p is the
+    least of h, -h, k0 and -k0 mod q, the orbit {p, -p, p^-1, -p^-1},
+    with no fraction evaluated and no inverse taken.  Classes come in
+    the catalog's order, by q and then p.
     """
     if n < 3:
         raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
-    stack = [((2,), 2, 1, 0, 2, 1)]
-    while stack:
-        e, cr, h, h0, k, k0 = stack.pop()
-        if cr == n:
-            if len(e) % 2 == 0 and _class_representative(e) is e:
-                q = abs(k)
-                yield e, KnotClass._unchecked(Fraction(min(h % q, -h % q, k0 % q, -k0 % q), q))
-            continue
-        x = e[-1]
-        if cr + 2 <= n:
-            stack.append((e + (x,), cr + 2, x * h + h0, h, x * k + k0, k))
-            stack.append((e + (0, x), cr + 2, x * h0 + h, h0, x * k0 + k, k0))
-        stack.append((e + (-x,), cr + 1, h0 - x * h, h, k0 - x * k, k))
+    found = []
+    for level in _halves(n):
+        # each tail t = s rev(R') with M(t) = [[w, u], [y, z]], grouped by
+        # (c, first nonzero entry, starts with 0) and sorted by R'
+        tails = {}
+        for r, c, x, a, b, g, d in level:
+            t, zero = r[::-1], r[-1] == 0
+            tails.setdefault((c, x, zero), []).append((r, (t, a, g, b, d)))
+            tails.setdefault((c, -x, zero), []).append((r, (tuple([-y for y in t]), a, -g, -b, d)))
+        for key, group in tails.items():
+            group.sort()
+            tails[key] = tuple(zip(*group))
+        for e, c, x, a, b, g, d in level:
+            # the tail's first nonzero entry agrees with x, or differs at one more crossing
+            if e[-1]:
+                joins = ((n - c, x, False), (n - c, x, True), (n - c + 1, -x, False))
+            else:
+                joins = ((n - c, x, False),)
+            for key in joins:
+                if key in tails:
+                    rs, ts = tails[key]
+                    for t, w, u, y, z in ts[:bisect_right(rs, e)]:
+                        q = abs(a * w + b * y)
+                        h, k0 = g * w + d * y, a * u + b * z
+                        found.append((q, min(h % q, -h % q, k0 % q, -k0 % q), e + t))
+    found.sort()
+    for q, p, e in found:
+        yield e, KnotClass._unchecked(Fraction(p, q))
 
 
 def _knots_by_vector(n: int) -> dict[tuple[int, ...], KnotClass]:
-    """Every knot with crossing number n, keyed by its class representative."""
+    """Every knot with crossing number n, keyed by its class representative, by q and then p."""
     return dict(_class_vectors(n))
 
 
@@ -135,16 +184,16 @@ def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int,
     """Every assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd fold
     f >= 3 over b, which has base_cr crossings, with n crossings in all.
 
-    A depth-first search that tracks the crossing number, with the plain
-    stack of (entries, crossing number, tile count, last sign) that
-    ``_class_vectors`` uses: a tile adds cr(b), a zero connector (only
-    between tiles of equal sign, whose facing entries then agree) adds
-    0, and a connector c != 0 adds |c| less one per sign change at its
-    two ends.  Each step adds at least cr(b) >= 3, so a branch ends once
-    another step would pass n.  Children are pushed shortest connector
-    first, so popped last: the siblings waiting beside a branch have
-    shorter connectors than the ones it took, whose sizes sum to about n
-    at most, so the stack holds O(n) nodes.
+    A depth-first search that tracks the crossing number, on a plain
+    stack of (entries, crossing number, tile count, last sign): a tile
+    adds cr(b), a zero connector (only between tiles of equal sign,
+    whose facing entries then agree) adds 0, and a connector c != 0
+    adds |c| less one per sign change at its two ends.  Each step adds
+    at least cr(b) >= 3, so a branch ends once another step would pass
+    n.  Children are pushed shortest connector first, so popped last:
+    the siblings waiting beside a branch have shorter connectors than
+    the ones it took, whose sizes sum to about n at most, so the stack
+    holds O(n) nodes.
     """
     tiles = _tiles(b)
     stack = [(b, base_cr, 1, 1)]
@@ -222,12 +271,13 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     The upward walk yields each reached class once, at its shortest base,
     and only the knots of those bases are computed; every class it does not
     reach gets an empty set.  Each class comes with its knot from the class
-    search, as its representative, so neither is normalized again.
+    search, as its representative and in the catalog's order, so neither is
+    normalized again and the classes are not sorted again.
     ``workers`` is ignored, as in :func:`knot_classes`.
     """
     above = dict(_classes_with_smaller(n))
     entries = []
-    for rep, knot in sorted(_knots_by_vector(n).items(), key=lambda item: item[1].sort_key):
+    for rep, knot in _knots_by_vector(n).items():
         bases = above.get(rep)
         below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
         entries.append(CatalogEntry(knot, VectorClass._unchecked(rep), below))

@@ -28,9 +28,11 @@ Vectors are checked where they enter, by ``SEvenVector(...)`` and ``parse``;
 construction: orbits and class representatives (negation and reversal keep
 it), ``expand`` of a checked ``EvenCF`` and ``torus_vector`` (evenly many
 odd-length runs, nonzero ends), a checked ``Parsing``'s assembly (a zero
-connector joins equal-sign tiles, whose facing ends agree), the generated
-catalog representatives, and the ``two_connector_decompose`` generator and
-class-checked prefixes (even prefixes of a vector that end nonzero).
+connector joins equal-sign tiles, whose facing ends agree), the catalog's
+class representatives (the class search joins two valid half-vectors and
+puts a 0 at the junction only between equal nonzero entries), and the
+``two_connector_decompose`` generator and class-checked prefixes (even
+prefixes of a vector that end nonzero).
 Two more private paths skip normalization for the catalog, whose search
 yields each class representative with its knot: ``VectorClass._unchecked``
 takes a tuple that already is its class representative, and

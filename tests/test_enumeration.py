@@ -203,6 +203,33 @@ def test_class_vectors_are_orbit_maxima_of_every_vector():
         assert set(reps) == want, f"n = {n}"
 
 
+def test_class_vectors_yield_each_class_once():
+    # knot_classes is a set and would hide a class yielded twice; n = 3..21
+    # covers both parities of n and halves of every length up to 10
+    for n in range(3, 22):
+        reps = [e for e, _ in _class_vectors(n)]
+        assert len(reps) == ernst_sumners_count(n), f"n = {n}"
+        assert len(set(reps)) == len(reps), f"n = {n}"
+
+
+def test_class_vector_knots_match_oracle():
+    for n in range(3, 17):
+        for e, knot in _class_vectors(n):
+            assert (knot.canonical.p, knot.canonical.q) == oracle_knot(e), (n, e)
+
+
+def test_symmetric_classes_are_read_off_their_halves():
+    # classes whose two halves agree (L = R'), so each equals its own
+    # normalized reversal: e[m:] is the reversal of e[:m], or its negation
+    # (the last two, with m even and odd)
+    palindromes = [(2, 2), (2, -2, -2, 2), (2, 0, 2, 2, 0, 2), (2, -2, 0, -2, -2, 0, -2, 2)]
+    for e in [*palindromes, (2, 2, -2, -2), (2, -2, 2, -2, 2, -2)]:
+        rev = e[::-1] if e[-1] > 0 else tuple(-a for a in reversed(e))
+        assert rev == e
+        knots = dict(_class_vectors(oracle_crossings(e)))
+        assert (knots[e].canonical.p, knots[e].canonical.q) == oracle_knot(e), e
+
+
 def test_class_counts_frozen():
     for n, want in zip(range(3, 12), KNOWN_CLASS_COUNTS):
         assert len(knot_classes(n)) == want
