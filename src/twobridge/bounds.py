@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional
+
+from ._value import Value
 
 __all__ = [
     "CmEntry",
@@ -179,12 +180,16 @@ def ek_exact_at_bound(m: int) -> bool:
     return _exponent_search(m + 2)[1] == m + 2
 
 
-@dataclass(frozen=True)
-class CmEntry:
+class CmEntry(Value):
     """One row of the divisor-bound table."""
 
+    __slots__ = ("m", "value")
     m: int
     value: int
+
+    def __init__(self, m: int, value: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "value", value)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "value": self.value}

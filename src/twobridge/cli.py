@@ -20,7 +20,6 @@ fraction, 4 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -392,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    import json  # imported where used: every verb is a fresh process, and most never need it
+
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -411,13 +412,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.budget is None:
             args.budget = config.get("budget", getattr(args, "default_budget", DEFAULT_BUDGET))
         text, payload, code = args.handler(args)
-        rendered = json.dumps(payload, indent=2, sort_keys=True) if args.json else text
-        if not rendered.endswith("\n"):
-            rendered += "\n"
+        if args.json:
+            import json  # as in _load_config
+
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        if not text.endswith("\n"):
+            text += "\n"
         if args.out:
-            Path(args.out).write_text(rendered)
+            Path(args.out).write_text(text)
         else:
-            sys.stdout.write(rendered)
+            sys.stdout.write(text)
     except (InvalidFractionError, CFDivisionError) as exc:
         print(f"error: invalid-fraction: {exc}", file=sys.stderr)
         return 3

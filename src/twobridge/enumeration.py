@@ -38,9 +38,9 @@ to the exact walk when the squeeze is not tight.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from ._value import Value
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import _prefix_parsings, _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, canonical_fraction
@@ -231,11 +231,16 @@ def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[
                     yield a, [b, *(p for p, _, _ in _prefix_parsings(a, len(b) + 2))]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
+    __slots__ = ("knot", "vector", "smaller")
     knot: KnotClass
     vector: VectorClass
     smaller: tuple[KnotClass, ...]
+
+    def __init__(self, knot: KnotClass, vector: VectorClass, smaller: tuple[KnotClass, ...]) -> None:
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "smaller", smaller)
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,10 +253,14 @@ class CatalogEntry:
         }
 
 
-@dataclass(frozen=True)
-class KnotCatalog:
+class KnotCatalog(Value):
+    __slots__ = ("crossing_number", "entries")
     crossing_number: int
     entries: tuple[CatalogEntry, ...]
+
+    def __init__(self, crossing_number: int, entries: tuple[CatalogEntry, ...]) -> None:
+        object.__setattr__(self, "crossing_number", crossing_number)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def ek(self) -> int:
@@ -318,12 +327,18 @@ TWO_SMALLER_WITNESSES: tuple[tuple[int, Fraction], ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Value):
+    __slots__ = ("n", "fraction", "crossing_number", "smaller_count")
     n: int
     fraction: Fraction
     crossing_number: int
     smaller_count: int
+
+    def __init__(self, n: int, fraction: Fraction, crossing_number: int, smaller_count: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "fraction", fraction)
+        object.__setattr__(self, "crossing_number", crossing_number)
+        object.__setattr__(self, "smaller_count", smaller_count)
 
     @property
     def passed(self) -> bool:

@@ -41,10 +41,10 @@ their tiles from it.  Knots are read off entry tuples with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
+from ._value import Value
 from .rationals import KnotClass
 from .vectors import SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, connector_vector
 
@@ -68,34 +68,36 @@ def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
     return {(0, 1): b, (0, -1): neg, (1, 1): b[::-1], (1, -1): neg[::-1]}
 
 
-@dataclass(frozen=True)
-class Parsing:
+class Parsing(Value):
     """One way of writing a vector as alternating b-tiles and connectors."""
 
+    __slots__ = ("base", "signs", "connectors")
     base: SEvenVector
     signs: tuple[int, ...]
     connectors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", tuple(self.signs))
-        object.__setattr__(self, "connectors", tuple(self.connectors))
-        if self.base.is_empty:
+    def __init__(self, base: SEvenVector, signs: Sequence[int], connectors: Sequence[int]) -> None:
+        signs, connectors = tuple(signs), tuple(connectors)
+        if base.is_empty:
             raise ValueError("parsing base must be nonempty")
-        n = len(self.signs)
+        n = len(signs)
         if n % 2 == 0 or n < 1:
             raise ValueError(f"fold {n} must be odd")
-        if len(self.connectors) != n - 1:
+        if len(connectors) != n - 1:
             raise ValueError("need exactly fold - 1 connectors")
-        if self.signs[0] != 1:
+        if signs[0] != 1:
             raise ValueError("first tile is unsigned b, so the first sign must be +1")
-        for i, s in enumerate(self.signs):
+        for i, s in enumerate(signs):
             if s not in (1, -1):
                 raise ValueError(f"sign {s} at tile {i + 1}")
-        for i, c in enumerate(self.connectors, 1):
+        for i, c in enumerate(connectors, 1):
             if c % 2:
                 raise ValueError(f"connector {c} at position {i} is odd")
-            if c == 0 and self.signs[i - 1] != self.signs[i]:
+            if c == 0 and signs[i - 1] != signs[i]:
                 raise ValueError(f"zero connector {i} joins tiles of unequal sign")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "connectors", connectors)
 
     @property
     def fold(self) -> int:
@@ -225,8 +227,7 @@ def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
     return _parsing_below(j.representative.entries, k.representative.entries) is not None
 
 
-@dataclass(frozen=True)
-class TwoConnectorForm:
+class TwoConnectorForm(Value):
     """A vector as 2P+1 never-negated alternating tiles with connectors m, n.
 
     ``count`` = 2P+1 is the number of generator tiles (>= 3); connectors
@@ -235,18 +236,23 @@ class TwoConnectorForm:
     vector is just the 2P connector runs.
     """
 
+    __slots__ = ("generator", "m", "n", "count")
     generator: SEvenVector
     m: int
     n: int
     count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 3 or self.count % 2 == 0:
-            raise ValueError(f"tile count {self.count} must be odd and >= 3")
-        if self.m % 2 or self.n % 2:
+    def __init__(self, generator: SEvenVector, m: int, n: int, count: int) -> None:
+        if count < 3 or count % 2 == 0:
+            raise ValueError(f"tile count {count} must be odd and >= 3")
+        if m % 2 or n % 2:
             raise ValueError("connectors must be even")
-        if self.generator.is_empty and (self.m == 0 or self.n == 0):
+        if generator.is_empty and (m == 0 or n == 0):
             raise ValueError("an empty generator needs nonzero connectors")
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "count", count)
 
     def assemble(self) -> SEvenVector:
         return assemble_two_connector(self.generator, self.m, self.n, self.count)

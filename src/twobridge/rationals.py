@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._value import Value
 
 __all__ = [
     "CFDivisionError",
@@ -57,8 +58,7 @@ class CFDivisionError(ZeroDivisionError):
 _FRACTION_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
-@dataclass(frozen=True)
-class Fraction:
+class Fraction(Value):
     """A reduced rational with positive odd denominator.
 
     The constructor normalizes: the sign moves to the numerator and the
@@ -67,11 +67,11 @@ class Fraction:
     link rather than a knot, and nothing in this package handles links.
     """
 
+    __slots__ = ("p", "q")
     p: int
-    q: int = 1
+    q: int
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int = 1) -> None:
         if q == 0:
             raise InvalidFractionError("denominator is zero")
         if q < 0:
@@ -101,8 +101,7 @@ class Fraction:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class EvenCF:
+class EvenCF(Value):
     """The all-even continued fraction normal form r + [a_1, ..., a_k].
 
     Terms are even and nonzero, the term count is even, and r matches the
@@ -110,16 +109,19 @@ class EvenCF:
     :func:`even_expansion`; the constructor only enforces the shape.
     """
 
+    __slots__ = ("r", "terms")
     r: int
-    terms: tuple[int, ...] = ()
+    terms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if len(self.terms) % 2:
-            raise ValueError(f"term count {len(self.terms)} is odd")
-        for i, a in enumerate(self.terms, 1):
+    def __init__(self, r: int, terms: Sequence[int] = ()) -> None:
+        terms = tuple(terms)
+        if len(terms) % 2:
+            raise ValueError(f"term count {len(terms)} is odd")
+        for i, a in enumerate(terms, 1):
             if a == 0 or a % 2:
                 raise ValueError(f"term {i} is {a}; every term must be even and nonzero")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "terms", terms)
 
     def __str__(self) -> str:
         return f"{self.r}+[{','.join(str(a) for a in self.terms)}]"
@@ -188,8 +190,7 @@ def even_expansion(f: Fraction) -> EvenCF:
     return EvenCF(r, tuple(terms))
 
 
-@dataclass(frozen=True)
-class KnotClass:
+class KnotClass(Value):
     """A 2-bridge knot: the equivalence class of p/q under p ~ +/- p^(+/-1).
 
     ``canonical`` is the class representative with 0 < p < q and p minimal
@@ -202,7 +203,15 @@ class KnotClass:
     (the catalog reads it off the continuants of its search).
     """
 
+    __slots__ = ("canonical",)
     canonical: Fraction
+
+    def __init__(self, canonical: Fraction) -> None:
+        f = canonical
+        if f.q < 3:
+            raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
+        p = min(_orbit(f.p % f.q, f.q))  # p % q is never 0: gcd(p, q) = 1 and q >= 3
+        object.__setattr__(self, "canonical", f if p == f.p else Fraction(p, f.q))
 
     @classmethod
     def _unchecked(cls, canonical: Fraction) -> "KnotClass":
@@ -210,14 +219,6 @@ class KnotClass:
         k = object.__new__(cls)
         object.__setattr__(k, "canonical", canonical)
         return k
-
-    def __post_init__(self) -> None:
-        f = self.canonical
-        if f.q < 3:
-            raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
-        p = min(_orbit(f.p % f.q, f.q))  # p % q is never 0: gcd(p, q) = 1 and q >= 3
-        if p != f.p:
-            object.__setattr__(self, "canonical", Fraction(p, f.q))
 
     @property
     def sort_key(self) -> tuple[int, int]:

@@ -15,8 +15,7 @@ number exactly N that parses with respect to c with fold 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .parsing import Parsing, is_strictly_greater
 from .vectors import SEvenVector, _knot_of_entries, canonical_vector, crossing_number
 
@@ -28,13 +27,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeamSet:
+class SeamSet(Value):
     """A vector, the parsings being respected, and their common cuts."""
 
+    __slots__ = ("vector", "parsings", "cuts")
     vector: SEvenVector
     parsings: tuple[Parsing, ...]
     cuts: tuple[int, ...]
+
+    def __init__(self, vector: SEvenVector, parsings: tuple[Parsing, ...], cuts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "parsings", parsings)
+        object.__setattr__(self, "cuts", cuts)
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:

@@ -37,13 +37,15 @@ Two more private paths skip normalization for the catalog, whose search
 yields each class representative with its knot: ``VectorClass._unchecked``
 takes a tuple that already is its class representative, and
 ``KnotClass._unchecked`` a fraction that already is its knot's canonical one.
+All these values are slotted and immutable (``_value.Value``), so one built
+unchecked stays as valid as the caller made it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
+from ._value import Value
 from .rationals import (
     EvenCF,
     KnotClass,
@@ -68,11 +70,15 @@ __all__ = [
 _ALLOWED = (-2, 0, 2)
 
 
-@dataclass(frozen=True)
-class SEvenVector:
+class SEvenVector(Value):
     """An expanded even vector; the empty vector designates the unknot."""
 
-    entries: tuple[int, ...] = ()
+    __slots__ = ("entries",)
+    entries: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "entries", tuple(entries))
+        self.__post_init__()
 
     @classmethod
     def _unchecked(cls, entries: tuple[int, ...]) -> "SEvenVector":
@@ -82,8 +88,12 @@ class SEvenVector:
         return v
 
     def __post_init__(self) -> None:
-        e = tuple(self.entries)
-        object.__setattr__(self, "entries", e)
+        """Check the entries, once for each vector the constructor builds.
+
+        A method of its own so that ``bench/spans.py`` can wrap it to count
+        checked vectors.
+        """
+        e = self.entries
         if len(e) % 2:
             raise ValueError(f"length {len(e)} is odd")
         if e:
@@ -141,8 +151,7 @@ def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
     return entries if entries >= rev else rev
 
 
-@dataclass(frozen=True)
-class VectorClass:
+class VectorClass(Value):
     """A vector up to negation and reversal, held by its fixed representative.
 
     The constructor normalizes any vector of the class to the lexicographic
@@ -150,12 +159,14 @@ class VectorClass:
     and so keeps the familiar positive spellings like (2,2).
     """
 
+    __slots__ = ("representative",)
     representative: SEvenVector
 
-    def __post_init__(self) -> None:
-        rep = _class_representative(self.representative.entries)
-        if rep is not self.representative.entries:
-            object.__setattr__(self, "representative", SEvenVector._unchecked(rep))
+    def __init__(self, representative: SEvenVector) -> None:
+        rep = _class_representative(representative.entries)
+        if rep is not representative.entries:
+            representative = SEvenVector._unchecked(rep)
+        object.__setattr__(self, "representative", representative)
 
     @classmethod
     def _unchecked(cls, rep: tuple[int, ...]) -> "VectorClass":

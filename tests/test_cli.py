@@ -680,6 +680,23 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout == "False\n"
 
 
+def test_cli_start_up_loads_no_dataclasses_or_json():
+    # Every verb is a fresh process, so what the CLI imports is paid on
+    # every call.  -S keeps site hooks from importing either module first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import twobridge.cli\n"
+        "twobridge.cli.main(['cr', '2,2'])\n"
+        "print(sorted(m for m in ('dataclasses', 'json') if m in sys.modules))\n"
+        "twobridge.cli.main(['cr', '2,2', '--json'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '4\n[]\n{\n  "crossing_number": 4,\n  "vector": [\n    2,\n    2\n  ]\n}\n'
+
+
 # Runs a ``[project.scripts]`` target as a console-script wrapper does:
 # load ``module:attr``, set ``argv[0]`` to the script name, exit with
 # the target's return value.  argv: script name, target, script args.

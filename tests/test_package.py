@@ -1,9 +1,14 @@
-"""The public API: each module's ``__all__`` is re-exported from the package root."""
+"""The public API: each module's ``__all__`` is re-exported from the package root,
+and its value classes compare, hash, print and refuse assignment as before."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import twobridge
 from twobridge import bounds, enumeration, parsing, rationals, seams, vectors
@@ -94,3 +99,82 @@ def test_star_import_binds_every_name():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "51 []\n"
+
+
+# One instance of each public value class, by its fields in order, with
+# its repr.  Fractions and classes are given in their normalized form, so
+# the fields read back as given.
+V22 = twobridge.SEvenVector((2, 2))
+KNOT3 = twobridge.KnotClass(twobridge.Fraction(1, 3))
+ENTRY3 = twobridge.CatalogEntry(KNOT3, twobridge.VectorClass(twobridge.SEvenVector((2, -2))), ())
+VALUE_CASES = [
+    (twobridge.Fraction, {"p": 1, "q": 3}, "Fraction(p=1, q=3)"),
+    (twobridge.EvenCF, {"r": 0, "terms": (2, 2)}, "EvenCF(r=0, terms=(2, 2))"),
+    (twobridge.KnotClass, {"canonical": twobridge.Fraction(1, 3)}, "KnotClass(canonical=Fraction(p=1, q=3))"),
+    (twobridge.SEvenVector, {"entries": (2, 2)}, "SEvenVector(entries=(2, 2))"),
+    (twobridge.VectorClass, {"representative": V22}, "VectorClass(representative=SEvenVector(entries=(2, 2)))"),
+    (
+        twobridge.Parsing,
+        {"base": V22, "signs": (1, 1, 1), "connectors": (0, 0)},
+        "Parsing(base=SEvenVector(entries=(2, 2)), signs=(1, 1, 1), connectors=(0, 0))",
+    ),
+    (
+        twobridge.TwoConnectorForm,
+        {"generator": V22, "m": 2, "n": 0, "count": 3},
+        "TwoConnectorForm(generator=SEvenVector(entries=(2, 2)), m=2, n=0, count=3)",
+    ),
+    (
+        twobridge.SeamSet,
+        {"vector": V22, "parsings": (), "cuts": ()},
+        "SeamSet(vector=SEvenVector(entries=(2, 2)), parsings=(), cuts=())",
+    ),
+    (
+        twobridge.CatalogEntry,
+        {"knot": KNOT3, "vector": ENTRY3.vector, "smaller": ()},
+        "CatalogEntry(knot=KnotClass(canonical=Fraction(p=1, q=3)), "
+        "vector=VectorClass(representative=SEvenVector(entries=(2, -2))), smaller=())",
+    ),
+    (
+        twobridge.KnotCatalog,
+        {"crossing_number": 3, "entries": (ENTRY3,)},
+        "KnotCatalog(crossing_number=3, entries=(CatalogEntry(knot=KnotClass(canonical=Fraction(p=1, q=3)), "
+        "vector=VectorClass(representative=SEvenVector(entries=(2, -2))), smaller=()),))",
+    ),
+    (
+        twobridge.WitnessReport,
+        {"n": 27, "fraction": twobridge.Fraction(1, 27), "crossing_number": 27, "smaller_count": 2},
+        "WitnessReport(n=27, fraction=Fraction(p=1, q=27), crossing_number=27, smaller_count=2)",
+    ),
+    (twobridge.CmEntry, {"m": 0, "value": 3}, "CmEntry(m=0, value=3)"),
+]
+
+
+def test_value_classes_behave_as_before():
+    # Equal exactly to an equal instance of the same class; hashed as the
+    # tuple of its fields, so set and dict orders stay the same; the repr
+    # names each field; no field can be assigned or deleted.
+    assert len(VALUE_CASES) == 12
+    for i, (cls, kw, text) in enumerate(VALUE_CASES):
+        fields = tuple(kw.values())
+        x, y = cls(*fields), cls(**kw)
+        other_cls, other_kw, _ = VALUE_CASES[i - 1]
+        sub = type("Sub", (cls,), {})(*fields)
+        assert x == y and not x != y and hash(x) == hash(y), cls
+        assert x != fields and x != other_cls(**other_kw) and x != sub and sub != x, cls
+        assert hash(x) == hash(fields), cls
+        assert repr(x) == text, cls
+        assert tuple(getattr(x, name) for name in kw) == fields, cls
+        for name in (*kw, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert tuple(getattr(x, name) for name in kw) == fields, cls
+        assert copy.copy(x) == x and copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x, cls
+    assert twobridge.Fraction(5) == twobridge.Fraction(5, 1) == twobridge.Fraction(p=10, q=2)
+    assert twobridge.EvenCF(3) == twobridge.EvenCF(3, ()) and twobridge.EvenCF(0, [2, 2]).terms == (2, 2)
+    assert twobridge.SEvenVector().entries == () and twobridge.SEvenVector([2, 2]) == V22
+    assert twobridge.KnotClass(twobridge.Fraction(2, 3)) == KNOT3
+    assert twobridge.VectorClass(twobridge.SEvenVector((-2, -2))) == twobridge.VectorClass(V22)
+    p = twobridge.Parsing(base=V22, signs=[1, 1, 1], connectors=[0, 0])
+    assert (p.signs, p.connectors) == ((1, 1, 1), (0, 0))
