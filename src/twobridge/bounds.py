@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Optional
 
 from ._value import Value
 
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 
-def nontrivial_proper_divisor_count(n: int, target: Optional[int] = None) -> int:
+def nontrivial_proper_divisor_count(n: int, target: int | None = None) -> int:
     """The number of nontrivial proper divisors of n (excluding 1 and n).
 
     With ``target``, the trial factorisation stops as soon as the count
@@ -85,7 +84,7 @@ def _add_odd_prime(primes: list[int], prefix: list[int]) -> None:
 
 
 def _divisor_ceiling(
-    primes: list[int], prefix: list[int], i: int, room: int, e: Optional[int]
+    primes: list[int], prefix: list[int], i: int, room: int, e: int | None
 ) -> int:
     """An upper bound on the divisor count of any D <= room of the form
     primes[i]^f_i * primes[i+1]^f_(i+1) * ... with e >= f_i >= f_(i+1) >= ...
@@ -115,7 +114,7 @@ def _divisor_ceiling(
 # (2^k divisors).  A branch is dropped once its value passes the
 # incumbent's (or limit), or once _divisor_ceiling shows that it cannot
 # reach the incumbent's divisor count.
-def _exponent_search(need: int, limit: Optional[int] = None) -> tuple[int, int]:
+def _exponent_search(need: int, limit: int | None = None) -> tuple[int, int]:
     """The least odd n <= limit maximising min(tau(n), need), with tau(n).
 
     tau counts every divisor.  With no limit the answer is the least odd
@@ -128,7 +127,7 @@ def _exponent_search(need: int, limit: Optional[int] = None) -> tuple[int, int]:
         best_v, best_t = prefix[-1], 2 * best_t
         _add_odd_prime(primes, prefix)
     # a node is (prime index, value, divisor count, largest exponent allowed)
-    stack: list[tuple[int, int, int, Optional[int]]] = [(0, 1, 1, None)]
+    stack: list[tuple[int, int, int, int | None]] = [(0, 1, 1, None)]
     while stack:
         i, v, t, e = stack.pop()
         if (min(t, need), -v) > (min(best_t, need), -best_v):

@@ -38,7 +38,7 @@ to the exact walk when the squeeze is not tight.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from ._value import Value
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
@@ -380,7 +380,7 @@ def _assisted_lower_bound(n: int, upper: int) -> int:
 def epimorphism_number(
     n: int,
     mode: str = "exact",
-    budget: Optional[int] = None,
+    budget: int | None = None,
     workers: int = 1,
 ) -> int:
     """EK(n): the maximal number of knots strictly below an n-crossing knot.

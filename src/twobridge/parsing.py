@@ -41,8 +41,8 @@ their tiles from it.  Knots are read off entry tuples with
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain
-from typing import Iterator, Optional, Sequence
 
 from ._value import Value
 from .rationals import KnotClass
@@ -127,7 +127,7 @@ class Parsing(Value):
         }
 
 
-def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> Optional[tuple[list[int], list[int]]]:
+def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[list[int], list[int]] | None:
     """The signs and connectors of the parsing of ea with respect to eb, or None.
 
     A parsing over a given base is unique when it exists, so one forward
@@ -165,7 +165,7 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> Optional[tuple[li
 _Scan = tuple[tuple[int, ...], list[int], list[int]]
 
 
-def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> Optional[tuple[list[int], list[int]]]:
+def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> tuple[list[int], list[int]] | None:
     """The scan of ea over eb when its fold is >= min_fold, else None; a short ea is not scanned."""
     la, lb = len(ea), len(eb)
     if lb == 0 or (min_fold > 1 and la < min_fold * lb + (min_fold - 1)):
@@ -189,7 +189,7 @@ def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) ->
     return _parses(a.entries, b.entries, min_fold) is not None
 
 
-def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = None) -> Iterator[_Scan]:
+def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = None) -> Iterator[_Scan]:
     """Each prefix that ea parses over with fold >= 3, shortest first, as (prefix, signs, connectors).
 
     This is the one rule for which prefixes can be bases.  Their even
@@ -206,7 +206,7 @@ def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: Optional[int] = 
             yield b, *found
 
 
-def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> Optional[_Scan]:
+def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> _Scan | None:
     """The fold >= 3 parsing of entries over its prefix in rep's class, as a ``_Scan``, or None.
 
     A parsing starts with its base, so only the prefix of len(rep) entries
@@ -272,7 +272,7 @@ def _assemble_entries(g: tuple[int, ...], m: int, n: int, count: int) -> tuple[i
     return g + period * (count // 2)
 
 
-def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Optional[TwoConnectorForm]]:
+def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], TwoConnectorForm | None]:
     """The prefixes that the nonempty e parses over, shortest first and up to its form, and that form.
 
     The empty generator comes first: e is its first two connector runs
@@ -293,7 +293,7 @@ def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Optional
     return bases, None
 
 
-def two_connector_decompose(v: SEvenVector) -> Optional[TwoConnectorForm]:
+def two_connector_decompose(v: SEvenVector) -> TwoConnectorForm | None:
     """The two-connector form of v built on its shortest generator, if any (see ``_bases_and_form``)."""
     return _bases_and_form(v.entries)[1] if v.entries else None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Value
 

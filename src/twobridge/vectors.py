@@ -43,7 +43,7 @@ unchecked stays as valid as the caller made it.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from ._value import Value
 from .rationals import (
@@ -219,7 +219,7 @@ def _connector_read(entries: tuple[int, ...], pos: int) -> tuple[int, int]:
     return s * ((j - pos + 1) // 2), j - pos
 
 
-def expand(cf: Union[EvenCF, Iterable[int]]) -> SEvenVector:
+def expand(cf: EvenCF | Iterable[int]) -> SEvenVector:
     """Expand the terms of an EvenCF, or plain terms checked as one, into a vector.
 
     Each term +/-2m becomes +/-(2, 0, 2, ..., 0, 2) with m nonzero

@@ -16,8 +16,12 @@ from pathlib import Path
 import pytest
 from test_enumeration import classes_by_direct_generator
 
+import twobridge.bounds
 import twobridge.cli
 import twobridge.enumeration
+import twobridge.parsing
+import twobridge.seams
+import twobridge.vectors
 from twobridge import Fraction, WitnessReport, bound_entry, torus_vector
 from twobridge.cli import build_parser, main
 
@@ -316,7 +320,7 @@ def test_verify_runs_green(capsys):
 
 
 def test_verify_reports_a_failed_check(capsys, monkeypatch):
-    monkeypatch.setattr(twobridge.cli, "least_odd_with_divisors", lambda m: 1)
+    monkeypatch.setattr(twobridge.bounds, "least_odd_with_divisors", lambda m: 1)
     code, out, _ = run(capsys, "verify-paper", "--budget", "10")
     assert code == 1
     lines = out.strip().split("\n")
@@ -380,32 +384,45 @@ def test_verify_output_pinned(capsys, budget, top):
     assert run(capsys, "verify-paper", "--json", *budget) == (0, VERIFY_JSON.format(top=top), "")
 
 
+_epimorphism_number = twobridge.enumeration.epimorphism_number
+
+
 def _epimorphism_number_assisted_zero(n, mode="exact", budget=None):
     if mode == "assisted":
         return 0
-    return twobridge.enumeration.epimorphism_number(n, mode=mode, budget=budget)
+    return _epimorphism_number(n, mode=mode, budget=budget)
 
 
-# One replaced library name per check (cm-table is covered above), and
-# the FAIL line it leads to: the first case of the check with got != want.
+# One replaced library name per check (cm-table is covered above), with
+# the module the handler reads it from, and the FAIL line it leads to:
+# the first case of the check with got != want.
 VERIFY_FAILURES = [
     (
+        twobridge.enumeration,
         "epimorphism_number",
         lambda n, mode="exact", budget=None: 7,
         "ek-window: FAIL (n=3: got 7, want 0)",
     ),
     (
+        twobridge.enumeration,
         "verify_witness_table",
         lambda: (WitnessReport(27, Fraction(1, 27), 27, 2), WitnessReport(28, Fraction(17, 315), 28, 1)),
         "witnesses: FAIL (17/315 has >= 2 below: got False, want True)",
     ),
-    ("smaller_knots", lambda v: set(), "worked-example: FAIL (knots below: got [], want ['2/5'])"),
     (
+        twobridge.parsing,
+        "smaller_knots",
+        lambda v: set(),
+        "worked-example: FAIL (knots below: got [], want ['2/5'])",
+    ),
+    (
+        twobridge.seams,
         "negate_segments",
         lambda seam, segments: torus_vector(27),
         "seam-pipeline: FAIL (negating [5]: got 1/27, want 17/315)",
     ),
     (
+        twobridge.enumeration,
         "epimorphism_number",
         _epimorphism_number_assisted_zero,
         "torus-certificates: FAIL (assisted ek(45): got 0, want 4)",
@@ -414,10 +431,10 @@ VERIFY_FAILURES = [
 
 
 @pytest.mark.parametrize(
-    "name, replacement, line", VERIFY_FAILURES, ids=[line.split(":")[0] for *_, line in VERIFY_FAILURES]
+    "module, name, replacement, line", VERIFY_FAILURES, ids=[line.split(":")[0] for *_, line in VERIFY_FAILURES]
 )
-def test_verify_fail_line_per_check(capsys, monkeypatch, name, replacement, line):
-    monkeypatch.setattr(twobridge.cli, name, replacement)
+def test_verify_fail_line_per_check(capsys, monkeypatch, module, name, replacement, line):
+    monkeypatch.setattr(module, name, replacement)
     code, out, err = run(capsys, "verify-paper", "--budget", "10")
     assert (code, err) == (1, "")
     lines = out.split("\n")
@@ -432,7 +449,7 @@ def test_verify_stops_each_check_at_its_first_failure(capsys, monkeypatch):
         calls.append((n, mode))
         return -1
 
-    monkeypatch.setattr(twobridge.cli, "epimorphism_number", wrong)
+    monkeypatch.setattr(twobridge.enumeration, "epimorphism_number", wrong)
     assert run(capsys, "verify-paper", "--budget", "10")[0] == 1
     assert calls == [(3, "exact"), (45, "assisted")]
 
@@ -471,6 +488,34 @@ def test_every_verb_takes_the_common_flags():
         args = parser.parse_args([verb, *argv, *common])
         assert (args.json, args.budget, args.workers, args.out, args.config) == (True, 1, 2, "F", "C"), verb
         assert args.handler is getattr(twobridge.cli, handler), verb
+
+
+def _exit(capsys, parse, argv):
+    """The exit code, stdout and stderr of a parse that ends the process."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_one_verb_parser_prints_the_full_parsers_bytes(capsys, verb):
+    # main builds the parser of the verb it is given; its help and usage
+    # errors are those of the parser of every verb
+    full = build_parser().parse_args
+    help_ = _exit(capsys, main, [verb, "--help"])
+    assert help_ == _exit(capsys, full, [verb, "--help"])
+    assert help_[0] == 0 and help_[1].startswith(f"usage: twobridge {verb} [-h]")
+    bogus = _exit(capsys, main, [verb, "--bogus"])
+    assert bogus == _exit(capsys, full, [verb, "--bogus"])
+    assert bogus[0] == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus-verb"], ["cr"], ["cr", "--bogus"], ["cr", "2,2", "extra"]])
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    got = _exit(capsys, main, argv)
+    assert got == _exit(capsys, build_parser().parse_args, argv)
+    assert got[0] == 2 and got[2].startswith("usage: twobridge")
 
 
 @pytest.mark.parametrize("argv", [["cm", "x"], ["ek", "1.5"], ["enumerate", "nine"], ["torus", "9/1"]])
@@ -574,7 +619,7 @@ def test_exit_resource_exhausted(capsys, monkeypatch, exc):
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(twobridge.cli, "crossing_number", exhausted)
+    monkeypatch.setattr(twobridge.vectors, "crossing_number", exhausted)
     code, out, err = run(capsys, "cr", "2,2")
     assert code == 1
     assert out == ""

@@ -101,6 +101,66 @@ def test_star_import_binds_every_name():
     assert proc.stdout == "51 []\n"
 
 
+# A python -S child (no site hook imports anything first) with src put
+# on sys.path by hand: it imports the package, runs main on its argv if
+# it has one, and prints the twobridge submodules it has loaded.
+FOOTPRINT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import twobridge
+if sys.argv[2:]:
+    import twobridge.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert twobridge.cli.main(sys.argv[2:]) == 0
+print(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("twobridge.")))
+"""
+
+
+def _child(code, *args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src), *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule():
+    assert _child(FOOTPRINT) == "[]\n"
+
+
+# Each verb loads the layers it runs and no others.
+LIGHT = {"_value", "cli", "rationals", "vectors"}
+ORDER = LIGHT | {"parsing"}
+SEAMS = ORDER | {"seams"}
+COUNTS = ORDER | {"bounds", "enumeration"}
+FOOTPRINTS = [
+    (["cr", "2,2"], LIGHT),
+    (["convert", "1/3"], LIGHT),
+    (["smaller", "1/45"], ORDER),
+    (["compare", "1/9", "1/3"], ORDER),
+    (["torus", "9"], ORDER),
+    (["seams", "1/27"], SEAMS),
+    (["negate", "1/27", "--segments", "3"], SEAMS),
+    (["lift", "2,2", "--target", "12"], SEAMS),
+    (["cm", "40"], {"_value", "bounds", "cli"}),
+    (["ek", "9"], COUNTS),
+    (["enumerate", "9"], COUNTS),
+    (["verify-paper", "--budget", "9"], COUNTS | {"seams"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
+def test_each_verb_loads_only_its_layers(argv, modules):
+    assert _child(FOOTPRINT, *argv) == f"{sorted(modules)}\n"
+
+
+def test_cli_start_up_loads_no_typing_or_pathlib():
+    # what the interpreter loads for argparse and re on its own is allowed
+    code = "import sys\n{}\nprint(sorted({{'typing', 'pathlib'}} & set(sys.modules)))\n"
+    bare = _child(code.format("import argparse, re"))
+    run = "sys.path.insert(0, sys.argv[1])\nimport twobridge.cli\ntwobridge.cli.main(['cr', '2,2'])"
+    assert _child(code.format(run)) == "4\n" + bare
+
+
 # One instance of each public value class, by its fields in order, with
 # its repr.  Fractions and classes are given in their normalized form, so
 # the fields read back as given.
