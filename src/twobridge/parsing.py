@@ -22,7 +22,13 @@ prefix is K's representative, and the knots below a knot are those of
 the prefixes its vector, as given, parses over.  One generator,
 ``_prefix_parsings``, states which prefixes can be bases; the order
 test, the walk of ``enumeration``, ``smaller_knots`` and
-``two_connector_decompose`` all read it.
+``two_connector_decompose`` all read it.  Only a prefix that the vector
+ends with, up to sign, can be a base: a border of the vector or of its
+negation.  Over a wide window of lengths ``_packed_borders`` finds those
+on the packed entries (see :mod:`twobridge.vectors`), where each length
+costs one C comparison that copies nothing, so ``smaller`` on a long
+vector takes time close to linear in its length; a narrow window, such
+as the walk's, slices the tuple.
 
 A two-connector form, 2P+1 tiles over g with connectors m, n, m, n,
 ..., is a parsing over g with every sign +1, so the same scan finds it,
@@ -46,7 +52,9 @@ from itertools import accumulate, chain
 
 from ._value import Value
 from .rationals import KnotClass
-from .vectors import SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, connector_vector
+from .vectors import (
+    _NEGATE, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _pack, connector_vector,
+)
 
 __all__ = [
     "NoCommonFamilyError",
@@ -189,6 +197,25 @@ def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) ->
     return _parses(a.entries, b.entries, min_fold) is not None
 
 
+# A window of at most this many prefix lengths is tested on the entry tuple.
+_FEW_LENGTHS = 12
+
+
+def _packed_borders(ea: tuple[int, ...], start: int, hi: int) -> Iterator[int]:
+    """The even lengths L, start <= L < hi, at which ea[:L] ends nonzero and ea ends with it or its negation, ascending.
+
+    Those prefixes are borders of ea or of -ea.  On the packed entries
+    ``endswith`` on a view of the prefix compares in C, copies nothing and
+    stops at the first difference, so a length costs the same however long
+    its prefix is.
+    """
+    packed = _pack(ea)
+    negated, view = packed.translate(_NEGATE), memoryview(packed)
+    for blen in range(start, hi, 2):
+        if packed[blen - 1] and (packed.endswith(b := view[:blen]) or negated.endswith(b)):
+            yield blen
+
+
 def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = None) -> Iterator[_Scan]:
     """Each prefix that ea parses over with fold >= 3, shortest first, as (prefix, signs, connectors).
 
@@ -197,8 +224,18 @@ def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = Non
     tiles fit; a prefix cut at a 0 lies in no class.  Tiles at odd places
     are b itself, not b', and the fold is odd, so the last tile is b or
     -b: a prefix that ea does not end with, up to sign, is not scanned.
+    A window of more than ``_FEW_LENGTHS`` lengths finds those on the
+    packed entries (``_packed_borders``); a narrower one, such as the
+    walk's and ``_parsing_below``'s, slices the tuple, which costs less
+    than packing all of ea there.
     """
     hi = stop or (len(ea) - 2) // 3 + 1
+    if hi - start > 2 * _FEW_LENGTHS:
+        for blen in _packed_borders(ea, start, hi):
+            b = ea[:blen]
+            if found := _parses(ea, b, 3):
+                yield b, *found
+        return
     ntail = tuple([-x for x in ea[-hi:]])  # every tail compared is shorter than hi
     for blen in range(start, hi, 2):
         b = ea[:blen]

@@ -39,10 +39,19 @@ takes a tuple that already is its class representative, and
 ``KnotClass._unchecked`` a fraction that already is its knot's canonical one.
 All these values are slotted and immutable (``_value.Value``), so one built
 unchecked stays as valid as the caller made it.
+
+The check, ``crossing_number`` and ``expand`` read or write the packed form
+of an entry tuple, one signed byte per entry (``_pack``): 2, 0 and -2 are
+the bytes 0x02, 0x00 and 0xfe, and negation is one ``bytes.translate``
+(``_NEGATE``), so their work per entry runs in C.  A valid vector passes
+on its bytes (``_packs_valid``); the entry loop of ``_check_entries`` runs
+only on what they refuse, and it alone words the errors.
+:mod:`twobridge.parsing` finds border prefixes on the same bytes.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable
 
 from ._value import Value
@@ -68,6 +77,50 @@ __all__ = [
 ]
 
 _ALLOWED = (-2, 0, 2)
+_ENTRY_BYTES = b"\x02\x00\xfe"  # 2, 0 and -2 packed
+_NEGATE = bytes.maketrans(b"\x02\xfe", b"\xfe\x02")
+
+
+def _pack(entries: tuple[int, ...]) -> bytes:
+    """The entries as signed bytes, one each; ``struct.error`` on a non-integer or one outside -128..127."""
+    return struct.pack(f"{len(entries)}b", *entries)
+
+
+def _packs_valid(entries: tuple[int, ...]) -> bool:
+    """True when the packed entries form a valid vector.
+
+    Even length, nonzero ends, no byte but 2, 0 and -2, and no 0 next to a
+    0 or between unequal entries: with the ends nonzero, every zero then
+    has equal nonzero neighbors.
+    """
+    try:
+        b = _pack(entries)
+    except struct.error:
+        return False
+    if len(b) % 2 or (b and not (b[0] and b[-1])) or b.translate(None, _ENTRY_BYTES):
+        return False
+    return b"\x00\x00" not in b and b"\x02\x00\xfe" not in b and b"\xfe\x00\x02" not in b
+
+
+def _check_entries(e: tuple[int, ...]) -> None:
+    """Raise ValueError for the first fault of an entry tuple, reading it entry by entry.
+
+    An entry is an integer, as ``struct`` reads one: ``2.0`` is refused
+    although it equals 2.
+    """
+    if len(e) % 2:
+        raise ValueError(f"length {len(e)} is odd")
+    if e:
+        if e[0] == 0 or e[-1] == 0:
+            raise ValueError("first and last entries must be nonzero")
+        for i, a in enumerate(e):
+            if a not in _ALLOWED or not hasattr(a, "__index__"):
+                raise ValueError(f"entry {a} at index {i} not in {{-2, 0, 2}}")
+            if a == 0 and e[i - 1] != e[i + 1]:
+                raise ValueError(
+                    f"zero at index {i} needs equal nonzero neighbors, "
+                    f"got {e[i - 1]} and {e[i + 1]}"
+                )
 
 
 class SEvenVector(Value):
@@ -90,23 +143,12 @@ class SEvenVector(Value):
     def __post_init__(self) -> None:
         """Check the entries, once for each vector the constructor builds.
 
-        A method of its own so that ``bench/spans.py`` can wrap it to count
-        checked vectors.
+        A valid vector passes on its packed form; anything else goes to the
+        entry loop, which reports the first fault.  A method of its own so
+        that ``bench/spans.py`` can wrap it to count checked vectors.
         """
-        e = self.entries
-        if len(e) % 2:
-            raise ValueError(f"length {len(e)} is odd")
-        if e:
-            if e[0] == 0 or e[-1] == 0:
-                raise ValueError("first and last entries must be nonzero")
-            for i, a in enumerate(e):
-                if a not in _ALLOWED:
-                    raise ValueError(f"entry {a} at index {i} not in {{-2, 0, 2}}")
-                if a == 0 and e[i - 1] != e[i + 1]:
-                    raise ValueError(
-                        f"zero at index {i} needs equal nonzero neighbors, "
-                        f"got {e[i - 1]} and {e[i + 1]}"
-                    )
+        if not _packs_valid(self.entries):
+            _check_entries(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -219,14 +261,29 @@ def _connector_read(entries: tuple[int, ...], pos: int) -> tuple[int, int]:
     return s * ((j - pos + 1) // 2), j - pos
 
 
+class _PackedRuns(dict):
+    """Packed connector runs by value, built on first use; the runs of |c| <= 64 are kept."""
+
+    def __missing__(self, c: int) -> bytes:
+        run = _pack(connector_vector(c))
+        if abs(c) <= 64:
+            self[c] = run
+        return run
+
+
+_RUNS = _PackedRuns()
+
+
 def expand(cf: EvenCF | Iterable[int]) -> SEvenVector:
     """Expand the terms of an EvenCF, or plain terms checked as one, into a vector.
 
     Each term +/-2m becomes +/-(2, 0, 2, ..., 0, 2) with m nonzero
-    entries; runs concatenate in order with nothing between them.
+    entries; runs concatenate in order with nothing between them, as
+    packed bytes, unpacked once.
     """
     terms = cf.terms if isinstance(cf, EvenCF) else EvenCF(0, cf).terms
-    return SEvenVector._unchecked(tuple(a for t in terms for a in connector_vector(t)))
+    b = b"".join(map(_RUNS.__getitem__, terms))
+    return SEvenVector._unchecked(struct.unpack(f"{len(b)}b", b))
 
 
 def contract(v: SEvenVector) -> tuple[int, ...]:
@@ -261,20 +318,15 @@ def vector_from_knot(k: KnotClass) -> VectorClass:
 
 
 def crossing_number(v: SEvenVector) -> int:
-    """Sum of absolute entries minus sign changes among nonzero entries."""
+    """Sum of absolute entries minus sign changes among nonzero entries.
+
+    With the zeros deleted from the packed entries, each byte is a
+    nonzero entry and each pair 2,-2 or -2,2 a sign change.
+    """
     if v.is_empty:
         raise ValueError("the empty vector has no crossing number")
-    total = 0
-    changes = 0
-    prev = 0
-    for a in v.entries:
-        if a == 0:
-            continue
-        total += 2
-        if prev and a != prev:
-            changes += 1
-        prev = a
-    return total - changes
+    b = _pack(v.entries).translate(None, b"\x00")
+    return 2 * len(b) - b.count(b"\x02\xfe") - b.count(b"\xfe\x02")
 
 
 def torus_vector(q: int) -> SEvenVector:

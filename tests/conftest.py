@@ -127,6 +127,22 @@ def oracle_assemble(base, signs, connectors):
     return tuple(out)
 
 
+def oracle_borders(entries, start, hi):
+    """The even lengths L, start <= L < hi, whose prefix of entries ends
+    nonzero and equals the last L entries or their negation, compared
+    entry by entry."""
+    n = len(entries)
+    out = []
+    for blen in range(start, hi, 2):
+        if entries[blen - 1] == 0:
+            continue
+        for sign in (1, -1):
+            if all(entries[i] == sign * entries[n - blen + i] for i in range(blen)):
+                out.append(blen)
+                break
+    return out
+
+
 ACCEPTANCE_LINES = []
 
 

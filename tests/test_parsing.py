@@ -11,7 +11,7 @@ import itertools
 import random
 
 import pytest
-from conftest import connector_entries, oracle_assemble, oracle_vectors
+from conftest import connector_entries, oracle_assemble, oracle_borders, oracle_knot, oracle_vectors
 from test_vectors import random_vector
 
 from twobridge import (
@@ -34,6 +34,7 @@ from twobridge import (
     torus_vector,
     two_connector_decompose,
 )
+from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _prefix_parsings
 
 V = SEvenVector
 
@@ -577,6 +578,68 @@ def test_smaller_knots_nested_forms_match_unfiltered_scan():
             form = two_connector_decompose(v)
             nested += form is not None and bool(unfiltered_smaller(form.generator))
     assert nested >= 24, nested
+
+
+def test_smaller_knots_divide_determinant():
+    # For a 2-bridge knot p/q the Alexander polynomial at -1 is +-q, and an
+    # epimorphism J -> K makes Delta_K divide Delta_J, so q_K | q_J for
+    # every K below J; q_J comes from the definitions (oracle_knot)
+    pairs = 0
+    for cls in classes_with_crossing_up_to(12):
+        v = cls.representative
+        _, q = oracle_knot(v.entries)
+        for k in smaller_knots(v):
+            assert q % k.canonical.q == 0, (str(v), str(k))
+            pairs += 1
+    assert pairs == 25
+    below = smaller_knots(torus_vector(3003))
+    assert len(below) == 14
+    assert all(3003 % k.canonical.q == 0 for k in below)
+
+
+def test_prefix_parsings_long_vectors_match_border_oracle():
+    # 65,536 entries: a random vector, a 3-fold assembly b, 2, b', 4, b
+    # and the same with its last tile negated; the border lengths of the
+    # packed search and the prefixes parsed over are pinned against the
+    # entry-by-entry oracle and the assembly
+    rng = random.Random(65536)
+    base = random_vector(rng, 21844).entries
+    cases = [
+        (random_vector(rng, 65536).entries, []),
+        (oracle_assemble(base, (1, 1, 1), (2, 4)), [len(base)]),
+        (oracle_assemble(base, (1, 1, -1), (2, 4)), [len(base)]),
+    ]
+    for a, parsed in cases:
+        assert len(a) == 65536
+        hi = (len(a) - 2) // 3 + 1
+        borders = oracle_borders(a, 2, hi)
+        assert set(parsed) <= set(borders)
+        assert list(_packed_borders(a, 2, hi)) == borders
+        found = list(_prefix_parsings(a))
+        assert [len(b) for b, _, _ in found] == parsed
+        for b, signs, connectors in found:
+            assert oracle_assemble(b, signs, connectors) == a
+
+
+def test_prefix_parsings_packed_and_tuple_windows_agree():
+    # a wide window finds its border lengths on the packed entries, a
+    # window of one length on the tuple: over random vectors, signed
+    # assemblies and periodic vectors (a border at every period) both
+    # find the same prefixes, and the packed lengths are the oracle's
+    rng = random.Random(2028)
+    vectors = [random_vector(rng, rng.randrange(60, 400, 2)).entries for _ in range(20)]
+    for _ in range(60):
+        base = random_vector(rng, rng.randrange(2, 40, 2)).entries
+        vectors.append(random_assembly(rng, base, rng.choice((3, 5, 7, 9)), rng.choice((1, -1))))
+    vectors += [torus_vector(q).entries for q in (61, 99, 301)]
+    vectors += [(2, 2, 0, 2, -2) * 20 + (2, 2), (2, -2, -2) * 40]
+    for a in vectors:
+        hi = (len(a) - 2) // 3 + 1
+        if hi - 2 <= 2 * _FEW_LENGTHS:
+            continue
+        assert list(_packed_borders(a, 2, hi)) == oracle_borders(a, 2, hi), a
+        narrow = [p for blen in range(2, hi, 2) for p in _prefix_parsings(a, blen, blen + 1)]
+        assert list(_prefix_parsings(a)) == narrow, a
 
 
 # ----------------------------------------------------- chain family facts

@@ -11,11 +11,13 @@ Independent oracles used here:
   the knot p/q and never sees the vector code path.
 """
 
+import fractions
+import itertools
 import math
 import random
 
 import pytest
-from conftest import euclid_quotient_sum, oracle_count, oracle_vectors
+from conftest import connector_entries, ernst_sumners_count, euclid_quotient_sum, oracle_count, oracle_vectors
 
 from twobridge import (
     EvenCF,
@@ -28,11 +30,12 @@ from twobridge import (
     crossing_number,
     even_expansion,
     expand,
+    knot_classes,
     knot_from_vector,
     torus_vector,
     vector_from_knot,
 )
-from twobridge.vectors import _class_representative
+from twobridge.vectors import _check_entries, _class_representative, _packs_valid
 
 
 # ---------------------------------------------------------------- validation
@@ -59,6 +62,44 @@ def test_vector_accepts_valid():
     assert len(SEvenVector((2, 0, 2, -2))) == 4
     assert str(SEvenVector((2, 2, 0, 2, 2, 0, 2, 2))) == "2,2,0,2,2,0,2,2"
     assert SEvenVector.parse("2,0,2,-2").entries == (2, 0, 2, -2)
+
+
+def test_vector_rejects_non_integer_entries():
+    # 2.0 == 2, but a float is no entry: (2.0, 0.0, 2.0, 2.0) used to pass
+    # the check and make knot_from_vector raise TypeError
+    with pytest.raises(ValueError, match=r"^entry 2\.0 at index 0 not in \{-2, 0, 2\}$"):
+        SEvenVector((2.0, 0.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match=r"^entry 0\.0 at index 2 not in \{-2, 0, 2\}$"):
+        SEvenVector((2, 2, 0.0, 2, 2, 2))
+    with pytest.raises(ValueError, match=r"^entry 2 at index 1 not in \{-2, 0, 2\}$"):
+        SEvenVector((2, fractions.Fraction(2)))
+
+
+def _value_error(f, entries):
+    try:
+        f(entries)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_packed_check_matches_entry_loop():
+    # every tuple over {-2, 0, 2} of length <= 8, and every valid vector of
+    # length <= 6 with one entry replaced by a foreign value: the
+    # constructor accepts what the entry loop accepts and reports the
+    # loop's first error, and the packed test alone accepts every vector
+    # the loop accepts
+    valid = {e for n in range(0, 9, 2) for e in oracle_vectors(n)}
+    cases = [t for n in range(9) for t in itertools.product((-2, 0, 2), repeat=n)]
+    foreign = (1, 4, 128, -128, 300, True, False, 2.0, -2.0, 0.0)
+    cases += [e[:i] + (x,) + e[i + 1 :] for e in valid if len(e) <= 6 for i in range(len(e)) for x in foreign]
+    for t in cases:
+        want = _value_error(_check_entries, t)
+        assert _value_error(SEvenVector, t) == want, t
+        assert _packs_valid(t) == (want is None), t
+        # only False, which is the integer 0, stands in for an entry
+        ints = tuple(0 if x is False else x for x in t)
+        assert (want is None) == (ints in valid and all(type(x) in (int, bool) for x in t)), t
 
 
 def test_generator_matches_closed_form_count():
@@ -226,6 +267,22 @@ def test_crossing_number_constant_on_knot_class():
             for w in vs[0].orbit():
                 crs.add(crossing_number(w))
             assert len(crs) == 1
+
+
+def test_crossing_number_and_expand_match_oracles_up_to_14():
+    # every knot with at most 14 crossings: expand gives the runs of the
+    # even terms written out entry by entry, and every member of the
+    # orbit has the Euclid quotient sum of q/p as its crossing number
+    count = 0
+    for n in range(3, 15):
+        for k in knot_classes(n):
+            cf = even_expansion(k.canonical)
+            v = expand(cf)
+            assert v.entries == tuple(x for t in cf.terms for x in connector_entries(t))
+            assert euclid_quotient_sum(k.canonical.p, k.canonical.q) == n
+            assert {crossing_number(w) for w in v.orbit()} == {n}
+            count += 1
+    assert count == sum(ernst_sumners_count(n) for n in range(3, 15)) == 1407
 
 
 def random_vector(rng, n):
