@@ -20,12 +20,8 @@ Each verb is a fresh process that compiles every module it imports, so
 each handler imports the library names it uses when it runs, and ``main``
 builds the parser of the one verb it is given: ``cr`` and ``convert``
 load only ``rationals`` and ``vectors``, ``cm`` only ``bounds``, and
-``verify-paper`` every layer.  Compiling ``cli`` takes 7.1 ms,
-``enumeration`` 4.4, ``parsing`` 4.4, ``vectors`` 2.7, ``rationals``
-2.4, ``bounds`` 2.1, ``seams`` 1.5 and ``_value`` 0.7 (medians of 7,
-2 CPUs, Python 3.11.7, no bytecode written).  Annotations that name
-library classes are never evaluated, so those classes are not imported
-for them.
+``verify-paper`` every layer.  Annotations that name library classes
+are never evaluated, so those classes are not imported for them.
 """
 
 from __future__ import annotations

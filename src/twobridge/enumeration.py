@@ -43,7 +43,7 @@ from collections.abc import Iterator
 from ._value import Value
 from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import _prefix_parsings, _tiles, smaller_knots
-from .rationals import Fraction, KnotClass, canonical_fraction
+from .rationals import Fraction, KnotClass, _orbit_min, canonical_fraction
 from .vectors import (
     VectorClass,
     _class_representative,
@@ -130,8 +130,10 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
     h0/k0.  M(e) = M(L) M(t) for the tail t = s rev(R'), and M(t) comes
     from M(R'): M(rev X) = M(X)^T and M(-X) = (-1)^|X| D M(X) D with
     D = diag(1, -1), whose sign (-1)^m changes nothing below and is
-    dropped.  det M(e) = 1, so k0 = -h^-1 (mod k): q = |k| and p is the
-    least of h, -h, k0 and -k0 mod q, the orbit {p, -p, p^-1, -p^-1},
+    dropped.  The rest is the rule that reads every knot off a vector
+    (``vectors._knot_of_entries``): det M(e) = 1, so
+    k0 = -h^-1 (mod k), and q = |k| with p the least of +/-h and +/-k0
+    mod q (``rationals._orbit_min``), the orbit {p, -p, p^-1, -p^-1},
     with no fraction evaluated and no inverse taken.  Classes come in
     the catalog's order, by q and then p.
     """
@@ -161,7 +163,7 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
                     for t, w, u, y, z in ts[:bisect_right(rs, e)]:
                         q = abs(a * w + b * y)
                         h, k0 = g * w + d * y, a * u + b * z
-                        found.append((q, min(h % q, -h % q, k0 % q, -k0 % q), e + t))
+                        found.append((q, _orbit_min(h, k0, q), e + t))
     found.sort()
     for q, p, e in found:
         yield e, KnotClass._unchecked(Fraction(p, q))

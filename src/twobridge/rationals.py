@@ -210,7 +210,7 @@ class KnotClass(Value):
         f = canonical
         if f.q < 3:
             raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
-        p = min(_orbit(f.p % f.q, f.q))  # p % q is never 0: gcd(p, q) = 1 and q >= 3
+        p = _orbit_min(f.p, pow(f.p, -1, f.q), f.q)
         object.__setattr__(self, "canonical", f if p == f.p else Fraction(p, f.q))
 
     @classmethod
@@ -228,9 +228,14 @@ class KnotClass(Value):
         return str(self.canonical)
 
 
-def _orbit(p: int, q: int) -> tuple[int, int, int, int]:
-    inv = pow(p, -1, q)
-    return (p, inv, q - p, q - inv)
+def _orbit_min(p: int, r: int, q: int) -> int:
+    """The least of +/-p and +/-r mod q, for r = +/-p^-1 (mod q): the canonical p of the knot p/q.
+
+    ``KnotClass`` passes r = p^-1 from ``pow``; a vector's continuants
+    give r = -p^-1 for free (``vectors._knot_of_entries``,
+    ``enumeration._class_vectors``).
+    """
+    return min(p % q, -p % q, r % q, -r % q)
 
 
 def canonical_fraction(f: Fraction) -> KnotClass:

@@ -20,7 +20,15 @@ in the sequence of nonzero entries.
 Two rules live here and nowhere else, both on plain entry tuples:
 ``_class_representative`` picks the vector that stands for a class (the
 lexicographic maximum of the orbit), and ``_knot_of_entries`` reads the
-knot a vector denotes.
+knot a vector denotes off its continuants, the product of
+[[x, 1], [1, 0]] over the entries, with nothing to reduce and no
+inverse taken.  Every knot read from a vector is read by that rule:
+``knot_from_vector``, the knots of the smaller sets in
+:mod:`twobridge.parsing` and of the seams in :mod:`twobridge.seams`, and
+the catalog of :mod:`twobridge.enumeration`, whose class search
+multiplies the same matrices half by half.  The least
+of +/-p and +/-p^-1 mod q, which names the knot, is
+``rationals._orbit_min``, which ``KnotClass`` uses too.
 
 Vectors are checked where they enter, by ``SEvenVector(...)`` and ``parse``;
 :class:`VectorClass`, like ``KnotClass``, normalizes any vector to its class.
@@ -55,13 +63,7 @@ import struct
 from collections.abc import Iterable
 
 from ._value import Value
-from .rationals import (
-    EvenCF,
-    KnotClass,
-    canonical_fraction,
-    evaluate_terms,
-    even_expansion,
-)
+from .rationals import EvenCF, Fraction, KnotClass, _orbit_min, even_expansion
 
 __all__ = [
     "SEvenVector",
@@ -299,8 +301,9 @@ def contract(v: SEvenVector) -> tuple[int, ...]:
 def knot_from_vector(v: SEvenVector) -> KnotClass:
     """The 2-bridge knot represented by v (the bijection, vector side first).
 
-    Evaluates [v] with integer part 0 and canonicalizes.  The empty
-    vector is the unknot, which has no knot class.
+    The knot of [v], the continued fraction with integer part 0, read
+    off its continuants.  The empty vector is the unknot, which has no
+    knot class.
     """
     if v.is_empty:
         raise ValueError("the empty vector is the unknot and has no knot class")
@@ -308,8 +311,19 @@ def knot_from_vector(v: SEvenVector) -> KnotClass:
 
 
 def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
-    """The knot of a nonempty valid entry tuple, which is not re-validated."""
-    return canonical_fraction(evaluate_terms(entries))
+    """The knot of a nonempty valid entry tuple, which is not re-validated.
+
+    The product of [[x, 1], [1, 0]] over the entries, left to right, is
+    [[k, k0], [h, h0]] for [entries] = h/k with previous convergent
+    h0/k0.  Its determinant is +/-1, so h/k is reduced and k0 = +/-h^-1
+    (mod k): the knot is q = |k| with p the least of +/-h and +/-k0 mod q,
+    and no inverse is taken.
+    """
+    k, k0, h, h0 = 1, 0, 0, 1
+    for x in entries:
+        k, k0, h, h0 = x * k + k0, k, x * h + h0, h
+    q = abs(k)
+    return KnotClass._unchecked(Fraction(_orbit_min(h, k0, q), q))
 
 
 def vector_from_knot(k: KnotClass) -> VectorClass:

@@ -8,7 +8,9 @@ Independent oracles used here:
   entries carry a zero, then assign signs; gaps with a zero force equal
   signs on both sides);
 * the Euclid quotient sum of q/p, which equals the crossing number of
-  the knot p/q and never sees the vector code path.
+  the knot p/q and never sees the vector code path;
+* ``oracle_knot``, which evaluates a vector over stdlib fractions where
+  the package reads its knot off continuants.
 """
 
 import fractions
@@ -17,7 +19,14 @@ import math
 import random
 
 import pytest
-from conftest import connector_entries, ernst_sumners_count, euclid_quotient_sum, oracle_count, oracle_vectors
+from conftest import (
+    connector_entries,
+    ernst_sumners_count,
+    euclid_quotient_sum,
+    oracle_count,
+    oracle_knot,
+    oracle_vectors,
+)
 
 from twobridge import (
     EvenCF,
@@ -228,6 +237,22 @@ def test_bijection_exhaustive_up_to_length_12():
     )
     for k, cls in knot_to_class.items():
         assert vector_from_knot(k) == cls
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048, 4096])
+def test_knot_from_vector_matches_oracle_on_long_vectors(n):
+    # random signs, then a zero wherever the coin allows one: between two
+    # equal entries whose left neighbor is not itself a zero
+    rng = random.Random(n)
+    for _ in range(3):
+        e = [rng.choice((2, -2)) for _ in range(n)]
+        for i in range(1, n - 1):
+            if e[i - 1] and e[i - 1] == e[i + 1] and rng.random() < 0.5:
+                e[i] = 0
+        v = SEvenVector(e)
+        assert 0 in v.entries
+        k = knot_from_vector(v)
+        assert (k.canonical.p, k.canonical.q) == oracle_knot(v.entries)
 
 
 def test_bijection_rejects_empty():
