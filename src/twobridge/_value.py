@@ -1,8 +1,9 @@
 """Immutable value classes, made without generating source code.
 
 A subclass of :class:`Value` names its fields in ``__slots__`` and sets
-each one once in its own ``__init__``, through ``object.__setattr__``.
-From the slots the base gives it what the standard library's frozen data
+them once, in its own ``__init__``, with one ``self._fill(...)`` call,
+which takes the fields in slot order and returns the instance.  From
+the slots the base gives it what the standard library's frozen data
 classes gave the twelve public value classes before:
 
 - ``==`` holds only between instances of the same class whose fields are
@@ -18,9 +19,55 @@ and there importing the data-class module (which loads ``inspect``,
 the twelve classes about 0.5 ms each, of a 36 ms package import (2 CPUs,
 Python 3.11.7, bytecode not cached).  Here the methods are closures over
 one ``attrgetter`` per class, and nothing is compiled.
+
+``_fill`` calls each slot's own member descriptor (``Fraction.p.__set__``),
+which skips the refusing ``__setattr__`` at about 40 ns a field, where
+``object.__setattr__(self, name, value)`` took 150 to 200 ns.  It has one
+fixed-arity body per field count, since a loop over ``*fields`` measured
+slower than ``object.__setattr__``.  So a class on the catalog's path can
+be built unchecked as ``object.__new__(cls)._fill(...)``.
 """
 
 from operator import attrgetter
+
+
+def _filler(setters):
+    """``_fill(self, ...) -> self`` for one to four slot setters, in slot order."""
+    if len(setters) == 1:
+        (s0,) = setters
+
+        def _fill(self, a):
+            s0(self, a)
+            return self
+
+    elif len(setters) == 2:
+        s0, s1 = setters
+
+        def _fill(self, a, b):
+            s0(self, a)
+            s1(self, b)
+            return self
+
+    elif len(setters) == 3:
+        s0, s1, s2 = setters
+
+        def _fill(self, a, b, c):
+            s0(self, a)
+            s1(self, b)
+            s2(self, c)
+            return self
+
+    else:
+        s0, s1, s2, s3 = setters
+
+        def _fill(self, a, b, c, d):
+            s0(self, a)
+            s1(self, b)
+            s2(self, c)
+            s3(self, d)
+            return self
+
+    return _fill
 
 
 class Value:
@@ -44,6 +91,7 @@ class Value:
             return NotImplemented
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls._fill = _filler([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

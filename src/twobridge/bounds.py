@@ -187,8 +187,7 @@ class CmEntry(Value):
     value: int
 
     def __init__(self, m: int, value: int) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "value", value)
+        self._fill(m, value)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "value": self.value}

@@ -103,9 +103,7 @@ class Parsing(Value):
                 raise ValueError(f"connector {c} at position {i} is odd")
             if c == 0 and signs[i - 1] != signs[i]:
                 raise ValueError(f"zero connector {i} joins tiles of unequal sign")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "connectors", connectors)
+        self._fill(base, signs, connectors)
 
     @property
     def fold(self) -> int:
@@ -286,10 +284,7 @@ class TwoConnectorForm(Value):
             raise ValueError("connectors must be even")
         if generator.is_empty and (m == 0 or n == 0):
             raise ValueError("an empty generator needs nonzero connectors")
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "count", count)
+        self._fill(generator, m, n, count)
 
     def assemble(self) -> SEvenVector:
         return assemble_two_connector(self.generator, self.m, self.n, self.count)

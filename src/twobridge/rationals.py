@@ -84,8 +84,7 @@ class Fraction(Value):
             raise InvalidFractionError(
                 f"{p}/{q} has even denominator (a 2-bridge link, not a knot)"
             )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self._fill(p, q)
 
     @classmethod
     def parse(cls, text: str) -> "Fraction":
@@ -120,8 +119,7 @@ class EvenCF(Value):
         for i, a in enumerate(terms, 1):
             if a == 0 or a % 2:
                 raise ValueError(f"term {i} is {a}; every term must be even and nonzero")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "terms", terms)
+        self._fill(r, terms)
 
     def __str__(self) -> str:
         return f"{self.r}+[{','.join(str(a) for a in self.terms)}]"
@@ -200,7 +198,9 @@ class KnotClass(Value):
     Requires q >= 3; q = 1 would be the unknot, which no fraction class
     in this package represents.  ``KnotClass._unchecked`` skips that
     normalization where the caller has already found the representative
-    (the catalog reads it off the continuants of its search).
+    (the knot of a vector, read off its continuants), and the catalog's
+    class search fills its knots the same way, through ``_fill``, over a
+    fraction it does not reduce either.
     """
 
     __slots__ = ("canonical",)
@@ -211,14 +211,12 @@ class KnotClass(Value):
         if f.q < 3:
             raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
         p = _orbit_min(f.p, pow(f.p, -1, f.q), f.q)
-        object.__setattr__(self, "canonical", f if p == f.p else Fraction(p, f.q))
+        self._fill(f if p == f.p else Fraction(p, f.q))
 
     @classmethod
     def _unchecked(cls, canonical: Fraction) -> "KnotClass":
         """A knot on a fraction the caller promises is its class representative; it is not re-normalized."""
-        k = object.__new__(cls)
-        object.__setattr__(k, "canonical", canonical)
-        return k
+        return object.__new__(cls)._fill(canonical)
 
     @property
     def sort_key(self) -> tuple[int, int]:

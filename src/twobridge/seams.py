@@ -36,9 +36,7 @@ class SeamSet(Value):
     cuts: tuple[int, ...]
 
     def __init__(self, vector: SEvenVector, parsings: tuple[Parsing, ...], cuts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "parsings", parsings)
-        object.__setattr__(self, "cuts", cuts)
+        self._fill(vector, parsings, cuts)
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:

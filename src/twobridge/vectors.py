@@ -36,17 +36,19 @@ Vectors are checked where they enter, by ``SEvenVector(...)`` and ``parse``;
 construction: orbits and class representatives (negation and reversal keep
 it), ``expand`` of a checked ``EvenCF`` and ``torus_vector`` (evenly many
 odd-length runs, nonzero ends), a checked ``Parsing``'s assembly (a zero
-connector joins equal-sign tiles, whose facing ends agree), the catalog's
-class representatives (the class search joins two valid half-vectors and
-puts a 0 at the junction only between equal nonzero entries), and the
+connector joins equal-sign tiles, whose facing ends agree), and the
 ``two_connector_decompose`` generator and class-checked prefixes (even
-prefixes of a vector that end nonzero).
-Two more private paths skip normalization for the catalog, whose search
-yields each class representative with its knot: ``VectorClass._unchecked``
-takes a tuple that already is its class representative, and
-``KnotClass._unchecked`` a fraction that already is its knot's canonical one.
-All these values are slotted and immutable (``_value.Value``), so one built
-unchecked stays as valid as the caller made it.
+prefixes of a vector that end nonzero).  ``KnotClass._unchecked`` likewise
+skips normalization for a fraction that already is its knot's canonical
+one (``_knot_of_entries``).  Each is ``object.__new__(cls)._fill(...)``,
+which puts the fields straight into the slots (``_value.Value``).
+The catalog fills its objects the same way in its own loops, without
+these calls: ``enumeration._class_vectors`` each knot and its fraction,
+and ``enumerate_knots`` each entry, its ``VectorClass`` and its
+``SEvenVector``.  Its class representatives need no check, since the
+class search joins two valid half-vectors and puts a 0 at the junction
+only between equal nonzero entries.  All these values are slotted and
+immutable, so one built unchecked stays as valid as the caller made it.
 
 The check, ``crossing_number`` and ``expand`` read or write the packed form
 of an entry tuple, one signed byte per entry (``_pack``): 2, 0 and -2 are
@@ -132,15 +134,13 @@ class SEvenVector(Value):
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "entries", tuple(entries))
+        self._fill(tuple(entries))
         self.__post_init__()
 
     @classmethod
     def _unchecked(cls, entries: tuple[int, ...]) -> "SEvenVector":
         """A vector on an entry tuple the caller promises is valid; it is not re-checked."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "entries", entries)
-        return v
+        return object.__new__(cls)._fill(entries)
 
     def __post_init__(self) -> None:
         """Check the entries, once for each vector the constructor builds.
@@ -210,14 +210,7 @@ class VectorClass(Value):
         rep = _class_representative(representative.entries)
         if rep is not representative.entries:
             representative = SEvenVector._unchecked(rep)
-        object.__setattr__(self, "representative", representative)
-
-    @classmethod
-    def _unchecked(cls, rep: tuple[int, ...]) -> "VectorClass":
-        """The class of an entry tuple the caller promises is its class representative; it is not re-normalized."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "representative", SEvenVector._unchecked(rep))
-        return c
+        self._fill(representative)
 
     def representatives(self) -> tuple[SEvenVector, ...]:
         return self.representative.orbit()

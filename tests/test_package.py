@@ -212,24 +212,28 @@ VALUE_CASES = [
 def test_value_classes_behave_as_before():
     # Equal exactly to an equal instance of the same class; hashed as the
     # tuple of its fields, so set and dict orders stay the same; the repr
-    # names each field; no field can be assigned or deleted.
+    # names each field; no field can be assigned or deleted.  A value
+    # filled without the constructor's checks, as the catalog builds its
+    # own, is the same value.
     assert len(VALUE_CASES) == 12
     for i, (cls, kw, text) in enumerate(VALUE_CASES):
         fields = tuple(kw.values())
-        x, y = cls(*fields), cls(**kw)
+        x, y, filled = cls(*fields), cls(**kw), object.__new__(cls)._fill(*fields)
         other_cls, other_kw, _ = VALUE_CASES[i - 1]
         sub = type("Sub", (cls,), {})(*fields)
         assert x == y and not x != y and hash(x) == hash(y), cls
+        assert type(filled) is cls and filled == x and x == filled and hash(filled) == hash(x), cls
         assert x != fields and x != other_cls(**other_kw) and x != sub and sub != x, cls
         assert hash(x) == hash(fields), cls
-        assert repr(x) == text, cls
-        assert tuple(getattr(x, name) for name in kw) == fields, cls
-        for name in (*kw, "extra"):
-            with pytest.raises(AttributeError):
-                setattr(x, name, 0)
-            with pytest.raises(AttributeError):
-                delattr(x, name)
-        assert tuple(getattr(x, name) for name in kw) == fields, cls
+        assert repr(x) == repr(filled) == text, cls
+        for z in (x, filled):
+            assert tuple(getattr(z, name) for name in kw) == fields, cls
+            for name in (*kw, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(z, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(z, name)
+            assert tuple(getattr(z, name) for name in kw) == fields, cls
         assert copy.copy(x) == x and copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x, cls
     assert twobridge.Fraction(5) == twobridge.Fraction(5, 1) == twobridge.Fraction(p=10, q=2)
     assert twobridge.EvenCF(3) == twobridge.EvenCF(3, ()) and twobridge.EvenCF(0, [2, 2]).terms == (2, 2)
