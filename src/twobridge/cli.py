@@ -75,7 +75,8 @@ def _gather_seams(v: SEvenVector, bases: list[KnotClass]) -> SeamSet:
         if found is None:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
         base, signs, connectors = found
-        parsings.append(Parsing(SEvenVector._unchecked(base), signs, connectors))
+        # the scan's own output, so the parsing is filled unchecked
+        parsings.append(object.__new__(Parsing)._fill(SEvenVector._unchecked(base), tuple(signs), tuple(connectors)))
     return find_seams(v, tuple(parsings))
 
 

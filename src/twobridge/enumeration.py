@@ -219,10 +219,10 @@ def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int,
         room = n - cr - base_cr  # what the next connector may add
         if room < 0:
             continue
-        stack.append((entries + (0,) + tiles[(count % 2, sign)], cr + base_cr, count + 1, sign))
+        pair = tiles[count % 2]
+        stack.append((entries + (0,) + pair[sign < 0], cr + base_cr, count + 1, sign))
         for size in range(2, room + 3, 2):
-            for s in (1, -1):
-                tile = tiles[(count % 2, s)]
+            for s, tile in zip((1, -1), pair):
                 for end in (2, -2):
                     changes = (entries[-1] != end) + (end != tile[0])
                     if size - changes <= room:

@@ -37,23 +37,24 @@ prefixes before g and of the assemblies over g whose tile count divides
 the form's.
 
 ``_tiles`` is the one statement of the layout: which orientation and
-sign the next tile takes.  :class:`Parsing` (its blocks, assembly and
-boundaries), the two-connector assembly and the parse scan all read
-their tiles from it.  Knots are read off entry tuples with
-``vectors._knot_of_entries``, and connector runs with
-``vectors._connector_read``.
+sign the next tile takes.  :class:`Parsing` (its packed layout, which
+its assembly, its boundaries and ``seams.find_seams`` read), the
+two-connector assembly, the parse scan and the upward walk of
+``enumeration`` all read their tiles from it.  Knots are read off
+entry tuples with ``vectors._knot_of_entries``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain
+from itertools import accumulate, cycle
 
 from ._value import Value
 from .rationals import KnotClass
 from .vectors import (
-    _NEGATE, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _pack, connector_vector,
+    _NEGATE, _RUNS, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _pack,
+    connector_vector,
 )
 
 __all__ = [
@@ -70,14 +71,26 @@ __all__ = [
 ]
 
 
-def _tiles(b: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The next tile of an assembly over b, keyed by (parity of the tile count so far, sign)."""
-    neg = tuple([-x for x in b])
-    return {(0, 1): b, (0, -1): neg, (1, 1): b[::-1], (1, -1): neg[::-1]}
+def _tiles(b):
+    """The tiles of an assembly over b as (plus, minus) pairs: (b, -b), then (b', -b').
+
+    The first, third, ... tile is b or -b and the others b' or -b': tile
+    i with sign s, counting from 0, is ``_tiles(b)[i % 2][s < 0]``.
+    The tiles take b's form: an entry tuple, or packed entries
+    (``vectors._pack``), which negate in C.
+    """
+    neg = b.translate(_NEGATE) if isinstance(b, bytes) else tuple([-x for x in b])
+    return (b, neg), (b[::-1], neg[::-1])
 
 
 class Parsing(Value):
-    """One way of writing a vector as alternating b-tiles and connectors."""
+    """One way of writing a vector as alternating b-tiles and connectors.
+
+    The constructor checks its arguments; the parsings the scan finds are
+    filled unchecked (``object.__new__(Parsing)._fill``), since the scan
+    only produces odd folds, signs +/-1 starting with +1, even connectors
+    and zero connectors between equal signs.
+    """
 
     __slots__ = ("base", "signs", "connectors")
     base: SEvenVector
@@ -109,20 +122,23 @@ class Parsing(Value):
     def fold(self) -> int:
         return len(self.signs)
 
-    def blocks(self) -> Iterator[tuple[int, ...]]:
-        """Tiles and connector vectors in assembly order."""
-        tiles = _tiles(self.base.entries)
-        yield tiles[(0, 1)]
-        for i, (c, s) in enumerate(zip(self.connectors, self.signs[1:]), 1):
-            yield connector_vector(c)
-            yield tiles[(i % 2, s)]
+    def _layout(self) -> list[bytes]:
+        """The packed tiles and connector runs in assembly order.
+
+        A tile has |b| entries and a run |c| - 1, or 1 for c = 0.
+        """
+        tiles = cycle(_tiles(_pack(self.base.entries)))
+        layout = [b""] * (2 * len(self.signs) - 1)
+        layout[::2] = [pair[s < 0] for pair, s in zip(tiles, self.signs)]
+        layout[1::2] = map(_RUNS.__getitem__, self.connectors)
+        return layout
 
     def assemble(self) -> SEvenVector:
-        return SEvenVector._unchecked(tuple(chain.from_iterable(self.blocks())))
+        return SEvenVector._unchecked(tuple(memoryview(b"".join(self._layout())).cast("b")))
 
     def boundaries(self) -> tuple[int, ...]:
         """Interior block boundaries: cut-after-entry positions, 1-based."""
-        return tuple(accumulate(map(len, self.blocks())))[:-1]
+        return tuple(accumulate(map(len, self._layout())))[:-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,31 +155,38 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[list[int], 
     A parsing over a given base is unique when it exists, so one forward
     scan finds it.  Every tile starts with a nonzero entry, an end of b,
     so a connector is the whole run at its position: a shorter read
-    would leave the next tile starting with 0.  Of the two tiles that may
-    come next, b or -b (b' or -b' at even places), at most one matches,
-    because their first entries differ.  So each step has at most one
-    way on.
+    would leave the next tile starting with 0.  In the valid vector ea a
+    zero lies between equal entries, so the run (x, 0, x, ..., 0, x) goes
+    on exactly as long as a 0 follows.  Of the two tiles that may come
+    next, b or -b (b' or -b' at even places), at most one matches, because
+    their first entries differ.  So each step has at most one way on.
     """
     la, lb = len(ea), len(eb)
     if lb == 0:
         raise ValueError("parsing base must be nonempty")
     if lb > la or ea[:lb] != eb:
         return None
-    tiles = _tiles(eb)
+    there, here = _tiles(eb)  # (plus, minus) for the next tile, here, and the one after it
     signs, connectors = [1], []
     pos = lb
     while pos < la:
-        c, clen = _connector_read(ea, pos)
-        pos += clen
-        if pos == la:
+        x, end = ea[pos], pos + 1
+        if x:
+            while end < la and not ea[end]:
+                end += 2
+        tile = ea[end : end + lb]
+        if tile == here[0]:
+            s = 1
+        elif tile == here[1]:
+            s = -1
+        else:
             return None
-        parity = len(signs) % 2
-        s = 1 if ea[pos] == tiles[(parity, 1)][0] else -1
-        if (c == 0 and s != signs[-1]) or ea[pos : pos + lb] != tiles[(parity, s)]:
+        if not x and s != signs[-1]:  # a zero connector joins tiles of equal sign
             return None
         signs.append(s)
-        connectors.append(c)
-        pos += lb
+        connectors.append(x * ((end - pos + 1) // 2))
+        pos = end + lb
+        here, there = there, here
     return (signs, connectors) if len(signs) % 2 else None
 
 
@@ -187,7 +210,7 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
     empty or holds one parsing.
     """
     found = _scan_parsing(a.entries, b.entries)
-    return () if found is None else (Parsing(b, *found),)
+    return () if found is None else (object.__new__(Parsing)._fill(b, *map(tuple, found)),)
 
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
@@ -299,8 +322,7 @@ def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenV
 
 def _assemble_entries(g: tuple[int, ...], m: int, n: int, count: int) -> tuple[int, ...]:
     """g followed by count // 2 repeats of the period (m, g', n, g)."""
-    tiles = _tiles(g)
-    period = connector_vector(m) + tiles[(1, 1)] + connector_vector(n) + tiles[(0, 1)]
+    period = connector_vector(m) + _tiles(g)[1][0] + connector_vector(n) + g
     return g + period * (count // 2)
 
 

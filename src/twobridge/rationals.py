@@ -171,21 +171,22 @@ def even_expansion(f: Fraction) -> EvenCF:
     tail; the remainders' numerators shrink strictly, the parity pattern
     forces an even number of terms, and no tie is possible because the
     reciprocal is never an integer.  ``evaluate_cf`` inverts this exactly.
+    That reciprocal exceeds 1 in size, so every term is even and nonzero:
+    the result has its shape by construction and is filled unchecked.
     """
     p, q = f.p, f.q
-    if q == 1:
-        return EvenCF(p, ())
     r0 = p // q
     r = r0 if (r0 - p) % 2 == 0 else r0 + 1
     # Remaining target [a_1, ...] = n/d with n even, 0 < |n| < d.
     n, d = p - r * q, q
     terms = []
     while n:
-        fl = d // n
-        a = fl if fl % 2 == 0 else fl + 1
+        a, m = divmod(d, n)
+        if a % 2:
+            a, m = a + 1, m - n
         terms.append(a)
-        n, d = d - a * n, n
-    return EvenCF(r, tuple(terms))
+        n, d = m, n
+    return object.__new__(EvenCF)._fill(r, tuple(terms))
 
 
 class KnotClass(Value):

@@ -15,9 +15,11 @@ number exactly N that parses with respect to c with fold 3.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from ._value import Value
 from .parsing import Parsing, is_strictly_greater
-from .vectors import SEvenVector, _knot_of_entries, canonical_vector, crossing_number
+from .vectors import SEvenVector, _knot_of_entries, _pack, canonical_vector, crossing_number
 
 __all__ = [
     "SeamSet",
@@ -56,17 +58,23 @@ class SeamSet(Value):
 
 
 def find_seams(v: SEvenVector, parsings: tuple[Parsing, ...]) -> SeamSet:
-    """Common interior block boundaries of all the given parsings of v."""
+    """Common interior block boundaries of all the given parsings of v.
+
+    Each parsing is checked against v on packed bytes, and its block ends
+    are the running sums of its layout's lengths.
+    """
     if not parsings:
         raise ValueError("need at least one parsing to take seams of")
+    packed, ends = _pack(v.entries), []
     for p in parsings:
-        if p.assemble().entries != v.entries:
+        layout = p._layout()
+        if b"".join(layout) != packed:
             raise ValueError(
                 f"parsing with base {p.base} does not assemble to the given vector"
             )
-    common = set(parsings[0].boundaries())
-    for p in parsings[1:]:
-        common &= set(p.boundaries())
+        ends.append(accumulate(map(len, layout)))
+    common = set(ends[0]).intersection(*ends[1:])
+    common.discard(len(packed))
     return SeamSet(v, tuple(parsings), tuple(sorted(common)))
 
 

@@ -8,7 +8,8 @@ nonzero entries, and concatenating the runs, turns the continued
 fraction normal form into such a vector; contraction, the value of each
 run in order, inverts the expansion.  A run is written by
 ``connector_vector`` and read by ``_connector_read``, for partial
-quotients here and for parsing connectors in :mod:`twobridge.parsing`.
+quotients here and for parsing connectors in :mod:`twobridge.parsing`,
+whose parse scan reads its runs inline by the same rule.
 
 Vectors are considered up to negation and reversal.  Evaluating a vector
 as a continued fraction (integer part 0) and canonicalizing the result
@@ -22,10 +23,13 @@ Two rules live here and nowhere else, both on plain entry tuples:
 lexicographic maximum of the orbit), and ``_knot_of_entries`` reads the
 knot a vector denotes off its continuants, the product of
 [[x, 1], [1, 0]] over the entries, with nothing to reduce and no
-inverse taken.  Every knot read from a vector is read by that rule:
-``knot_from_vector``, the knots of the smaller sets in
-:mod:`twobridge.parsing` and of the seams in :mod:`twobridge.seams`, and
-the catalog of :mod:`twobridge.enumeration`, whose class search
+inverse taken.  It takes that product 8 entries at a time from a table
+of chunk products (``_CHUNKS``), then pairwise up a balanced tree, so
+a long vector costs a few multiplications of its final size instead of
+one growing multiplication per entry.  Every knot read from a vector is
+read by that rule: ``knot_from_vector``, the knots of the smaller sets
+in :mod:`twobridge.parsing` and of the seams in :mod:`twobridge.seams`,
+and the catalog of :mod:`twobridge.enumeration`, whose class search
 multiplies the same matrices half by half.  The least
 of +/-p and +/-p^-1 mod q, which names the knot, is
 ``rationals._orbit_min``, which ``KnotClass`` uses too.
@@ -35,12 +39,14 @@ Vectors are checked where they enter, by ``SEvenVector(...)`` and ``parse``;
 ``SEvenVector._unchecked`` skips the check where validity holds by
 construction: orbits and class representatives (negation and reversal keep
 it), ``expand`` of a checked ``EvenCF`` and ``torus_vector`` (evenly many
-odd-length runs, nonzero ends), a checked ``Parsing``'s assembly (a zero
-connector joins equal-sign tiles, whose facing ends agree), and the
-``two_connector_decompose`` generator and class-checked prefixes (even
-prefixes of a vector that end nonzero).  ``KnotClass._unchecked`` likewise
-skips normalization for a fraction that already is its knot's canonical
-one (``_knot_of_entries``).  Each is ``object.__new__(cls)._fill(...)``,
+odd-length runs, nonzero ends), a ``Parsing``'s assembly, checked or found
+by the scan (a zero connector joins equal-sign tiles, whose facing ends
+agree), and the ``two_connector_decompose`` generator and class-checked
+prefixes (even prefixes of a vector that end nonzero).
+``KnotClass._unchecked`` likewise skips normalization for a fraction that
+already is its knot's canonical one (``_knot_of_entries``, which fills
+that fraction unchecked too: its terms are coprime, since the product's
+determinant is +/-1).  Each is ``object.__new__(cls)._fill(...)``,
 which puts the fields straight into the slots (``_value.Value``).
 The catalog fills its objects the same way in its own loops, without
 these calls: ``enumeration._class_vectors`` each knot and its fraction,
@@ -303,6 +309,31 @@ def knot_from_vector(v: SEvenVector) -> KnotClass:
     return _knot_of_entries(v.entries)
 
 
+def _mul(m, n):
+    """The product of two 2x2 matrices, each the row-major tuple (a, b, c, d)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+class _ChunkProducts(dict):
+    """The product of [[x, 1], [1, 0]] over 8 packed entries, keyed by their bytes read as one integer.
+
+    Built on first use.  At most 1,870 keys occur: the 1,632 runs of 8 entries
+    found inside valid vectors and 238 zero-padded ends of 2, 4 or 6 entries.
+    """
+
+    def __missing__(self, key):
+        k, k0, h, h0 = 1, 0, 0, 1
+        for x in struct.unpack("8b", struct.pack("q", key)):
+            k, k0, h, h0 = x * k + k0, k, x * h + h0, h
+        self[key] = m = (k, k0, h, h0)
+        return m
+
+
+_CHUNKS = _ChunkProducts()
+
+
 def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
     """The knot of a nonempty valid entry tuple, which is not re-validated.
 
@@ -310,13 +341,20 @@ def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
     [[k, k0], [h, h0]] for [entries] = h/k with previous convergent
     h0/k0.  Its determinant is +/-1, so h/k is reduced and k0 = +/-h^-1
     (mod k): the knot is q = |k| with p the least of +/-h and +/-k0 mod q,
-    and no inverse is taken.
+    and neither a gcd nor an inverse is taken.  The product is read off
+    ``_CHUNKS`` 8 entries at a time, zero entries padding the last chunk
+    (the length is even, and [[0, 1], [1, 0]] squared is the identity),
+    and the chunk products meet up a balanced tree: long factors are
+    multiplied only near its root, so the time is not quadratic in the
+    length, as a left-to-right product of growing continuants is.
     """
-    k, k0, h, h0 = 1, 0, 0, 1
-    for x in entries:
-        k, k0, h, h0 = x * k + k0, k, x * h + h0, h
+    mats = list(map(_CHUNKS.__getitem__, memoryview(_pack(entries) + bytes(-len(entries) % 8)).cast("q")))
+    while len(mats) > 1:
+        top = list(map(_mul, mats[::2], mats[1::2]))
+        mats = top + mats[-1:] if len(mats) % 2 else top
+    k, k0, h, _ = mats[0]
     q = abs(k)
-    return KnotClass._unchecked(Fraction(_orbit_min(h, k0, q), q))
+    return KnotClass._unchecked(object.__new__(Fraction)._fill(_orbit_min(h, k0, q), q))
 
 
 def vector_from_knot(k: KnotClass) -> VectorClass:

@@ -34,7 +34,7 @@ from twobridge import (
     torus_vector,
     two_connector_decompose,
 )
-from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _prefix_parsings
+from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _prefix_parsings, _scan_parsing
 
 V = SEvenVector
 
@@ -261,19 +261,54 @@ def test_find_parsings_matches_brute_force_up_to_10():
     assert pairs == 24204
 
 
+def random_parsing(rng, bases, folds=range(0, 41, 2)):
+    """A random base with signs and connectors: zero connectors, short runs
+    and runs with |c| up to 70, past the 64 whose packed runs are kept."""
+    base = rng.choice(bases)
+    signs, connectors = [1], []
+    for _ in range(rng.choice(folds)):
+        c = rng.choice((0, rng.randrange(-8, 10, 2), rng.randrange(-70, 72, 2)))
+        signs.append(signs[-1] if c == 0 else rng.choice((1, -1)))
+        connectors.append(c)
+    return base, signs, connectors
+
+
 def test_find_parsings_recovers_random_assembly():
     rng = random.Random(1107)
     bases = [e for n in (2, 4, 6, 8) for e in oracle_vectors(n)]
+    seen = set()
     for _ in range(2000):
-        base = rng.choice(bases)
-        signs, connectors = [1], []
-        for _ in range(rng.randrange(0, 41, 2)):
-            c = rng.randrange(-8, 10, 2)
-            signs.append(signs[-1] if c == 0 else rng.choice((1, -1)))
-            connectors.append(c)
+        base, signs, connectors = random_parsing(rng, bases)
         a = oracle_assemble(base, signs, connectors)
+        assert _scan_parsing(a, base) == (signs, connectors), (a, base)
         got = [(p.signs, p.connectors) for p in find_parsings(V(a), V(base))]
         assert got == [(tuple(signs), tuple(connectors))], (a, base)
+        seen.update(("negative tile",) * (-1 in signs) + ("zero connector",) * (0 in connectors))
+        seen.update(("long run",) * any(abs(c) > 64 for c in connectors))
+    assert seen == {"negative tile", "zero connector", "long run"}
+
+
+def test_scan_parsing_rejects_broken_assemblies():
+    # The scan fails on a perturbed last tile (its last entry negated, which
+    # keeps the vector valid when a nonzero precedes it), on a vector cut
+    # after a nonzero entry of its last connector, and on an even fold.
+    rng = random.Random(2808)
+    bases = [e for n in (2, 4, 6, 8) for e in oracle_vectors(n)]
+    cases = {"tile": 0, "cut": 0, "even": 0}
+    for _ in range(1000):
+        base, signs, connectors = random_parsing(rng, bases, folds=range(2, 21, 2))
+        a = oracle_assemble(base, signs, connectors)
+        if a[-2]:
+            assert _scan_parsing(a[:-1] + (-a[-1],), base) is None, (a, base)
+            cases["tile"] += 1
+        start = len(oracle_assemble(base, signs[:-1], connectors[:-1]))
+        for end in range(start + 1, start + len(connector_entries(connectors[-1])) + 1, 2) if connectors[-1] else ():
+            assert _scan_parsing(a[:end], base) is None, (a, base, end)
+            cases["cut"] += 1
+        even = oracle_assemble(base, signs[:-1], connectors[:-1])
+        assert _scan_parsing(even, base) is None, (even, base)
+        cases["even"] += 1
+    assert min(cases.values()) > 100, cases
 
 
 # ------------------------------------------------------------- strict order

@@ -7,13 +7,17 @@ The lift sweeps re-check every vector of length <= 8 against the
 targets 3n..3n+6, and every vector of length <= 6 against 3n..3n+11.
 """
 
+import random
+from itertools import accumulate
+
 import pytest
-from conftest import oracle_vectors
+from conftest import connector_entries, oracle_vectors
 
 from twobridge import (
     Parsing,
     SeamSet,
     SEvenVector,
+    assemble_two_connector,
     canonical_vector,
     crossing_number,
     find_parsings,
@@ -57,6 +61,32 @@ def test_find_seams_one_fold_has_no_cuts():
     seams = find_seams(v, find_parsings(v, v))
     assert seams.cuts == ()
     assert seams.segments == ((1, 2),)
+
+
+def test_find_seams_cuts_match_oracle_block_lengths():
+    # the cuts are the block ends common to every parsing, less the vector's
+    # end: the running sums of the oracle's block lengths, a tile |b| and a
+    # connector run len(connector_entries(c))
+    rng = random.Random(2703)
+    corpus = [torus_vector(q) for q in range(3, 202, 2)]
+    for _ in range(60):
+        g = V(rng.choice(oracle_vectors(rng.choice((2, 4)))))
+        m, n = rng.randrange(-6, 8, 2), rng.randrange(2, 8, 2)
+        corpus.append(assemble_two_connector(g, m, n, rng.choice((9, 15, 21))))
+    multi = 0
+    for v in corpus:
+        e = v.entries
+        parsings = tuple(p for n in range(2, len(e) + 1, 2) if e[n - 1] for p in find_parsings(v, V(e[:n])))
+        want = None
+        for p in parsings:
+            lengths = [len(p.base)]
+            for c in p.connectors:
+                lengths += [len(connector_entries(c)), len(p.base)]
+            ends = set(accumulate(lengths))
+            want = ends if want is None else want & ends
+        assert find_seams(v, parsings).cuts == tuple(sorted(want - {len(e)})), e
+        multi += len(parsings) >= 3
+    assert multi >= 100
 
 
 def test_find_seams_rejects_foreign_parsing():
