@@ -7,12 +7,17 @@ order "maps onto" through vector parsings.  On top of the order it
 provides crossing-number catalogs, the growth statistic EK(n) with its
 divisor-counting bounds, seam negation, and 3-fold lifts.
 
-``import twobridge`` loads no submodule.  The first use of a public name
-imports its home module (PEP 562 ``__getattr__``) and binds all of that
-module's public names here, so every later ``twobridge.X`` is a plain
-attribute read.  ``from twobridge import *`` still binds all 51 names,
-and submodules stay reachable as attributes.  Each CLI verb is a fresh
-process, and without written bytecode every module it imports is
+``import twobridge`` loads no submodule.  The root's public names are
+those of its layers' ``__all__`` lists, and each is written only there.
+The first use of a name (PEP 562 ``__getattr__``) imports the layers in
+``_LAYERS`` order, binds each one's public names here and stops at the
+first layer that holds the name, so every later ``twobridge.X`` is a
+plain attribute read.  A name of one of the first four layers loads
+only what its own module imports; a name of ``seams`` or ``bounds`` also
+loads the layers before it, and an unknown name and the first
+``dir(twobridge)`` load every layer.  ``from twobridge import *`` binds
+every name, and submodules stay reachable as attributes.  Each CLI verb is a
+fresh process, and without written bytecode every module it imports is
 compiled again, so the root imports only what a name asks for.
 """
 
@@ -20,75 +25,30 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each public name and the module that defines it.
-_HOMES = {
-    "BudgetExceededError": "enumeration",
-    "CFDivisionError": "rationals",
-    "CatalogEntry": "enumeration",
-    "CmEntry": "bounds",
-    "DEFAULT_BUDGET": "enumeration",
-    "EvenCF": "rationals",
-    "Fraction": "rationals",
-    "InvalidFractionError": "rationals",
-    "KnotCatalog": "enumeration",
-    "KnotClass": "rationals",
-    "NoCommonFamilyError": "parsing",
-    "Parsing": "parsing",
-    "SEvenVector": "vectors",
-    "SeamSet": "seams",
-    "TWO_SMALLER_WITNESSES": "enumeration",
-    "TwoConnectorForm": "parsing",
-    "VectorClass": "vectors",
-    "WitnessReport": "enumeration",
-    "assemble_two_connector": "parsing",
-    "bound_entry": "bounds",
-    "bound_table": "bounds",
-    "canonical_fraction": "rationals",
-    "canonical_vector": "vectors",
-    "connector_vector": "vectors",
-    "contract": "vectors",
-    "crossing_number": "vectors",
-    "ek_exact_at_bound": "bounds",
-    "enumerate_knots": "enumeration",
-    "epimorphism_number": "enumeration",
-    "evaluate_cf": "rationals",
-    "evaluate_terms": "rationals",
-    "even_expansion": "rationals",
-    "expand": "vectors",
-    "find_parsings": "parsing",
-    "find_seams": "seams",
-    "is_strictly_greater": "parsing",
-    "knot_classes": "enumeration",
-    "knot_from_vector": "vectors",
-    "least_odd_with_divisors": "bounds",
-    "lift_construction": "seams",
-    "minimal_upper_bound": "parsing",
-    "most_divisors_up_to": "bounds",
-    "negate_segments": "seams",
-    "nontrivial_proper_divisor_count": "bounds",
-    "parses_with_respect_to": "parsing",
-    "same_knot": "rationals",
-    "smaller_knots": "parsing",
-    "torus_vector": "vectors",
-    "two_connector_decompose": "parsing",
-    "vector_from_knot": "vectors",
-    "verify_witness_table": "enumeration",
-}
-
-__all__ = list(_HOMES)
+# Each of the first four layers imports every layer before it, so a
+# lookup of their names loads nothing more than the name's home module
+# does.  Those are the only names that the catalog and order-query
+# set-up snippets look up.  seams and bounds come last: a lookup of one
+# of their names also loads every layer before it.
+_LAYERS = ("rationals", "vectors", "parsing", "enumeration", "seams", "bounds")
 
 
 def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
-        if name in _HOMES.values():
-            return import_module(f".{name}", __name__)
+    if name.startswith("__") and name.endswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{home}", __name__)
-    public = {n: getattr(module, n) for n in module.__all__}
-    globals().update(public)
-    return public[name]
+    root, public = globals(), set()
+    for layer in _LAYERS:
+        module = import_module(f".{layer}", __name__)
+        public.update(module.__all__)
+        root.update({n: getattr(module, n) for n in module.__all__})
+        if name in root:
+            return root[name]
+    if name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    root["__all__"] = sorted(public)
+    return root["__all__"]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    public = globals().get("__all__") or __getattr__("__all__")
+    return sorted({*globals(), *public})

@@ -65,18 +65,16 @@ def _as_vector(text: str) -> SEvenVector:
 
 def _gather_seams(v: SEvenVector, bases: list[KnotClass]) -> SeamSet:
     """Seams of v with respect to its parsings over the given base knots, each strictly below v."""
-    from .parsing import Parsing, _parsing_below
+    from .parsing import _parsing_below
     from .seams import find_seams
-    from .vectors import SEvenVector, vector_from_knot
+    from .vectors import vector_from_knot
 
     parsings = []
     for knot in bases:
         found = _parsing_below(v.entries, vector_from_knot(knot).representative.entries)
         if found is None:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
-        base, signs, connectors = found
-        # the scan's own output, so the parsing is filled unchecked
-        parsings.append(object.__new__(Parsing)._fill(SEvenVector._unchecked(base), tuple(signs), tuple(connectors)))
+        parsings.append(found)
     return find_seams(v, tuple(parsings))
 
 

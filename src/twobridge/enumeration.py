@@ -243,7 +243,7 @@ def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[
         for b, _ in _class_vectors(base_cr):
             for a in _assemblies(b, base_cr, n):
                 if _class_representative(a) is a and next(_prefix_parsings(a, 2, len(b)), None) is None:
-                    yield a, [b, *(p for p, _, _ in _prefix_parsings(a, len(b) + 2))]
+                    yield a, [b, *(p.base.entries for p in _prefix_parsings(a, len(b) + 2))]
 
 
 class CatalogEntry(Value):

@@ -149,8 +149,8 @@ class Parsing(Value):
         }
 
 
-def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[list[int], list[int]] | None:
-    """The signs and connectors of the parsing of ea with respect to eb, or None.
+def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int = 1) -> tuple[list[int], list[int]] | None:
+    """The signs and connectors of the parsing of ea with respect to eb when its fold is >= min_fold, or None.
 
     A parsing over a given base is unique when it exists, so one forward
     scan finds it.  Every tile starts with a nonzero entry, an end of b,
@@ -160,11 +160,12 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[list[int], 
     on exactly as long as a 0 follows.  Of the two tiles that may come
     next, b or -b (b' or -b' at even places), at most one matches, because
     their first entries differ.  So each step has at most one way on.
+    An ea too short for min_fold tiles and their connectors is not scanned.
     """
     la, lb = len(ea), len(eb)
     if lb == 0:
         raise ValueError("parsing base must be nonempty")
-    if lb > la or ea[:lb] != eb:
+    if la < min_fold * (lb + 1) - 1 or ea[:lb] != eb:
         return None
     there, here = _tiles(eb)  # (plus, minus) for the next tile, here, and the one after it
     signs, connectors = [1], []
@@ -187,20 +188,7 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[list[int], 
         connectors.append(x * ((end - pos + 1) // 2))
         pos = end + lb
         here, there = there, here
-    return (signs, connectors) if len(signs) % 2 else None
-
-
-# A parsing as the prefix scan finds it: (base, signs, connectors).
-_Scan = tuple[tuple[int, ...], list[int], list[int]]
-
-
-def _parses(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int) -> tuple[list[int], list[int]] | None:
-    """The scan of ea over eb when its fold is >= min_fold, else None; a short ea is not scanned."""
-    la, lb = len(ea), len(eb)
-    if lb == 0 or (min_fold > 1 and la < min_fold * lb + (min_fold - 1)):
-        return None
-    found = _scan_parsing(ea, eb)
-    return found if found and len(found[0]) >= min_fold else None
+    return (signs, connectors) if len(signs) % 2 and len(signs) >= min_fold else None
 
 
 def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
@@ -215,7 +203,7 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
     """True when the parsing of a with respect to b exists and has fold >= min_fold."""
-    return _parses(a.entries, b.entries, min_fold) is not None
+    return bool(b.entries) and _scan_parsing(a.entries, b.entries, min_fold) is not None
 
 
 # A window of at most this many prefix lengths is tested on the entry tuple.
@@ -237,8 +225,8 @@ def _packed_borders(ea: tuple[int, ...], start: int, hi: int) -> Iterator[int]:
             yield blen
 
 
-def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = None) -> Iterator[_Scan]:
-    """Each prefix that ea parses over with fold >= 3, shortest first, as (prefix, signs, connectors).
+def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = None) -> Iterator[Parsing]:
+    """The parsing of ea over each prefix it parses over with fold >= 3, shortest first.
 
     This is the one rule for which prefixes can be bases.  Their even
     lengths run from start to below stop, by default as far as three
@@ -248,24 +236,23 @@ def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = Non
     A window of more than ``_FEW_LENGTHS`` lengths finds those on the
     packed entries (``_packed_borders``); a narrower one, such as the
     walk's and ``_parsing_below``'s, slices the tuple, which costs less
-    than packing all of ea there.
+    than packing all of ea there.  The scan's own output is filled into
+    each ``Parsing`` unchecked.
     """
     hi = stop or (len(ea) - 2) // 3 + 1
     if hi - start > 2 * _FEW_LENGTHS:
-        for blen in _packed_borders(ea, start, hi):
-            b = ea[:blen]
-            if found := _parses(ea, b, 3):
-                yield b, *found
-        return
-    ntail = tuple([-x for x in ea[-hi:]])  # every tail compared is shorter than hi
-    for blen in range(start, hi, 2):
+        lengths = _packed_borders(ea, start, hi)
+    else:
+        ntail = tuple([-x for x in ea[-hi:]])  # every tail compared is shorter than hi
+        lengths = (n for n in range(start, hi, 2) if ea[n - 1] and ea[:n] in (ea[-n:], ntail[-n:]))
+    for blen in lengths:
         b = ea[:blen]
-        if b[-1] != 0 and b in (ea[-blen:], ntail[-blen:]) and (found := _parses(ea, b, 3)):
-            yield b, *found
+        if found := _scan_parsing(ea, b, 3):
+            yield object.__new__(Parsing)._fill(SEvenVector._unchecked(b), *map(tuple, found))
 
 
-def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> _Scan | None:
-    """The fold >= 3 parsing of entries over its prefix in rep's class, as a ``_Scan``, or None.
+def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> Parsing | None:
+    """The fold >= 3 parsing of entries over its prefix in rep's class, or None.
 
     A parsing starts with its base, so only the prefix of len(rep) entries
     can be one; the empty class lies below nothing.
@@ -340,10 +327,11 @@ def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], TwoConne
     if not rest and e[: mlen + nlen] * reps == e:
         return [], TwoConnectorForm(SEvenVector._unchecked(()), m, n, 2 * reps + 1)
     bases = []
-    for b, signs, connectors in _prefix_parsings(e):
-        if -1 not in signs and connectors[2:] == connectors[:-2]:
-            return bases, TwoConnectorForm(SEvenVector._unchecked(b), connectors[0], connectors[1], len(signs))
-        bases.append(b)
+    for p in _prefix_parsings(e):
+        c = p.connectors
+        if -1 not in p.signs and c[2:] == c[:-2]:
+            return bases, TwoConnectorForm(p.base, c[0], c[1], p.fold)
+        bases.append(p.base.entries)
     return bases, None
 
 

@@ -43,10 +43,8 @@ class SeamSet(Value):
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:
         """1-based inclusive entry ranges between consecutive cuts."""
-        bounds = (0,) + self.cuts + (len(self.vector),)
-        return tuple(
-            (bounds[i] + 1, bounds[i + 1]) for i in range(len(bounds) - 1)
-        )
+        cuts = self.cuts
+        return tuple((lo + 1, hi) for lo, hi in zip((0,) + cuts, cuts + (len(self.vector),)))
 
     def to_json_dict(self) -> dict:
         return {

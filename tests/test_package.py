@@ -127,6 +127,53 @@ def test_import_loads_no_submodule():
     assert _child(FOOTPRINT) == "[]\n"
 
 
+# A python -S child that reads each name it is given through the root, in
+# turn, and prints the twobridge submodules loaded after each read.
+LOOKUP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import twobridge
+for name in sys.argv[2:]:
+    getattr(twobridge, name, None)
+    print(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("twobridge.")))
+"""
+
+
+def test_root_lookup_loads_the_layers_up_to_the_name():
+    # A name of rationals, vectors, parsing or enumeration loads what its
+    # module imports; a name of seams or bounds also loads every layer
+    # listed before it, and an unknown name loads every layer; a dunder
+    # loads nothing.
+    steps = [
+        ("Fraction", {"_value", "rationals"}),
+        ("SEvenVector", {"vectors"}),
+        ("smaller_knots", {"parsing"}),
+        ("enumerate_knots", {"enumeration", "bounds"}),
+    ]
+    loaded, want = set(), ""
+    for _, modules in steps:
+        loaded |= modules
+        want += f"{sorted(loaded)}\n"
+    assert _child(LOOKUP, *(name for name, _ in steps)) == want
+    every = f"{sorted(loaded | {'seams'})}\n"
+    assert _child(LOOKUP, "find_seams") == every
+    assert _child(LOOKUP, "least_odd_with_divisors") == every
+    assert _child(LOOKUP, "no_such_name") == every
+    assert _child(LOOKUP, "__wrapped__") == "[]\n"
+
+
+def test_dir_reads_the_bound_all(monkeypatch):
+    # Once __all__ is bound, dir() reads it and imports no layer again.
+    names = dir(twobridge)
+    assert set(twobridge.__all__) <= set(names)
+
+    def no_import(*args):
+        raise AssertionError("dir() imported a layer again")
+
+    monkeypatch.setattr(twobridge, "import_module", no_import)
+    assert dir(twobridge) == names
+
+
 # Each verb loads the layers it runs and no others.
 LIGHT = {"_value", "cli", "rationals", "vectors"}
 ORDER = LIGHT | {"parsing"}

@@ -24,6 +24,7 @@ from twobridge import (
     canonical_vector,
     connector_vector,
     crossing_number,
+    enumerate_knots,
     find_parsings,
     Fraction,
     is_strictly_greater,
@@ -33,8 +34,9 @@ from twobridge import (
     smaller_knots,
     torus_vector,
     two_connector_decompose,
+    vector_from_knot,
 )
-from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _prefix_parsings, _scan_parsing
+from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _parsing_below, _prefix_parsings, _scan_parsing
 
 V = SEvenVector
 
@@ -632,6 +634,26 @@ def test_smaller_knots_divide_determinant():
     assert all(3003 % k.canonical.q == 0 for k in below)
 
 
+def test_parsing_below_replays_by_oracle_assembly():
+    # the witness that seams and negate take for each knot below: a Parsing
+    # of fold >= 3 whose base is the prefix of the representative and whose
+    # signs and connectors rebuild the representative without the library
+    cases = [
+        (e.vector.representative.entries, vector_from_knot(k).representative.entries)
+        for n in range(3, 15)
+        for e in enumerate_knots(n).entries
+        for k in e.smaller
+    ]
+    rep27 = canonical_vector(torus_vector(27)).representative.entries
+    cases += [(rep27, canonical_vector(torus_vector(q)).representative.entries) for q in (3, 9)]
+    assert len(cases) == 61
+    for rep, base_rep in cases:
+        p = _parsing_below(rep, base_rep)
+        assert type(p) is Parsing, (rep, base_rep)
+        assert len(p.signs) >= 3 and p.base.entries == rep[: len(base_rep)], (rep, base_rep)
+        assert oracle_assemble(p.base.entries, p.signs, p.connectors) == rep, (rep, base_rep)
+
+
 def test_prefix_parsings_long_vectors_match_border_oracle():
     # 65,536 entries: a random vector, a 3-fold assembly b, 2, b', 4, b
     # and the same with its last tile negated; the border lengths of the
@@ -651,9 +673,9 @@ def test_prefix_parsings_long_vectors_match_border_oracle():
         assert set(parsed) <= set(borders)
         assert list(_packed_borders(a, 2, hi)) == borders
         found = list(_prefix_parsings(a))
-        assert [len(b) for b, _, _ in found] == parsed
-        for b, signs, connectors in found:
-            assert oracle_assemble(b, signs, connectors) == a
+        assert [len(p.base.entries) for p in found] == parsed
+        for p in found:
+            assert oracle_assemble(p.base.entries, p.signs, p.connectors) == a
 
 
 def test_prefix_parsings_packed_and_tuple_windows_agree():
