@@ -150,7 +150,7 @@ def least_odd_with_divisors(m: int) -> int:
     not 1.
     """
     if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+        raise ValueError(f"m must be nonnegative, got {m}")
     return _exponent_search(m + 2)[0]
 
 
@@ -175,7 +175,7 @@ def ek_exact_at_bound(m: int) -> bool:
     decides the case: n has exactly m + 2 divisors.
     """
     if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+        raise ValueError(f"m must be nonnegative, got {m}")
     return _exponent_search(m + 2)[1] == m + 2
 
 
@@ -205,7 +205,7 @@ def bound_table(m: int) -> tuple[CmEntry, ...]:
     divisors, and the next search starts past them.
     """
     if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+        raise ValueError(f"m must be nonnegative, got {m}")
     rows: list[CmEntry] = []
     while len(rows) <= m:
         k = len(rows)

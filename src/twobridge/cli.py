@@ -13,8 +13,9 @@ identical invocations produce identical bytes regardless of worker count.
 
 Exit codes: 0 success, 1 failed check or internal error (including
 "error: resource-exhausted:" when a computation runs out of recursion
-depth or memory), 2 usage error, 3 invalid fraction or continued
-fraction, 4 enumeration budget exceeded.
+depth or memory, or a repeat count past 2^63 overflows an index), 2
+usage error, 3 invalid fraction or continued fraction, 4 enumeration
+budget exceeded.
 
 Each verb is a fresh process that compiles every module it imports, so
 each handler imports the library names it uses when it runs, and ``main``
@@ -176,8 +177,6 @@ def _cmd_compare(args):
 def _cmd_cm(args):
     from .bounds import bound_entry, bound_table
 
-    if args.m < 0:
-        raise ValueError(f"m must be nonnegative, got {args.m}")
     if args.table:
         rows = bound_table(args.m)
         text = "\n".join(f"{e.m} {e.value}" for e in rows)
@@ -504,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
                 f.write(text)
         else:
             sys.stdout.write(text)
-    except (RecursionError, MemoryError) as exc:  # first, so that reporting them imports nothing
+    except (RecursionError, MemoryError, OverflowError) as exc:  # first, so that reporting them imports nothing
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"error: resource-exhausted: {detail}", file=sys.stderr)
         return 1

@@ -182,9 +182,13 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
         yield e, new(KnotClass)._fill(new(Fraction)._fill(p, q))
 
 
-def _knots_by_vector(n: int) -> dict[tuple[int, ...], KnotClass]:
-    """Every knot with crossing number n, keyed by its class representative, by q and then p."""
-    return dict(_class_vectors(n))
+def _knots_by_vector(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
+    """The stream of ``_class_vectors(n)``, (representative, knot) by q and then p, and a test seam.
+
+    The catalog and ``knot_classes`` list the classes at n through it
+    alone; the walk of exact EK never calls it.
+    """
+    return _class_vectors(n)
 
 
 def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
@@ -192,7 +196,7 @@ def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
 
     Generation runs in one process; ``workers`` is accepted and ignored.
     """
-    return set(_knots_by_vector(n).values())
+    return {knot for _, knot in _knots_by_vector(n)}
 
 
 def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -300,7 +304,7 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     above = dict(_classes_with_smaller(n))
     new = object.__new__
     entries = []
-    for rep, knot in _knots_by_vector(n).items():
+    for rep, knot in _knots_by_vector(n):
         bases = above.get(rep)
         below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
         # rep is valid and is its class's representative, as the search built it

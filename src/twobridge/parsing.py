@@ -33,8 +33,8 @@ as the walk's, slices the tuple.
 A two-connector form, 2P+1 tiles over g with connectors m, n, m, n,
 ..., is a parsing over g with every sign +1, so the same scan finds it,
 and ``smaller_knots`` stops there: the knots below are those of the
-prefixes before g and of the assemblies over g whose tile count divides
-the form's.
+vector's prefixes, those before g and its first d tiles for each d
+dividing the tile count, which are sliced off it, not assembled.
 
 ``_tiles`` is the one statement of the layout: which orientation and
 sign the next tile takes.  :class:`Parsing` (its packed layout, which
@@ -301,16 +301,11 @@ class TwoConnectorForm(Value):
 
 
 def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenVector:
-    """Assemble (g, m, g', n, g, m, g', n, ..., g) with count tiles, g' = g reversed."""
+    """Assemble (g, m, g', n, g, ..., g) with count tiles: g, then count // 2 periods (m, g', n, g), g' = g reversed."""
     if count < 1 or count % 2 == 0:
         raise ValueError(f"tile count {count} must be odd and positive")
-    return SEvenVector(_assemble_entries(g.entries, m, n, count))
-
-
-def _assemble_entries(g: tuple[int, ...], m: int, n: int, count: int) -> tuple[int, ...]:
-    """g followed by count // 2 repeats of the period (m, g', n, g)."""
-    period = connector_vector(m) + _tiles(g)[1][0] + connector_vector(n) + g
-    return g + period * (count // 2)
+    period = connector_vector(m) + _tiles(g.entries)[1][0] + connector_vector(n) + g.entries
+    return SEvenVector(g.entries + period * (count // 2))
 
 
 def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], TwoConnectorForm | None]:
@@ -344,12 +339,12 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     """All nontrivial knots strictly below the knot of v, from one prefix scan.
 
     They are the knots of the prefixes v parses over.  The scan stops at
-    the generator g of v's two-connector form, if any.  The longer
-    prefixes give the knots of the assemblies over g whose tile count d
-    divides v's (the divisor theorem; d = 1 is g itself).  The shorter
-    ones that v parses over are exactly those g parses over: v is an
-    all-plus assembly of g, so a parsing of g over b makes one of v over
-    b, and the divisor theorem gives the converse.  So g needs no scan.
+    the generator g of v's two-connector form, if any.  The longer ones
+    are v's first d tiles for each d dividing v's tile count (the
+    divisor theorem; d = 1 is g), sliced off v.  The shorter ones that v
+    parses over are exactly those g parses over: v is an all-plus
+    assembly of g, so a parsing of g over b makes one of v over b, and
+    the divisor theorem gives the converse.  So g needs no scan.
 
     The scan reads v as given: negating a parsing of a over b gives one
     of -a over -b, reversing it one of a' over b' or -b', and b, -b and
@@ -357,12 +352,12 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     """
     if v.is_empty:
         raise ValueError("the unknot has nothing below it")
-    bases, form = _bases_and_form(v.entries)
+    bases, form = _bases_and_form(e := v.entries)
     if form is not None:
-        g = form.generator.entries
-        # the tile count is odd, so are its divisors; over an empty g, d = 1 is the unknot
-        divisors = [d for d in range(1 if g else 3, form.count, 2) if form.count % d == 0]
-        bases += [_assemble_entries(g, form.m, form.n, d) for d in divisors]
+        glen, count = len(form.generator), form.count
+        period = (len(e) - glen) // (count // 2)
+        # d tiles end after d // 2 periods (m, g', n, g); d is odd; over an empty g, d = 1 is the unknot
+        bases += [e[: glen + d // 2 * period] for d in range(1 if glen else 3, count, 2) if count % d == 0]
     return frozenset(map(_knot_of_entries, bases))
 
 

@@ -143,6 +143,46 @@ def oracle_borders(entries, start, hi):
     return out
 
 
+def oracle_alexander(p, q):
+    """Coefficients of the Alexander polynomial of the 2-bridge knot p/q,
+    lowest degree first, up to a unit +-t^k.
+
+    Delta(t) = sum over k < q of (-1)^k t^sigma_k, with sigma_k the sum
+    over 1 <= i <= k of (-1)^floor(i p / q), for p made odd by adding q.
+    """
+    if p % 2 == 0:
+        p += q
+    sigma, exponents = 0, [0]
+    for i in range(1, q):
+        sigma += -1 if i * p // q % 2 else 1
+        exponents.append(sigma)
+    low = min(exponents)
+    coeffs = [0] * (max(exponents) - low + 1)
+    for k, e in enumerate(exponents):
+        coeffs[e - low] += -1 if k % 2 else 1
+    while not coeffs[-1]:
+        coeffs.pop()
+    while not coeffs[0]:
+        coeffs.pop(0)
+    return coeffs
+
+
+def oracle_poly_remainder(num, den):
+    """The remainder of num by den, coefficient lists lowest degree first,
+    by long division over fractions.Fraction.
+
+    den's last coefficient must be nonzero.  A zero step of the quotient
+    is skipped, so a sparse quotient costs little however long num is.
+    """
+    rem = [fractions.Fraction(c) for c in num]
+    for shift in reversed(range(len(num) - len(den) + 1)):
+        c = rem[shift + len(den) - 1] / den[-1]
+        if c:
+            for i, d in enumerate(den):
+                rem[shift + i] -= c * d
+    return rem[: len(den) - 1]
+
+
 ACCEPTANCE_LINES = []
 
 

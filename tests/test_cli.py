@@ -609,7 +609,8 @@ def test_exit_value_error(capsys):
     # a base must lie strictly below the vector: its own knot is refused
     for argv, knot in ((("seams", "1/27", "--wrt", "1/27"), "1/27"), (("seams", "2,2", "--wrt", "2/5"), "2/5")):
         assert run(capsys, *argv) == (1, "", f"error: the vector has no parsings with respect to {knot}\n")
-    assert run(capsys, "cm", "-1") == (1, "", "error: m must be nonnegative, got -1\n")
+    for argv in (("cm", "-1"), ("cm", "-1", "--table")):
+        assert run(capsys, *argv) == (1, "", "error: m must be nonnegative, got -1\n")
     code, _, err = run(capsys, "torus", "4")
     assert code == 1
 
@@ -624,6 +625,32 @@ def test_exit_resource_exhausted(capsys, monkeypatch, exc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: resource-exhausted: " + type(exc).__name__)
+    assert err.count("\n") == 1
+
+
+# Each input holds a repeat count past 2^63: a connector run or a torus
+# vector whose length does not fit an index.  Python raises OverflowError
+# before it allocates anything, so these stay cheap.
+_HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torus", _HUGE),
+        ("lift", "2,2", "--target", _HUGE),
+        ("cr", "0+[99999999999999999998,2]"),
+        ("convert", f"2/{_HUGE}"),
+        ("smaller", f"2/{_HUGE}"),
+        ("compare", f"2/{_HUGE}", "1/3"),
+        ("seams", "1/27", "--wrt", f"2/{_HUGE}"),
+    ],
+)
+def test_exit_index_overflow(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: resource-exhausted: OverflowError")
     assert err.count("\n") == 1
 
 

@@ -11,7 +11,15 @@ import itertools
 import random
 
 import pytest
-from conftest import connector_entries, oracle_assemble, oracle_borders, oracle_knot, oracle_vectors
+from conftest import (
+    connector_entries,
+    oracle_alexander,
+    oracle_assemble,
+    oracle_borders,
+    oracle_knot,
+    oracle_poly_remainder,
+    oracle_vectors,
+)
 from test_vectors import random_vector
 
 from twobridge import (
@@ -28,6 +36,7 @@ from twobridge import (
     find_parsings,
     Fraction,
     is_strictly_greater,
+    knot_classes,
     knot_from_vector,
     minimal_upper_bound,
     parses_with_respect_to,
@@ -36,6 +45,7 @@ from twobridge import (
     two_connector_decompose,
     vector_from_knot,
 )
+from twobridge import parsing
 from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _parsing_below, _prefix_parsings, _scan_parsing
 
 V = SEvenVector
@@ -632,6 +642,66 @@ def test_smaller_knots_divide_determinant():
     below = smaller_knots(torus_vector(3003))
     assert len(below) == 14
     assert all(3003 % k.canonical.q == 0 for k in below)
+
+
+def test_oracle_alexander_pinned():
+    assert oracle_alexander(1, 3) == [1, -1, 1]
+    assert oracle_alexander(2, 5) == [-1, 3, -1]
+    assert oracle_alexander(1, 5) == [1, -1, 1, -1, 1]
+    # for a 2-bridge knot p/q, |Delta(-1)| = q
+    classes = [k for n in range(3, 13) for k in knot_classes(n)]
+    assert len(classes) == 362
+    for k in classes:
+        p, q = k.canonical.p, k.canonical.q
+        assert abs(sum(c * (-1) ** i for i, c in enumerate(oracle_alexander(p, q)))) == q, (p, q)
+    # the negative control: Delta of 1/3 does not divide Delta of 1/5
+    assert any(oracle_poly_remainder(oracle_alexander(1, 5), oracle_alexander(1, 3)))
+
+
+def test_smaller_knots_divide_alexander():
+    # an epimorphism J -> K makes Delta_K divide Delta_J: checked for every
+    # knot smaller_knots finds below the catalog classes with n <= 18 and
+    # below seven torus vectors, with Delta_J from the definitions
+    def check(v):
+        delta = oracle_alexander(*oracle_knot(v.entries))
+        below = smaller_knots(v)
+        for k in below:
+            rem = oracle_poly_remainder(delta, oracle_alexander(k.canonical.p, k.canonical.q))
+            assert not any(rem), (v.entries, str(k))
+        return len(below)
+
+    classes = pairs = 0
+    forms = {True: 0, False: 0}  # by whether the generator is empty
+    for n in range(3, 19):
+        for entry in enumerate_knots(n).entries:
+            if entry.smaller:
+                rep = entry.vector.representative
+                classes += 1
+                pairs += check(rep)
+                if (form := two_connector_decompose(rep)) is not None:
+                    forms[form.generator.is_empty] += 1
+    assert (classes, pairs) == (531, 534)
+    assert forms == {False: 83, True: 4}  # both sliced routes of smaller_knots
+    for q in (27, 45, 105, 225, 315, 1023, 3003):
+        assert check(torus_vector(q)) > 0, q
+
+
+def test_smaller_knots_builds_no_assembly(monkeypatch):
+    # the divisor bases of a two-connector form are prefixes of the vector,
+    # sliced off it: smaller_knots assembles nothing
+    cases = [
+        (torus_vector(45), {"1/3", "1/5", "1/9", "1/15"}),
+        (assemble_two_connector(torus_vector(9), 2, 4, 15), {"1/3", "1/9", "53/945", "5617/100161"}),
+        (V((2, 2, 0, 2, 2, 0, 2, 2)), {"2/5"}),
+    ]
+
+    def refuse(*args):
+        raise AssertionError(f"built {args}")
+
+    monkeypatch.setattr(parsing, "assemble_two_connector", refuse)
+    monkeypatch.setattr(parsing, "connector_vector", refuse)
+    for v, want in cases:
+        assert {str(k) for k in smaller_knots(v)} == want
 
 
 def test_parsing_below_replays_by_oracle_assembly():
