@@ -66,16 +66,17 @@ def _as_vector(text: str) -> SEvenVector:
 
 def _gather_seams(v: SEvenVector, bases: list[KnotClass]) -> SeamSet:
     """Seams of v with respect to its parsings over the given base knots, each strictly below v."""
-    from .parsing import _parsing_below
+    from .parsing import Parsing, _parsing_below
     from .seams import find_seams
-    from .vectors import vector_from_knot
+    from .vectors import SEvenVector, _pack, vector_from_knot
 
-    parsings = []
+    packed, parsings = _pack(v.entries), []
     for knot in bases:
-        found = _parsing_below(v.entries, vector_from_knot(knot).representative.entries)
+        rep = vector_from_knot(knot).representative.entries
+        found = _parsing_below(packed, _pack(rep))
         if found is None:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
-        parsings.append(found)
+        parsings.append(Parsing(SEvenVector._unchecked(v.entries[: len(rep)]), *found))
     return find_seams(v, tuple(parsings))
 
 

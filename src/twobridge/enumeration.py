@@ -24,6 +24,12 @@ knot K with 3 cr(K) <= n, and keeping the assemblies with n crossings,
 reaches every class with something below it and no other class, and
 the bases each class is reached from are its strictly-smaller set.  The
 walk counts each class once, at its shortest base, and keeps nothing.
+It runs on the packed entries of :mod:`twobridge.vectors`: each base is
+packed once, an assembly joins packed tiles and connector runs, its
+representative test is one bytes comparison, and only the classes it
+reaches are unpacked.  The class search stays on int tuples, whose
+entries feed its matrix products, so the catalog packs and unpacks
+nothing per class.
 The catalog takes its smaller sets from that walk, and exact EK(n) is
 the largest of them, so it never lists the classes at n; the test
 suite checks both against a prefix scan of every class.
@@ -45,11 +51,13 @@ from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import _prefix_parsings, _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, _orbit_min, canonical_fraction
 from .vectors import (
+    _RUNS,
     SEvenVector,
     VectorClass,
     _class_representative,
     _knot_of_entries,
-    connector_vector,
+    _pack,
+    _unpack,
     crossing_number,
     vector_from_knot,
 )
@@ -182,26 +190,18 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
         yield e, new(KnotClass)._fill(new(Fraction)._fill(p, q))
 
 
-def _knots_by_vector(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
-    """The stream of ``_class_vectors(n)``, (representative, knot) by q and then p, and a test seam.
-
-    The catalog and ``knot_classes`` list the classes at n through it
-    alone; the walk of exact EK never calls it.
-    """
-    return _class_vectors(n)
-
-
 def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
     """All 2-bridge knot classes with crossing number exactly n.
 
     Generation runs in one process; ``workers`` is accepted and ignored.
     """
-    return {knot for _, knot in _knots_by_vector(n)}
+    return {knot for _, knot in _class_vectors(n)}
 
 
-def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Every assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd fold
-    f >= 3 over b, which has base_cr crossings, with n crossings in all.
+def _assemblies(b: bytes, base_cr: int, n: int) -> Iterator[bytes]:
+    """Every packed assembly (b, c_1, e_2*b', c_2, e_3*b, ..., e_f*b) of odd
+    fold f >= 3 over packed b, which has base_cr crossings, with n
+    crossings in all.
 
     A depth-first search that tracks the crossing number, on a plain
     stack of (entries, crossing number, tile count, last sign): a tile
@@ -214,7 +214,7 @@ def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int,
     the ones it took, whose sizes sum to about n at most, so the stack
     holds O(n) nodes.
     """
-    tiles = _tiles(b)
+    tiles, zero = _tiles(b), _RUNS[0]
     stack = [(b, base_cr, 1, 1)]
     while stack:
         entries, cr, count, sign = stack.pop()
@@ -224,30 +224,31 @@ def _assemblies(b: tuple[int, ...], base_cr: int, n: int) -> Iterator[tuple[int,
         if room < 0:
             continue
         pair = tiles[count % 2]
-        stack.append((entries + (0,) + pair[sign < 0], cr + base_cr, count + 1, sign))
+        stack.append((entries + zero + pair[sign < 0], cr + base_cr, count + 1, sign))
         for size in range(2, room + 3, 2):
             for s, tile in zip((1, -1), pair):
-                for end in (2, -2):
-                    changes = (entries[-1] != end) + (end != tile[0])
+                for run in (_RUNS[size], _RUNS[-size]):
+                    changes = (entries[-1] != run[0]) + (run[0] != tile[0])
                     if size - changes <= room:
-                        run = connector_vector(size * end // 2)
                         stack.append((entries + run + tile, cr + size - changes + base_cr, count + 1, s))
 
 
-def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Each class at n crossings with a knot below it, once, with the bases of those knots.
+def _classes_with_smaller(n: int) -> Iterator[tuple[tuple[int, ...], list[bytes]]]:
+    """Each class at n crossings with a knot below it, once, with the packed bases of those knots.
 
     Each K below the class has its representative b as the prefix that
     the class representative a parses over (see ``is_strictly_greater``),
     so a is an assembly over b, and prefixes of different lengths are
     different knots.  So a is yielded from its shortest base only: where
     the assembly is its own representative and no shorter prefix parses.
+    The walk runs on packed entries; a reached class leaves it unpacked.
     """
     for base_cr in range(3, n // 3 + 1):
         for b, _ in _class_vectors(base_cr):
+            b = _pack(b)
             for a in _assemblies(b, base_cr, n):
                 if _class_representative(a) is a and next(_prefix_parsings(a, 2, len(b)), None) is None:
-                    yield a, [b, *(p.base.entries for p in _prefix_parsings(a, len(b) + 2))]
+                    yield _unpack(a), [b, *(a[:blen] for blen, _, _ in _prefix_parsings(a, len(b) + 2))]
 
 
 class CatalogEntry(Value):
@@ -304,7 +305,7 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     above = dict(_classes_with_smaller(n))
     new = object.__new__
     entries = []
-    for rep, knot in _knots_by_vector(n):
+    for rep, knot in _class_vectors(n):
         bases = above.get(rep)
         below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
         # rep is valid and is its class's representative, as the search built it

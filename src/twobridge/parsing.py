@@ -20,15 +20,18 @@ reversing both vectors at once, so J > K exactly when J's representative
 parses, with fold >= 3, over its own prefix of |K| entries and that
 prefix is K's representative, and the knots below a knot are those of
 the prefixes its vector, as given, parses over.  One generator,
-``_prefix_parsings``, states which prefixes can be bases; the order
-test, the walk of ``enumeration``, ``smaller_knots`` and
-``two_connector_decompose`` all read it.  Only a prefix that the vector
-ends with, up to sign, can be a base: a border of the vector or of its
-negation.  Over a wide window of lengths ``_packed_borders`` finds those
-on the packed entries (see :mod:`twobridge.vectors`), where each length
-costs one C comparison that copies nothing, so ``smaller`` on a long
-vector takes time close to linear in its length; a narrow window, such
-as the walk's, slices the tuple.
+``_prefix_parsings``, states which prefixes can be bases; the walk of
+``enumeration``, ``smaller_knots`` and ``two_connector_decompose`` all
+read it, and the order test scans the one prefix its length allows.
+Only a prefix that the vector ends with, up to sign, can be a base: a
+border of the vector or of its negation.  Every layer below the public
+calls reads the packed entries of :mod:`twobridge.vectors`, where each
+border length costs one C comparison that copies nothing and each tile
+one slice, so ``smaller`` on a long vector takes time close to linear
+in its length; a window of one length, such as the walk's, takes the
+same path.  These layers pass the scan's result, the base length with
+the signs and connectors; a ``Parsing`` is built only where one is
+returned.
 
 A two-connector form, 2P+1 tiles over g with connectors m, n, m, n,
 ..., is a parsing over g with every sign +1, so the same scan finds it,
@@ -41,7 +44,7 @@ sign the next tile takes.  :class:`Parsing` (its packed layout, which
 its assembly, its boundaries and ``seams.find_seams`` read), the
 two-connector assembly, the parse scan and the upward walk of
 ``enumeration`` all read their tiles from it.  Knots are read off
-entry tuples with ``vectors._knot_of_entries``.
+packed entries with ``vectors._knot_of_entries``.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from itertools import accumulate, cycle
 from ._value import Value
 from .rationals import KnotClass
 from .vectors import (
-    _NEGATE, _RUNS, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _pack,
-    connector_vector,
+    _RUNS, _ZERO, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _negate, _pack,
+    _unpack,
 )
 
 __all__ = [
@@ -71,15 +74,13 @@ __all__ = [
 ]
 
 
-def _tiles(b):
-    """The tiles of an assembly over b as (plus, minus) pairs: (b, -b), then (b', -b').
+def _tiles(b: bytes) -> tuple[tuple[bytes, bytes], tuple[bytes, bytes]]:
+    """The packed tiles of an assembly over packed b as (plus, minus) pairs: (b, -b), then (b', -b').
 
     The first, third, ... tile is b or -b and the others b' or -b': tile
     i with sign s, counting from 0, is ``_tiles(b)[i % 2][s < 0]``.
-    The tiles take b's form: an entry tuple, or packed entries
-    (``vectors._pack``), which negate in C.
     """
-    neg = b.translate(_NEGATE) if isinstance(b, bytes) else tuple([-x for x in b])
+    neg = _negate(b)
     return (b, neg), (b[::-1], neg[::-1])
 
 
@@ -134,7 +135,7 @@ class Parsing(Value):
         return layout
 
     def assemble(self) -> SEvenVector:
-        return SEvenVector._unchecked(tuple(memoryview(b"".join(self._layout())).cast("b")))
+        return SEvenVector._unchecked(_unpack(b"".join(self._layout())))
 
     def boundaries(self) -> tuple[int, ...]:
         """Interior block boundaries: cut-after-entry positions, 1-based."""
@@ -149,18 +150,17 @@ class Parsing(Value):
         }
 
 
-def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int = 1) -> tuple[list[int], list[int]] | None:
-    """The signs and connectors of the parsing of ea with respect to eb when its fold is >= min_fold, or None.
+def _scan_parsing(ea: bytes, eb: bytes, min_fold: int = 1) -> tuple[list[int], list[int]] | None:
+    """The signs and connectors of the parsing of packed ea over packed eb when its fold is >= min_fold, or None.
 
     A parsing over a given base is unique when it exists, so one forward
     scan finds it.  Every tile starts with a nonzero entry, an end of b,
-    so a connector is the whole run at its position: a shorter read
-    would leave the next tile starting with 0.  In the valid vector ea a
-    zero lies between equal entries, so the run (x, 0, x, ..., 0, x) goes
-    on exactly as long as a 0 follows.  Of the two tiles that may come
-    next, b or -b (b' or -b' at even places), at most one matches, because
-    their first entries differ.  So each step has at most one way on.
-    An ea too short for min_fold tiles and their connectors is not scanned.
+    so a connector is the whole run at its position, read inline as
+    ``vectors._connector_read`` reads it: a shorter read would leave the
+    next tile starting with 0.  Of the two tiles that may come next, b or
+    -b (b' or -b' at even places), at most one matches, because their
+    first entries differ.  So each step has at most one way on.  An ea
+    too short for min_fold tiles and their connectors is not scanned.
     """
     la, lb = len(ea), len(eb)
     if lb == 0:
@@ -172,8 +172,8 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int = 1) -
     pos = lb
     while pos < la:
         x, end = ea[pos], pos + 1
-        if x:
-            while end < la and not ea[end]:
+        if x != _ZERO:
+            while end < la and ea[end] == _ZERO:
                 end += 2
         tile = ea[end : end + lb]
         if tile == here[0]:
@@ -182,10 +182,10 @@ def _scan_parsing(ea: tuple[int, ...], eb: tuple[int, ...], min_fold: int = 1) -
             s = -1
         else:
             return None
-        if not x and s != signs[-1]:  # a zero connector joins tiles of equal sign
+        if x == _ZERO and s != signs[-1]:  # a zero connector joins tiles of equal sign
             return None
         signs.append(s)
-        connectors.append(x * ((end - pos + 1) // 2))
+        connectors.append((x - _ZERO) * (end - pos + 1))
         pos = end + lb
         here, there = there, here
     return (signs, connectors) if len(signs) % 2 and len(signs) >= min_fold else None
@@ -197,69 +197,45 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
     A parsing over a given base is unique when it exists, so this is
     empty or holds one parsing.
     """
-    found = _scan_parsing(a.entries, b.entries)
+    found = _scan_parsing(_pack(a.entries), _pack(b.entries))
     return () if found is None else (object.__new__(Parsing)._fill(b, *map(tuple, found)),)
 
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
     """True when the parsing of a with respect to b exists and has fold >= min_fold."""
-    return bool(b.entries) and _scan_parsing(a.entries, b.entries, min_fold) is not None
+    return bool(b.entries) and _scan_parsing(_pack(a.entries), _pack(b.entries), min_fold) is not None
 
 
-# A window of at most this many prefix lengths is tested on the entry tuple.
-_FEW_LENGTHS = 12
-
-
-def _packed_borders(ea: tuple[int, ...], start: int, hi: int) -> Iterator[int]:
-    """The even lengths L, start <= L < hi, at which ea[:L] ends nonzero and ea ends with it or its negation, ascending.
-
-    Those prefixes are borders of ea or of -ea.  On the packed entries
-    ``endswith`` on a view of the prefix compares in C, copies nothing and
-    stops at the first difference, so a length costs the same however long
-    its prefix is.
-    """
-    packed = _pack(ea)
-    negated, view = packed.translate(_NEGATE), memoryview(packed)
-    for blen in range(start, hi, 2):
-        if packed[blen - 1] and (packed.endswith(b := view[:blen]) or negated.endswith(b)):
-            yield blen
-
-
-def _prefix_parsings(ea: tuple[int, ...], start: int = 2, stop: int | None = None) -> Iterator[Parsing]:
-    """The parsing of ea over each prefix it parses over with fold >= 3, shortest first.
+def _prefix_parsings(ea: bytes, start: int = 2, stop: int | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The base length, signs and connectors of each fold >= 3 parsing of packed ea over a prefix, shortest first.
 
     This is the one rule for which prefixes can be bases.  Their even
     lengths run from start to below stop, by default as far as three
     tiles fit; a prefix cut at a 0 lies in no class.  Tiles at odd places
     are b itself, not b', and the fold is odd, so the last tile is b or
-    -b: a prefix that ea does not end with, up to sign, is not scanned.
-    A window of more than ``_FEW_LENGTHS`` lengths finds those on the
-    packed entries (``_packed_borders``); a narrower one, such as the
-    walk's and ``_parsing_below``'s, slices the tuple, which costs less
-    than packing all of ea there.  The scan's own output is filled into
-    each ``Parsing`` unchecked.
+    -b: only a border of ea or of -ea is scanned.  ``endswith`` on a view
+    of the prefix compares in C, copies nothing and stops at the first
+    difference, so a length costs the same however long its prefix is.
+    Only the last hi entries are negated: no border in the window is
+    longer.
     """
     hi = stop or (len(ea) - 2) // 3 + 1
-    if hi - start > 2 * _FEW_LENGTHS:
-        lengths = _packed_borders(ea, start, hi)
-    else:
-        ntail = tuple([-x for x in ea[-hi:]])  # every tail compared is shorter than hi
-        lengths = (n for n in range(start, hi, 2) if ea[n - 1] and ea[:n] in (ea[-n:], ntail[-n:]))
-    for blen in lengths:
-        b = ea[:blen]
-        if found := _scan_parsing(ea, b, 3):
-            yield object.__new__(Parsing)._fill(SEvenVector._unchecked(b), *map(tuple, found))
+    negated, view = _negate(ea[-hi:]), memoryview(ea)
+    for blen in range(start, hi, 2):
+        if ea[blen - 1] != _ZERO and (ea.endswith(b := view[:blen]) or negated.endswith(b)):
+            if found := _scan_parsing(ea, ea[:blen], 3):
+                yield blen, *found
 
 
-def _parsing_below(entries: tuple[int, ...], rep: tuple[int, ...]) -> Parsing | None:
-    """The fold >= 3 parsing of entries over its prefix in rep's class, or None.
+def _parsing_below(ea: bytes, rep: bytes) -> tuple[list[int], list[int]] | None:
+    """The signs and connectors of the fold >= 3 parsing of packed ea over its prefix in packed rep's class, or None.
 
     A parsing starts with its base, so only the prefix of len(rep) entries
     can be one; the empty class lies below nothing.
     """
-    if not rep or _class_representative(entries[: len(rep)]) != rep:
+    if not rep or _class_representative(b := ea[: len(rep)]) != rep:
         return None
-    return next(_prefix_parsings(entries, len(rep), len(rep) + 1), None)
+    return _scan_parsing(ea, b, 3)
 
 
 def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
@@ -267,9 +243,12 @@ def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
 
     A parsing survives negating or reversing both vectors at once, so
     j > k exactly when j's representative parses, with fold >= 3, over
-    its own prefix in k's class.  Equal classes fail the length test.
+    its own prefix in k's class.  Three tiles of k and two connectors
+    must fit in j, so a shorter j, and k itself, fail before either is
+    packed.
     """
-    return _parsing_below(j.representative.entries, k.representative.entries) is not None
+    e, f = j.representative.entries, k.representative.entries
+    return len(e) >= 3 * len(f) + 2 and _parsing_below(_pack(e), _pack(f)) is not None
 
 
 class TwoConnectorForm(Value):
@@ -304,12 +283,13 @@ def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenV
     """Assemble (g, m, g', n, g, ..., g) with count tiles: g, then count // 2 periods (m, g', n, g), g' = g reversed."""
     if count < 1 or count % 2 == 0:
         raise ValueError(f"tile count {count} must be odd and positive")
-    period = connector_vector(m) + _tiles(g.entries)[1][0] + connector_vector(n) + g.entries
-    return SEvenVector(g.entries + period * (count // 2))
+    b = _pack(g.entries)
+    period = _RUNS[m] + _tiles(b)[1][0] + _RUNS[n] + b
+    return SEvenVector(_unpack(b + period * (count // 2)))
 
 
-def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], TwoConnectorForm | None]:
-    """The prefixes that the nonempty e parses over, shortest first and up to its form, and that form.
+def _bases_and_form(e: bytes) -> tuple[list[bytes], TwoConnectorForm | None]:
+    """The packed prefixes that the nonempty packed e parses over, shortest first and up to its form, and that form.
 
     The empty generator comes first: e is its first two connector runs
     repeated.  Otherwise the first all-plus parsing with alternating
@@ -322,17 +302,16 @@ def _bases_and_form(e: tuple[int, ...]) -> tuple[list[tuple[int, ...]], TwoConne
     if not rest and e[: mlen + nlen] * reps == e:
         return [], TwoConnectorForm(SEvenVector._unchecked(()), m, n, 2 * reps + 1)
     bases = []
-    for p in _prefix_parsings(e):
-        c = p.connectors
-        if -1 not in p.signs and c[2:] == c[:-2]:
-            return bases, TwoConnectorForm(p.base, c[0], c[1], p.fold)
-        bases.append(p.base.entries)
+    for blen, signs, c in _prefix_parsings(e):
+        if -1 not in signs and c[2:] == c[:-2]:
+            return bases, TwoConnectorForm(SEvenVector._unchecked(_unpack(e[:blen])), c[0], c[1], len(signs))
+        bases.append(e[:blen])
     return bases, None
 
 
 def two_connector_decompose(v: SEvenVector) -> TwoConnectorForm | None:
     """The two-connector form of v built on its shortest generator, if any (see ``_bases_and_form``)."""
-    return _bases_and_form(v.entries)[1] if v.entries else None
+    return _bases_and_form(_pack(v.entries))[1] if v.entries else None
 
 
 def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
@@ -352,7 +331,7 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     """
     if v.is_empty:
         raise ValueError("the unknot has nothing below it")
-    bases, form = _bases_and_form(e := v.entries)
+    bases, form = _bases_and_form(e := _pack(v.entries))
     if form is not None:
         glen, count = len(form.generator), form.count
         period = (len(e) - glen) // (count // 2)

@@ -31,10 +31,8 @@ __all__ = [
     "InvalidFractionError",
     "KnotClass",
     "canonical_fraction",
-    "evaluate_cf",
     "evaluate_terms",
     "even_expansion",
-    "same_knot",
 ]
 
 
@@ -157,11 +155,6 @@ def evaluate_terms(terms: Sequence[int], integer_part: int = 0) -> Fraction:
     return Fraction(integer_part * den + num, den)
 
 
-def evaluate_cf(cf: EvenCF) -> Fraction:
-    """Evaluate an all-even continued fraction to its exact value."""
-    return evaluate_terms(cf.terms, cf.r)
-
-
 def even_expansion(f: Fraction) -> EvenCF:
     """Expand a fraction with odd denominator into its all-even normal form.
 
@@ -170,9 +163,10 @@ def even_expansion(f: Fraction) -> EvenCF:
     even integer within distance 1 of the reciprocal of the remaining
     tail; the remainders' numerators shrink strictly, the parity pattern
     forces an even number of terms, and no tie is possible because the
-    reciprocal is never an integer.  ``evaluate_cf`` inverts this exactly.
-    That reciprocal exceeds 1 in size, so every term is even and nonzero:
-    the result has its shape by construction and is filled unchecked.
+    reciprocal is never an integer.  ``evaluate_terms(cf.terms, cf.r)``
+    inverts this exactly.  That reciprocal exceeds 1 in size, so every
+    term is even and nonzero: the result has its shape by construction
+    and is filled unchecked.
     """
     p, q = f.p, f.q
     r0 = p // q
@@ -240,8 +234,3 @@ def _orbit_min(p: int, r: int, q: int) -> int:
 def canonical_fraction(f: Fraction) -> KnotClass:
     """The knot class that f represents; q >= 3 is required."""
     return KnotClass(f)
-
-
-def same_knot(a: Fraction, b: Fraction) -> bool:
-    """True when two fractions represent the same 2-bridge knot."""
-    return canonical_fraction(a) == canonical_fraction(b)

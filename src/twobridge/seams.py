@@ -19,7 +19,7 @@ from itertools import accumulate
 
 from ._value import Value
 from .parsing import Parsing, is_strictly_greater
-from .vectors import SEvenVector, _knot_of_entries, _pack, canonical_vector, crossing_number
+from .vectors import SEvenVector, _pack, canonical_vector, crossing_number, knot_from_vector
 
 __all__ = [
     "SeamSet",
@@ -106,7 +106,7 @@ def negate_segments(seams: SeamSet, segments: tuple[int, ...]) -> SEvenVector:
     out_class = canonical_vector(out)
     for base in dict.fromkeys(canonical_vector(p.base) for p in seams.parsings):
         if not is_strictly_greater(out_class, base):
-            knot = _knot_of_entries(base.representative.entries)
+            knot = knot_from_vector(base.representative)
             raise ValueError(
                 f"negating segments {chosen} loses the order above {knot.canonical}"
             )

@@ -7,9 +7,10 @@ all-even continued fraction into the run +/-(2, 0, 2, ..., 0, 2) with m
 nonzero entries, and concatenating the runs, turns the continued
 fraction normal form into such a vector; contraction, the value of each
 run in order, inverts the expansion.  A run is written by
-``connector_vector`` and read by ``_connector_read``, for partial
-quotients here and for parsing connectors in :mod:`twobridge.parsing`,
-whose parse scan reads its runs inline by the same rule.
+``connector_vector`` (packed: ``_RUNS``) and read by ``_connector_read``,
+for partial quotients here and for parsing connectors in
+:mod:`twobridge.parsing`, whose parse scan reads its runs inline by the
+same rule.
 
 Vectors are considered up to negation and reversal.  Evaluating a vector
 as a continued fraction (integer part 0) and canonicalizing the result
@@ -18,7 +19,7 @@ has exactly one vector class, and the crossing number can be read off
 the vector: the sum of absolute entries minus the number of sign changes
 in the sequence of nonzero entries.
 
-Two rules live here and nowhere else, both on plain entry tuples:
+Two rules live here and nowhere else, both on packed entries (below):
 ``_class_representative`` picks the vector that stands for a class (the
 lexicographic maximum of the orbit), and ``_knot_of_entries`` reads the
 knot a vector denotes off its continuants, the product of
@@ -56,13 +57,25 @@ class search joins two valid half-vectors and puts a 0 at the junction
 only between equal nonzero entries.  All these values are slotted and
 immutable, so one built unchecked stays as valid as the caller made it.
 
-The check, ``crossing_number`` and ``expand`` read or write the packed form
-of an entry tuple, one signed byte per entry (``_pack``): 2, 0 and -2 are
-the bytes 0x02, 0x00 and 0xfe, and negation is one ``bytes.translate``
-(``_NEGATE``), so their work per entry runs in C.  A valid vector passes
-on its bytes (``_packs_valid``); the entry loop of ``_check_entries`` runs
-only on what they refuse, and it alone words the errors.
-:mod:`twobridge.parsing` finds border prefixes on the same bytes.
+Inside the library a vector is read in one packed form, one byte per
+entry: the entry x is the byte x/2 + 2, so -2, 0 and 2 are 1, 2 and 3
+(``_pack``, ``_unpack``).  The code keeps the order of the entries, so two
+packed vectors compare as bytes exactly as their entry tuples compare,
+and the class representative, the lexicographic maximum of the orbit, is
+one bytes comparison (``_class_representative``, the only representative
+rule).  Negation swaps the codes 1 and 3 and keeps 2, one
+``bytes.translate`` (``_negate``), and reversal is a slice; both act
+entry by entry, so each commutes with the code.  This module alone writes
+a byte value: the other layers take ``_pack``, ``_unpack``, ``_negate``,
+the zero code ``_ZERO`` and the packed connector runs ``_RUNS`` from it.
+Each public call packs each vector it is given once, and a tuple is
+unpacked only where one leaves the library: ``expand``, an orbit, a
+``VectorClass`` whose representative differs from its input, an
+assembly, the generator of a two-connector form and the classes the
+upward walk of :mod:`twobridge.enumeration` reaches.  A valid vector
+passes the check on its bytes (``_packs_valid``); the entry loop of
+``_check_entries`` runs only on what they refuse, and it alone words the
+errors.
 """
 
 from __future__ import annotations
@@ -87,29 +100,45 @@ __all__ = [
 ]
 
 _ALLOWED = (-2, 0, 2)
-_ENTRY_BYTES = b"\x02\x00\xfe"  # 2, 0 and -2 packed
-_NEGATE = bytes.maketrans(b"\x02\xfe", b"\xfe\x02")
+_ZERO = 2  # the code of the entry 0; -2 and 2 are 1 and 3
+# struct's signed byte of -2, 0 and 2 to its code, and every other byte to 0, the code of no entry
+_ENCODE = bytes({0xFE: 1, 0: _ZERO, 2: 3}.get(i, 0) for i in range(256))
+_DECODE = bytes.maketrans(b"\x01\x02\x03", b"\xfe\x00\x02")
+_NEGATE = bytes.maketrans(b"\x01\x03", b"\x03\x01")
 
 
 def _pack(entries: tuple[int, ...]) -> bytes:
-    """The entries as signed bytes, one each; ``struct.error`` on a non-integer or one outside -128..127."""
-    return struct.pack(f"{len(entries)}b", *entries)
+    """The entries packed, the byte x/2 + 2 for each entry x and 0 for any other integer.
+
+    ``struct.error`` on a non-integer or one outside -128..127.
+    """
+    return struct.pack(f"{len(entries)}b", *entries).translate(_ENCODE)
+
+
+def _unpack(b: bytes) -> tuple[int, ...]:
+    """The entry tuple of packed entries, inverting :func:`_pack`."""
+    return struct.unpack(f"{len(b)}b", b.translate(_DECODE))
+
+
+def _negate(b: bytes) -> bytes:
+    """The packed entries negated: the codes of -2 and 2 swap, and that of 0 stays."""
+    return b.translate(_NEGATE)
 
 
 def _packs_valid(entries: tuple[int, ...]) -> bool:
     """True when the packed entries form a valid vector.
 
-    Even length, nonzero ends, no byte but 2, 0 and -2, and no 0 next to a
-    0 or between unequal entries: with the ends nonzero, every zero then
-    has equal nonzero neighbors.
+    Even length, nonzero ends, no byte 0 (no entry but -2, 0 and 2), and
+    no 0 next to a 0 or between unequal entries: with the ends nonzero,
+    every zero then has equal nonzero neighbors.
     """
     try:
         b = _pack(entries)
     except struct.error:
         return False
-    if len(b) % 2 or (b and not (b[0] and b[-1])) or b.translate(None, _ENTRY_BYTES):
+    if len(b) % 2 or (b and _ZERO in (b[0], b[-1])) or 0 in b:
         return False
-    return b"\x00\x00" not in b and b"\x02\x00\xfe" not in b and b"\xfe\x00\x02" not in b
+    return b"\x02\x02" not in b and b"\x01\x02\x03" not in b and b"\x03\x02\x01" not in b
 
 
 def _check_entries(e: tuple[int, ...]) -> None:
@@ -170,9 +199,9 @@ class SEvenVector(Value):
 
     def orbit(self) -> tuple["SEvenVector", ...]:
         """The distinct vectors among {v, -v, reverse(v), -reverse(v)}, in that order."""
-        e = self.entries
-        neg = tuple([-x for x in e])
-        return tuple(map(SEvenVector._unchecked, dict.fromkeys((e, neg, e[::-1], neg[::-1]))))
+        b = _pack(self.entries)
+        neg = _negate(b)
+        return tuple(SEvenVector._unchecked(_unpack(x)) for x in dict.fromkeys((b, neg, b[::-1], neg[::-1])))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)
@@ -185,20 +214,22 @@ class SEvenVector(Value):
         return cls(tuple(int(t) for t in text.split(",")))
 
 
-def _class_representative(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographic maximum of entries, -entries and their reversals; () for ().
+def _class_representative(b: bytes) -> bytes:
+    """The packed lexicographic maximum of b, -b and their reversals; b"" for b"".
 
-    The ends of a valid vector are nonzero, so the maximum is the larger
-    of the orbit's two members that start positive: e or -e, and the
-    reversal of that or its negation.  Returns ``entries`` itself when
-    it already is the representative, so callers may test with ``is``.
+    The code keeps the order of the entries, so the bytes comparison is
+    the tuple order.  The ends of a valid vector are nonzero, so the
+    maximum is the larger of the orbit's two members that start positive:
+    b or -b, and the reversal of that or its negation.  Returns ``b``
+    itself when it already is the representative, so callers may test
+    with ``is``.
     """
-    if not entries:
-        return entries
-    if entries[0] < 0:
-        entries = tuple([-x for x in entries])
-    rev = entries[::-1] if entries[-1] > 0 else tuple([-x for x in reversed(entries)])
-    return entries if entries >= rev else rev
+    if not b:
+        return b
+    if b[0] < _ZERO:
+        b = _negate(b)
+    rev = b[::-1] if b[-1] > _ZERO else _negate(b[::-1])
+    return b if b >= rev else rev
 
 
 class VectorClass(Value):
@@ -213,9 +244,9 @@ class VectorClass(Value):
     representative: SEvenVector
 
     def __init__(self, representative: SEvenVector) -> None:
-        rep = _class_representative(representative.entries)
-        if rep is not representative.entries:
-            representative = SEvenVector._unchecked(rep)
+        rep = _class_representative(b := _pack(representative.entries))
+        if rep is not b:
+            representative = SEvenVector._unchecked(_unpack(rep))
         self._fill(representative)
 
     def representatives(self) -> tuple[SEvenVector, ...]:
@@ -247,23 +278,24 @@ def connector_vector(c: int) -> tuple[int, ...]:
     return (s,) + (0, s) * (abs(c) // 2 - 1)
 
 
-def _connector_read(entries: tuple[int, ...], pos: int) -> tuple[int, int]:
-    """The run at pos, before the end, as (value, length), inverting :func:`connector_vector`.
+def _connector_read(b: bytes, pos: int) -> tuple[int, int]:
+    """The run at pos of the packed valid vector b, as (value, length), inverting :func:`connector_vector`.
 
     A zero entry is the zero connector; a nonzero entry s starts the run
-    (s, 0, s, ..., 0, s), read as far as it goes.
+    (s, 0, s, ..., 0, s), which goes on exactly as long as a 0 follows,
+    since in a valid vector a 0 lies between equal entries.  A run of k
+    entries x, each packed as x/2 + ``_ZERO``, has the value kx, which is
+    2k times the code less ``_ZERO``, and the length 2k - 1.
     """
-    s = entries[pos]
-    if s == 0:
-        return 0, 1
-    j = pos + 1
-    while j + 1 < len(entries) and entries[j] == 0 and entries[j + 1] == s:
-        j += 2
-    return s * ((j - pos + 1) // 2), j - pos
+    s, j = b[pos], pos + 1
+    if s != _ZERO:
+        while j < len(b) and b[j] == _ZERO:
+            j += 2
+    return (s - _ZERO) * (j - pos + 1), j - pos
 
 
 class _PackedRuns(dict):
-    """Packed connector runs by value, built on first use; the runs of |c| <= 64 are kept."""
+    """Packed connector runs by value (``_RUNS``), built on first use; the runs of |c| <= 64 are kept."""
 
     def __missing__(self, c: int) -> bytes:
         run = _pack(connector_vector(c))
@@ -283,13 +315,15 @@ def expand(cf: EvenCF | Iterable[int]) -> SEvenVector:
     packed bytes, unpacked once.
     """
     terms = cf.terms if isinstance(cf, EvenCF) else EvenCF(0, cf).terms
-    b = b"".join(map(_RUNS.__getitem__, terms))
-    return SEvenVector._unchecked(struct.unpack(f"{len(b)}b", b))
+    return SEvenVector._unchecked(_unpack(b"".join(map(_RUNS.__getitem__, terms))))
 
 
 def contract(v: SEvenVector) -> tuple[int, ...]:
-    """The value of each run of v, in order, inverting :func:`expand`."""
-    e, out, pos = v.entries, [], 0
+    """The value of each run of v, in order, inverting :func:`expand`.
+
+    No verb calls it; it stays as the tested inverse of ``expand``.
+    """
+    e, out, pos = _pack(v.entries), [], 0
     while pos < len(e):
         c, clen = _connector_read(e, pos)
         out.append(c)
@@ -306,7 +340,7 @@ def knot_from_vector(v: SEvenVector) -> KnotClass:
     """
     if v.is_empty:
         raise ValueError("the empty vector is the unknot and has no knot class")
-    return _knot_of_entries(v.entries)
+    return _knot_of_entries(_pack(v.entries))
 
 
 def _mul(m, n):
@@ -325,7 +359,7 @@ class _ChunkProducts(dict):
 
     def __missing__(self, key):
         k, k0, h, h0 = 1, 0, 0, 1
-        for x in struct.unpack("8b", struct.pack("q", key)):
+        for x in _unpack(struct.pack("q", key)):
             k, k0, h, h0 = x * k + k0, k, x * h + h0, h
         self[key] = m = (k, k0, h, h0)
         return m
@@ -334,8 +368,8 @@ class _ChunkProducts(dict):
 _CHUNKS = _ChunkProducts()
 
 
-def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
-    """The knot of a nonempty valid entry tuple, which is not re-validated.
+def _knot_of_entries(b: bytes) -> KnotClass:
+    """The knot of nonempty packed valid entries, which are not re-validated.
 
     The product of [[x, 1], [1, 0]] over the entries, left to right, is
     [[k, k0], [h, h0]] for [entries] = h/k with previous convergent
@@ -348,7 +382,7 @@ def _knot_of_entries(entries: tuple[int, ...]) -> KnotClass:
     multiplied only near its root, so the time is not quadratic in the
     length, as a left-to-right product of growing continuants is.
     """
-    mats = list(map(_CHUNKS.__getitem__, memoryview(_pack(entries) + bytes(-len(entries) % 8)).cast("q")))
+    mats = list(map(_CHUNKS.__getitem__, memoryview(b + bytes((_ZERO,)) * (-len(b) % 8)).cast("q")))
     while len(mats) > 1:
         top = list(map(_mul, mats[::2], mats[1::2]))
         mats = top + mats[-1:] if len(mats) % 2 else top
@@ -370,8 +404,8 @@ def crossing_number(v: SEvenVector) -> int:
     """
     if v.is_empty:
         raise ValueError("the empty vector has no crossing number")
-    b = _pack(v.entries).translate(None, b"\x00")
-    return 2 * len(b) - b.count(b"\x02\xfe") - b.count(b"\xfe\x02")
+    b = _pack(v.entries).translate(None, b"\x02")
+    return 2 * len(b) - b.count(b"\x01\x03") - b.count(b"\x03\x01")
 
 
 def torus_vector(q: int) -> SEvenVector:

@@ -167,20 +167,75 @@ def oracle_alexander(p, q):
     return coeffs
 
 
+def oracle_even_terms(p, q):
+    """The all-even continued fraction [a_1, ..., a_k] of the knot p/q, odd q.
+
+    p is taken as p or p - q, whichever is even, so the value lies in
+    (-1, 1) with integer part 0.  Each term is the even integer within 1
+    of the reciprocal of what is left: that reciprocal is a ratio of an
+    odd and an even integer or an even integer, never an odd one, so
+    there is no tie.
+    """
+    n, d = (p if p % 2 == 0 else p - q), q
+    terms = []
+    while n:
+        a = 2 * round(fractions.Fraction(d, 2 * n))
+        terms.append(a)
+        n, d = d - a * n, n
+    return terms
+
+
+def oracle_conway_alexander(p, q):
+    """Coefficients of the Alexander polynomial of the 2-bridge knot p/q,
+    lowest degree first, up to a unit +-t^k, from the Conway polynomial.
+
+    With [a_1, ..., a_k] the even expansion of p/q, nabla(z) is the
+    continuant K(a_1 z/2, -a_2 z/2, a_3 z/2, ...), signs alternating,
+    which holds only even powers of z.  Substituting z^2 = t - 2 + t^-1
+    gives Delta(t): with w_j the coefficient of z^2j and D the top j,
+    t^D Delta is the sum of w_j (t - 1)^2j t^(D-j), taken by Horner's
+    rule.  The cost is O(k^2) integer steps whatever the size of q, so
+    this reaches vectors far past the sum formula of oracle_alexander.
+    """
+    prev, cur = [0], [1]  # the continuants of the terms so far, as coefficients in z
+    for i, a in enumerate(oracle_even_terms(p, q)):
+        x = a // 2 if i % 2 == 0 else -a // 2
+        nxt = [0] + [x * c for c in cur]
+        for j, c in enumerate(prev):
+            nxt[j] += c
+        prev, cur = cur, nxt
+    w = cur[::2]
+    delta = [w[-1]]
+    for c in reversed(w[:-1]):  # delta <- delta (t - 1)^2 + c t^(D - j), its middle degree
+        nxt = [0] * (len(delta) + 2)
+        for i, d in enumerate(delta):
+            nxt[i] += d
+            nxt[i + 1] -= 2 * d
+            nxt[i + 2] += d
+        nxt[len(nxt) // 2] += c
+        delta = nxt
+    while not delta[-1]:
+        delta.pop()
+    while not delta[0]:
+        delta.pop(0)
+    return delta
+
+
 def oracle_poly_remainder(num, den):
     """The remainder of num by den, coefficient lists lowest degree first,
-    by long division over fractions.Fraction.
+    by long division, in integers while each step of the quotient is one
+    and over fractions.Fraction from the first step that is not.
 
     den's last coefficient must be nonzero.  A zero step of the quotient
     is skipped, so a sparse quotient costs little however long num is.
     """
-    rem = [fractions.Fraction(c) for c in num]
-    for shift in reversed(range(len(num) - len(den) + 1)):
-        c = rem[shift + len(den) - 1] / den[-1]
+    rem, n = list(num), len(den)
+    for shift in reversed(range(len(num) - n + 1)):
+        top = rem[shift + n - 1]
+        c = top // den[-1] if top % den[-1] == 0 else fractions.Fraction(top, den[-1])
         if c:
-            for i, d in enumerate(den):
-                rem[shift + i] -= c * d
-    return rem[: len(den) - 1]
+            rem[shift : shift + n] = [r - c * d for r, d in zip(rem[shift : shift + n], den)]
+    return rem[: n - 1]
 
 
 ACCEPTANCE_LINES = []

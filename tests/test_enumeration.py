@@ -46,7 +46,7 @@ from twobridge import (
 )
 from twobridge import enumeration
 from twobridge.enumeration import _assemblies, _assisted_lower_bound, _class_vectors, _classes_with_smaller
-from twobridge.vectors import _class_representative
+from twobridge.vectors import _class_representative, _pack, _unpack
 
 # EK(n) for n = 3..18: zero through 8 crossings, one from 9 through 14,
 # two for 15 through 17, then back to one at 18
@@ -151,7 +151,7 @@ def classes_above_by_assembly(n):
 
 
 def base_knots(bases):
-    return {knot_from_vector(SEvenVector(b)) for b in bases}
+    return {knot_from_vector(SEvenVector(_unpack(b))) for b in bases}
 
 
 def map_walk(n):
@@ -163,8 +163,8 @@ def map_walk(n):
     found = {}
     for base_cr in range(3, n // 3 + 1):
         for b, _ in _class_vectors(base_cr):
-            for entries in _assemblies(b, base_cr, n):
-                found.setdefault(_class_representative(entries), set()).add(knot_from_vector(SEvenVector(b)))
+            for entries in _assemblies(_pack(b), base_cr, n):
+                found.setdefault(_unpack(_class_representative(entries)), set()).add(knot_from_vector(SEvenVector(b)))
     return found
 
 
@@ -363,21 +363,28 @@ def test_exact_ek_matches_catalog():
         assert epimorphism_number(n, budget=n) == enumerate_knots(n).ek, f"EK({n})"
 
 
-def test_exact_ek_lists_no_classes(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"listed every class at n = {n}")
+def refuse_classes_at(monkeypatch, refused):
+    """Make _class_vectors refuse to list the classes at n = refused; the
+    walk still lists its bases, the classes with n // 3 crossings or fewer."""
+    class_vectors = enumeration._class_vectors
 
-    monkeypatch.setattr(enumeration, "_knots_by_vector", refuse)
+    def refuse(n):
+        if n == refused:
+            raise AssertionError(f"listed every class at n = {n}")
+        return class_vectors(n)
+
+    monkeypatch.setattr(enumeration, "_class_vectors", refuse)
+
+
+def test_exact_ek_lists_no_classes(monkeypatch):
+    refuse_classes_at(monkeypatch, 18)
     assert epimorphism_number(18) == 1
 
 
 def test_catalog_lists_classes_through_one_name(monkeypatch):
     # the counterpart of test_exact_ek_lists_no_classes: the catalog and
-    # knot_classes list the classes at n through _knots_by_vector alone
-    def refuse(n):
-        raise AssertionError(f"listed every class at n = {n}")
-
-    monkeypatch.setattr(enumeration, "_knots_by_vector", refuse)
+    # knot_classes list the classes at n through _class_vectors
+    refuse_classes_at(monkeypatch, 9)
     for listing in (enumerate_knots, knot_classes):
         with pytest.raises(AssertionError, match="n = 9"):
             listing(9)

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     connector_entries,
     oracle_alexander,
+    oracle_conway_alexander,
     oracle_assemble,
     oracle_borders,
     oracle_knot,
@@ -46,7 +47,8 @@ from twobridge import (
     vector_from_knot,
 )
 from twobridge import parsing
-from twobridge.parsing import _FEW_LENGTHS, _packed_borders, _parsing_below, _prefix_parsings, _scan_parsing
+from twobridge.parsing import _parsing_below, _prefix_parsings, _scan_parsing
+from twobridge.vectors import _pack
 
 V = SEvenVector
 
@@ -292,7 +294,7 @@ def test_find_parsings_recovers_random_assembly():
     for _ in range(2000):
         base, signs, connectors = random_parsing(rng, bases)
         a = oracle_assemble(base, signs, connectors)
-        assert _scan_parsing(a, base) == (signs, connectors), (a, base)
+        assert _scan_parsing(_pack(a), _pack(base)) == (signs, connectors), (a, base)
         got = [(p.signs, p.connectors) for p in find_parsings(V(a), V(base))]
         assert got == [(tuple(signs), tuple(connectors))], (a, base)
         seen.update(("negative tile",) * (-1 in signs) + ("zero connector",) * (0 in connectors))
@@ -311,14 +313,14 @@ def test_scan_parsing_rejects_broken_assemblies():
         base, signs, connectors = random_parsing(rng, bases, folds=range(2, 21, 2))
         a = oracle_assemble(base, signs, connectors)
         if a[-2]:
-            assert _scan_parsing(a[:-1] + (-a[-1],), base) is None, (a, base)
+            assert _scan_parsing(_pack(a[:-1] + (-a[-1],)), _pack(base)) is None, (a, base)
             cases["tile"] += 1
         start = len(oracle_assemble(base, signs[:-1], connectors[:-1]))
         for end in range(start + 1, start + len(connector_entries(connectors[-1])) + 1, 2) if connectors[-1] else ():
-            assert _scan_parsing(a[:end], base) is None, (a, base, end)
+            assert _scan_parsing(_pack(a[:end]), _pack(base)) is None, (a, base, end)
             cases["cut"] += 1
         even = oracle_assemble(base, signs[:-1], connectors[:-1])
-        assert _scan_parsing(even, base) is None, (even, base)
+        assert _scan_parsing(_pack(even), _pack(base)) is None, (even, base)
         cases["even"] += 1
     assert min(cases.values()) > 100, cases
 
@@ -686,6 +688,39 @@ def test_smaller_knots_divide_alexander():
         assert check(torus_vector(q)) > 0, q
 
 
+def test_oracle_conway_alexander_matches_sum_formula():
+    # the continuant oracle against the sum formula, up to sign, on every
+    # class with n <= 14
+    classes = [k.canonical for n in range(3, 15) for k in knot_classes(n)]
+    assert len(classes) == 1407
+    for f in classes:
+        want = oracle_alexander(f.p, f.q)
+        assert oracle_conway_alexander(f.p, f.q) in (want, [-c for c in want]), f
+
+
+def test_smaller_knots_divide_alexander_long_vectors():
+    # Delta_K divides Delta_J, both from the continuant oracle, for every
+    # knot below the 1538-entry vector of the CI smoke step and below
+    # random assemblies of up to 2,048 entries, each of which has its
+    # base's knot below it
+    rng = random.Random(2048)
+    tri = lambda b: b + (2,) + tuple(-x for x in b[::-1]) + (-2,) + tuple(-x for x in b)
+    small = tuple(2 if i * i % 7 < 4 else -2 for i in range(170))
+    cases = [(tri(small), tri(tri(small)))]
+    while len(cases) < 11:
+        base = random_vector(rng, 2 * rng.randint(1, 300)).entries
+        fold = rng.choice([f for f in (3, 5, 7, 9, 15, 31) if f * (len(base) + 7) < 2048])
+        cases.append((base, random_assembly(rng, base, fold, rng.choice((1, -1)))))
+    assert max(len(a) for _, a in cases) > 1500
+    for base, a in cases:
+        below = smaller_knots(V(a))
+        assert knot_from_vector(V(base)) in below, (len(base), len(a))
+        delta = oracle_conway_alexander(*oracle_knot(a))
+        for k in below:
+            rem = oracle_poly_remainder(delta, oracle_conway_alexander(k.canonical.p, k.canonical.q))
+            assert not any(rem), (len(a), str(k))
+
+
 def test_smaller_knots_builds_no_assembly(monkeypatch):
     # the divisor bases of a two-connector form are prefixes of the vector,
     # sliced off it: smaller_knots assembles nothing
@@ -698,16 +733,19 @@ def test_smaller_knots_builds_no_assembly(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"built {args}")
 
+    class RefusedRuns:
+        __getitem__ = staticmethod(refuse)
+
     monkeypatch.setattr(parsing, "assemble_two_connector", refuse)
-    monkeypatch.setattr(parsing, "connector_vector", refuse)
+    monkeypatch.setattr(parsing, "_RUNS", RefusedRuns())
     for v, want in cases:
         assert {str(k) for k in smaller_knots(v)} == want
 
 
 def test_parsing_below_replays_by_oracle_assembly():
-    # the witness that seams and negate take for each knot below: a Parsing
-    # of fold >= 3 whose base is the prefix of the representative and whose
-    # signs and connectors rebuild the representative without the library
+    # the witness that seams and negate take for each knot below: the signs
+    # and connectors of a parsing of fold >= 3 over the prefix of the
+    # representative, which rebuild the representative without the library
     cases = [
         (e.vector.representative.entries, vector_from_knot(k).representative.entries)
         for n in range(3, 15)
@@ -718,17 +756,33 @@ def test_parsing_below_replays_by_oracle_assembly():
     cases += [(rep27, canonical_vector(torus_vector(q)).representative.entries) for q in (3, 9)]
     assert len(cases) == 61
     for rep, base_rep in cases:
-        p = _parsing_below(rep, base_rep)
-        assert type(p) is Parsing, (rep, base_rep)
-        assert len(p.signs) >= 3 and p.base.entries == rep[: len(base_rep)], (rep, base_rep)
-        assert oracle_assemble(p.base.entries, p.signs, p.connectors) == rep, (rep, base_rep)
+        signs, connectors = _parsing_below(_pack(rep), _pack(base_rep))
+        assert len(signs) >= 3, (rep, base_rep)
+        assert oracle_assemble(rep[: len(base_rep)], signs, connectors) == rep, (rep, base_rep)
 
 
-def test_prefix_parsings_long_vectors_match_border_oracle():
+def scanned_lengths(monkeypatch, a):
+    """The base lengths _prefix_parsings scans on a, and the parsings it yields.
+
+    It scans a prefix only where a ends with that prefix up to sign, so
+    the lengths scanned are its border lengths."""
+    scanned = []
+
+    def scan(ea, eb, min_fold=1):
+        scanned.append(len(eb))
+        return _scan_parsing(ea, eb, min_fold)
+
+    with monkeypatch.context() as m:
+        m.setattr(parsing, "_scan_parsing", scan)
+        found = list(_prefix_parsings(_pack(a)))
+    return scanned, found
+
+
+def test_prefix_parsings_long_vectors_match_border_oracle(monkeypatch):
     # 65,536 entries: a random vector, a 3-fold assembly b, 2, b', 4, b
-    # and the same with its last tile negated; the border lengths of the
-    # packed search and the prefixes parsed over are pinned against the
-    # entry-by-entry oracle and the assembly
+    # and the same with its last tile negated; the border lengths scanned
+    # and the prefixes parsed over are pinned against the entry-by-entry
+    # oracle and the assembly
     rng = random.Random(65536)
     base = random_vector(rng, 21844).entries
     cases = [
@@ -741,32 +795,31 @@ def test_prefix_parsings_long_vectors_match_border_oracle():
         hi = (len(a) - 2) // 3 + 1
         borders = oracle_borders(a, 2, hi)
         assert set(parsed) <= set(borders)
-        assert list(_packed_borders(a, 2, hi)) == borders
-        found = list(_prefix_parsings(a))
-        assert [len(p.base.entries) for p in found] == parsed
-        for p in found:
-            assert oracle_assemble(p.base.entries, p.signs, p.connectors) == a
+        scanned, found = scanned_lengths(monkeypatch, a)
+        assert scanned == borders
+        assert [blen for blen, _, _ in found] == parsed
+        for blen, signs, connectors in found:
+            assert oracle_assemble(a[:blen], signs, connectors) == a
 
 
-def test_prefix_parsings_packed_and_tuple_windows_agree():
-    # a wide window finds its border lengths on the packed entries, a
-    # window of one length on the tuple: over random vectors, signed
-    # assemblies and periodic vectors (a border at every period) both
-    # find the same prefixes, and the packed lengths are the oracle's
+def test_prefix_parsings_packed_and_tuple_windows_agree(monkeypatch):
+    # one border path for every window: over random vectors, signed
+    # assemblies and periodic vectors (a border at every period), the
+    # widest window scans exactly the oracle's border lengths, and windows
+    # of one length each find the prefixes it finds
     rng = random.Random(2028)
     vectors = [random_vector(rng, rng.randrange(60, 400, 2)).entries for _ in range(20)]
     for _ in range(60):
         base = random_vector(rng, rng.randrange(2, 40, 2)).entries
         vectors.append(random_assembly(rng, base, rng.choice((3, 5, 7, 9)), rng.choice((1, -1))))
     vectors += [torus_vector(q).entries for q in (61, 99, 301)]
-    vectors += [(2, 2, 0, 2, -2) * 20 + (2, 2), (2, -2, -2) * 40]
+    vectors += [(2, 2, 0, 2, -2) * 20 + (2, 2), (2, -2, -2) * 40, (2, 2), (2, -2, 2, -2)]
     for a in vectors:
         hi = (len(a) - 2) // 3 + 1
-        if hi - 2 <= 2 * _FEW_LENGTHS:
-            continue
-        assert list(_packed_borders(a, 2, hi)) == oracle_borders(a, 2, hi), a
-        narrow = [p for blen in range(2, hi, 2) for p in _prefix_parsings(a, blen, blen + 1)]
-        assert list(_prefix_parsings(a)) == narrow, a
+        scanned, wide = scanned_lengths(monkeypatch, a)
+        assert scanned == oracle_borders(a, 2, hi), a
+        narrow = [p for blen in range(2, hi, 2) for p in _prefix_parsings(_pack(a), blen, blen + 1)]
+        assert wide == narrow, a
 
 
 # ----------------------------------------------------- chain family facts

@@ -44,7 +44,7 @@ from twobridge import (
     torus_vector,
     vector_from_knot,
 )
-from twobridge.vectors import _check_entries, _class_representative, _packs_valid
+from twobridge.vectors import _check_entries, _class_representative, _pack, _packs_valid, _unpack
 
 
 # ---------------------------------------------------------------- validation
@@ -183,18 +183,20 @@ def test_vector_class_constructor_normalizes():
 
 
 def test_class_representative_is_orbit_maximum():
-    # the two-candidate rule against the maximum over all four orbit
-    # members; a representative comes back as the same object
-    assert _class_representative(()) == ()
+    # the two-candidate rule on packed entries, one bytes comparison,
+    # against the maximum over all four orbit members as tuples; a
+    # representative comes back as the same object
+    assert _class_representative(b"") == b""
     rng = random.Random(20261018)
     short = [e for n in range(2, 13, 2) for e in oracle_vectors(n)]
     long = [random_vector(rng, 2 * rng.randint(1, 200)).entries for _ in range(2000)]
     for entries in short + long:
         neg = tuple(-x for x in entries)
         want = max(entries, neg, entries[::-1], neg[::-1])
-        got = _class_representative(entries)
-        assert got == want
-        assert (got is entries) == (entries == want)
+        packed = _pack(entries)
+        got = _class_representative(packed)
+        assert _unpack(got) == want
+        assert (got is packed) == (entries == want)
 
 
 def test_unchecked_results_are_valid():
