@@ -13,6 +13,14 @@ classes gave the twelve public value classes before:
 - assigning or deleting an attribute raises :class:`AttributeError`;
 - copy and pickle rebuild an instance through its constructor.
 
+A slot whose name starts with ``_`` is no field but a private cache of
+something derived from the fields, set through its member descriptor
+where it is first known (``SEvenVector._b``, the packed entries).
+``_fill``, ``==``, ``hash``, the repr and ``__reduce__`` see only the
+public slots, so a value equals, hashes, prints and pickles the same
+whether or not its cache is filled, and a copy, rebuilt through the
+constructor, fills its own.
+
 The base exists for start-up time.  Every CLI verb is a fresh process,
 and there importing the data-class module (which loads ``inspect``,
 ``ast`` and ``dis``) took 6.4 ms, and compiling the generated methods of
@@ -74,8 +82,9 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        get = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) == 1:  # attrgetter of one name gives the value, not a 1-tuple
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        get = attrgetter(*fields)
+        if len(fields) == 1:  # attrgetter of one name gives the value, not a 1-tuple
 
             def __hash__(self) -> int:
                 return hash((get(self),))
@@ -91,14 +100,14 @@ class Value:
             return NotImplemented
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
-        cls._fill = _filler([getattr(cls, name).__set__ for name in cls.__slots__])
+        cls._fill = _filler([getattr(cls, name).__set__ for name in fields])
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -68,15 +68,15 @@ def _gather_seams(v: SEvenVector, bases: list[KnotClass]) -> SeamSet:
     """Seams of v with respect to its parsings over the given base knots, each strictly below v."""
     from .parsing import Parsing, _parsing_below
     from .seams import find_seams
-    from .vectors import SEvenVector, _pack, vector_from_knot
+    from .vectors import SEvenVector, vector_from_knot
 
-    packed, parsings = _pack(v.entries), []
+    packed, parsings = v._packed(), []
     for knot in bases:
-        rep = vector_from_knot(knot).representative.entries
-        found = _parsing_below(packed, _pack(rep))
+        rep = vector_from_knot(knot).representative._packed()
+        found = _parsing_below(packed, rep)
         if found is None:
             raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
-        parsings.append(Parsing(SEvenVector._unchecked(v.entries[: len(rep)]), *found))
+        parsings.append(Parsing(SEvenVector._unchecked(v.entries[: len(rep)], packed[: len(rep)]), *found))
     return find_seams(v, tuple(parsings))
 
 

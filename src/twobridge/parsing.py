@@ -56,8 +56,7 @@ from itertools import accumulate, cycle
 from ._value import Value
 from .rationals import KnotClass
 from .vectors import (
-    _RUNS, _ZERO, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _negate, _pack,
-    _unpack,
+    _RUNS, _ZERO, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _negate, _unpack,
 )
 
 __all__ = [
@@ -128,14 +127,15 @@ class Parsing(Value):
 
         A tile has |b| entries and a run |c| - 1, or 1 for c = 0.
         """
-        tiles = cycle(_tiles(_pack(self.base.entries)))
+        tiles = cycle(_tiles(self.base._packed()))
         layout = [b""] * (2 * len(self.signs) - 1)
         layout[::2] = [pair[s < 0] for pair, s in zip(tiles, self.signs)]
         layout[1::2] = map(_RUNS.__getitem__, self.connectors)
         return layout
 
     def assemble(self) -> SEvenVector:
-        return SEvenVector._unchecked(_unpack(b"".join(self._layout())))
+        b = b"".join(self._layout())
+        return SEvenVector._unchecked(_unpack(b), b)
 
     def boundaries(self) -> tuple[int, ...]:
         """Interior block boundaries: cut-after-entry positions, 1-based."""
@@ -197,13 +197,13 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
     A parsing over a given base is unique when it exists, so this is
     empty or holds one parsing.
     """
-    found = _scan_parsing(_pack(a.entries), _pack(b.entries))
+    found = _scan_parsing(a._packed(), b._packed())
     return () if found is None else (object.__new__(Parsing)._fill(b, *map(tuple, found)),)
 
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
     """True when the parsing of a with respect to b exists and has fold >= min_fold."""
-    return bool(b.entries) and _scan_parsing(_pack(a.entries), _pack(b.entries), min_fold) is not None
+    return bool(b.entries) and _scan_parsing(a._packed(), b._packed(), min_fold) is not None
 
 
 def _prefix_parsings(ea: bytes, start: int = 2, stop: int | None = None) -> Iterator[tuple[int, list[int], list[int]]]:
@@ -245,10 +245,10 @@ def is_strictly_greater(j: VectorClass, k: VectorClass) -> bool:
     j > k exactly when j's representative parses, with fold >= 3, over
     its own prefix in k's class.  Three tiles of k and two connectors
     must fit in j, so a shorter j, and k itself, fail before either is
-    packed.
+    read.
     """
-    e, f = j.representative.entries, k.representative.entries
-    return len(e) >= 3 * len(f) + 2 and _parsing_below(_pack(e), _pack(f)) is not None
+    a, b = j.representative, k.representative
+    return len(a) >= 3 * len(b) + 2 and _parsing_below(a._packed(), b._packed()) is not None
 
 
 class TwoConnectorForm(Value):
@@ -283,7 +283,7 @@ def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenV
     """Assemble (g, m, g', n, g, ..., g) with count tiles: g, then count // 2 periods (m, g', n, g), g' = g reversed."""
     if count < 1 or count % 2 == 0:
         raise ValueError(f"tile count {count} must be odd and positive")
-    b = _pack(g.entries)
+    b = g._packed()
     period = _RUNS[m] + _tiles(b)[1][0] + _RUNS[n] + b
     return SEvenVector(_unpack(b + period * (count // 2)))
 
@@ -304,14 +304,15 @@ def _bases_and_form(e: bytes) -> tuple[list[bytes], TwoConnectorForm | None]:
     bases = []
     for blen, signs, c in _prefix_parsings(e):
         if -1 not in signs and c[2:] == c[:-2]:
-            return bases, TwoConnectorForm(SEvenVector._unchecked(_unpack(e[:blen])), c[0], c[1], len(signs))
+            g = e[:blen]
+            return bases, TwoConnectorForm(SEvenVector._unchecked(_unpack(g), g), c[0], c[1], len(signs))
         bases.append(e[:blen])
     return bases, None
 
 
 def two_connector_decompose(v: SEvenVector) -> TwoConnectorForm | None:
     """The two-connector form of v built on its shortest generator, if any (see ``_bases_and_form``)."""
-    return _bases_and_form(_pack(v.entries))[1] if v.entries else None
+    return _bases_and_form(v._packed())[1] if v.entries else None
 
 
 def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
@@ -331,7 +332,7 @@ def smaller_knots(v: SEvenVector) -> frozenset[KnotClass]:
     """
     if v.is_empty:
         raise ValueError("the unknot has nothing below it")
-    bases, form = _bases_and_form(e := _pack(v.entries))
+    bases, form = _bases_and_form(e := v._packed())
     if form is not None:
         glen, count = len(form.generator), form.count
         period = (len(e) - glen) // (count // 2)

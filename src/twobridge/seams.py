@@ -19,7 +19,7 @@ from itertools import accumulate
 
 from ._value import Value
 from .parsing import Parsing, is_strictly_greater
-from .vectors import SEvenVector, _pack, canonical_vector, crossing_number, knot_from_vector
+from .vectors import SEvenVector, canonical_vector, crossing_number, knot_from_vector
 
 __all__ = [
     "SeamSet",
@@ -30,9 +30,13 @@ __all__ = [
 
 
 class SeamSet(Value):
-    """A vector, the parsings being respected, and their common cuts."""
+    """A vector, the parsings being respected, and their common cuts.
 
-    __slots__ = ("vector", "parsings", "cuts")
+    ``_segments`` caches the segments, a private slot under
+    ``_value.Value``'s rule.
+    """
+
+    __slots__ = ("vector", "parsings", "cuts", "_segments")
     vector: SEvenVector
     parsings: tuple[Parsing, ...]
     cuts: tuple[int, ...]
@@ -42,9 +46,14 @@ class SeamSet(Value):
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:
-        """1-based inclusive entry ranges between consecutive cuts."""
-        cuts = self.cuts
-        return tuple((lo + 1, hi) for lo, hi in zip((0,) + cuts, cuts + (len(self.vector),)))
+        """1-based inclusive entry ranges between consecutive cuts, built on first read."""
+        try:
+            return self._segments
+        except AttributeError:
+            cuts = self.cuts
+            segments = tuple((lo + 1, hi) for lo, hi in zip((0,) + cuts, cuts + (len(self.vector),)))
+            SeamSet._segments.__set__(self, segments)
+            return segments
 
     def to_json_dict(self) -> dict:
         return {
@@ -63,7 +72,7 @@ def find_seams(v: SEvenVector, parsings: tuple[Parsing, ...]) -> SeamSet:
     """
     if not parsings:
         raise ValueError("need at least one parsing to take seams of")
-    packed, ends = _pack(v.entries), []
+    packed, ends = v._packed(), []
     for p in parsings:
         layout = p._layout()
         if b"".join(layout) != packed:

@@ -68,14 +68,19 @@ rule).  Negation swaps the codes 1 and 3 and keeps 2, one
 entry by entry, so each commutes with the code.  This module alone writes
 a byte value: the other layers take ``_pack``, ``_unpack``, ``_negate``,
 the zero code ``_ZERO`` and the packed connector runs ``_RUNS`` from it.
-Each public call packs each vector it is given once, and a tuple is
-unpacked only where one leaves the library: ``expand``, an orbit, a
-``VectorClass`` whose representative differs from its input, an
-assembly, the generator of a two-connector form and the classes the
-upward walk of :mod:`twobridge.enumeration` reaches.  A valid vector
-passes the check on its bytes (``_packs_valid``); the entry loop of
+Each vector is packed once, where it is checked or built, and carries
+its bytes in the private slot ``_b``, which ``SEvenVector._packed``
+reads; no other layer packs a vector.  A valid vector passes the check on
+its bytes (``_packs_valid``) and keeps them; the entry loop of
 ``_check_entries`` runs only on what they refuse, and it alone words the
-errors.
+errors.  A tuple is unpacked only where one leaves the library:
+``expand``, an orbit, a ``VectorClass`` whose representative differs
+from its input, an assembly and the generator of a two-connector form,
+each a vector that keeps the bytes it came from (as ``torus_vector``
+keeps the bytes it writes), and the classes the upward walk of
+:mod:`twobridge.enumeration` reaches.  A vector only filled, as the
+catalog fills its classes, is packed on its first read, if any.  The
+bytes cost one byte per entry beside the tuple's eight.
 """
 
 from __future__ import annotations
@@ -125,8 +130,8 @@ def _negate(b: bytes) -> bytes:
     return b.translate(_NEGATE)
 
 
-def _packs_valid(entries: tuple[int, ...]) -> bool:
-    """True when the packed entries form a valid vector.
+def _packs_valid(entries: tuple[int, ...]) -> bytes | None:
+    """The packed entries when they form a valid vector, else None.
 
     Even length, nonzero ends, no byte 0 (no entry but -2, 0 and 2), and
     no 0 next to a 0 or between unequal entries: with the ends nonzero,
@@ -135,10 +140,12 @@ def _packs_valid(entries: tuple[int, ...]) -> bool:
     try:
         b = _pack(entries)
     except struct.error:
-        return False
+        return None
     if len(b) % 2 or (b and _ZERO in (b[0], b[-1])) or 0 in b:
-        return False
-    return b"\x02\x02" not in b and b"\x01\x02\x03" not in b and b"\x03\x02\x01" not in b
+        return None
+    if b"\x02\x02" in b or b"\x01\x02\x03" in b or b"\x03\x02\x01" in b:
+        return None
+    return b
 
 
 def _check_entries(e: tuple[int, ...]) -> None:
@@ -163,9 +170,14 @@ def _check_entries(e: tuple[int, ...]) -> None:
 
 
 class SEvenVector(Value):
-    """An expanded even vector; the empty vector designates the unknot."""
+    """An expanded even vector; the empty vector designates the unknot.
 
-    __slots__ = ("entries",)
+    Its one field is ``entries``.  ``_b`` caches the packed entries
+    (``_value.Value``'s rule for a slot named with ``_``); ``_packed``
+    reads it.
+    """
+
+    __slots__ = ("entries", "_b")
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int] = ()) -> None:
@@ -173,19 +185,38 @@ class SEvenVector(Value):
         self.__post_init__()
 
     @classmethod
-    def _unchecked(cls, entries: tuple[int, ...]) -> "SEvenVector":
-        """A vector on an entry tuple the caller promises is valid; it is not re-checked."""
-        return object.__new__(cls)._fill(entries)
+    def _unchecked(cls, entries: tuple[int, ...], packed: bytes | None = None) -> "SEvenVector":
+        """A vector on an entry tuple the caller promises is valid; it is not re-checked.
+
+        ``packed``, when given, is the caller's packed form of the entries,
+        stored as it is.
+        """
+        v = object.__new__(cls)._fill(entries)
+        if packed is not None:
+            _set_packed(v, packed)
+        return v
 
     def __post_init__(self) -> None:
-        """Check the entries, once for each vector the constructor builds.
+        """Check the entries, once for each vector the constructor builds, and keep them packed.
 
-        A valid vector passes on its packed form; anything else goes to the
-        entry loop, which reports the first fault.  A method of its own so
-        that ``bench/spans.py`` can wrap it to count checked vectors.
+        A valid vector passes on its packed form, which it then carries;
+        anything else goes to the entry loop, which reports the first
+        fault.  A method of its own so that ``bench/spans.py`` can wrap it
+        to count checked vectors.
         """
-        if not _packs_valid(self.entries):
+        b = _packs_valid(self.entries)
+        if b is None:
             _check_entries(self.entries)
+        else:
+            _set_packed(self, b)
+
+    def _packed(self) -> bytes:
+        """The packed entries: those stored, or packed now and stored, for a vector only filled."""
+        try:
+            return self._b
+        except AttributeError:
+            _set_packed(self, b := _pack(self.entries))
+            return b
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -199,9 +230,9 @@ class SEvenVector(Value):
 
     def orbit(self) -> tuple["SEvenVector", ...]:
         """The distinct vectors among {v, -v, reverse(v), -reverse(v)}, in that order."""
-        b = _pack(self.entries)
+        b = self._packed()
         neg = _negate(b)
-        return tuple(SEvenVector._unchecked(_unpack(x)) for x in dict.fromkeys((b, neg, b[::-1], neg[::-1])))
+        return tuple(SEvenVector._unchecked(_unpack(x), x) for x in dict.fromkeys((b, neg, b[::-1], neg[::-1])))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)
@@ -212,6 +243,9 @@ class SEvenVector(Value):
         if not text:
             return cls(())
         return cls(tuple(int(t) for t in text.split(",")))
+
+
+_set_packed = SEvenVector._b.__set__
 
 
 def _class_representative(b: bytes) -> bytes:
@@ -244,9 +278,9 @@ class VectorClass(Value):
     representative: SEvenVector
 
     def __init__(self, representative: SEvenVector) -> None:
-        rep = _class_representative(b := _pack(representative.entries))
+        rep = _class_representative(b := representative._packed())
         if rep is not b:
-            representative = SEvenVector._unchecked(_unpack(rep))
+            representative = SEvenVector._unchecked(_unpack(rep), rep)
         self._fill(representative)
 
     def representatives(self) -> tuple[SEvenVector, ...]:
@@ -315,7 +349,8 @@ def expand(cf: EvenCF | Iterable[int]) -> SEvenVector:
     packed bytes, unpacked once.
     """
     terms = cf.terms if isinstance(cf, EvenCF) else EvenCF(0, cf).terms
-    return SEvenVector._unchecked(_unpack(b"".join(map(_RUNS.__getitem__, terms))))
+    b = b"".join(map(_RUNS.__getitem__, terms))
+    return SEvenVector._unchecked(_unpack(b), b)
 
 
 def contract(v: SEvenVector) -> tuple[int, ...]:
@@ -323,7 +358,7 @@ def contract(v: SEvenVector) -> tuple[int, ...]:
 
     No verb calls it; it stays as the tested inverse of ``expand``.
     """
-    e, out, pos = _pack(v.entries), [], 0
+    e, out, pos = v._packed(), [], 0
     while pos < len(e):
         c, clen = _connector_read(e, pos)
         out.append(c)
@@ -340,7 +375,7 @@ def knot_from_vector(v: SEvenVector) -> KnotClass:
     """
     if v.is_empty:
         raise ValueError("the empty vector is the unknot and has no knot class")
-    return _knot_of_entries(_pack(v.entries))
+    return _knot_of_entries(v._packed())
 
 
 def _mul(m, n):
@@ -404,7 +439,7 @@ def crossing_number(v: SEvenVector) -> int:
     """
     if v.is_empty:
         raise ValueError("the empty vector has no crossing number")
-    b = _pack(v.entries).translate(None, b"\x02")
+    b = v._packed().translate(None, b"\x02")
     return 2 * len(b) - b.count(b"\x01\x03") - b.count(b"\x03\x01")
 
 
@@ -412,4 +447,4 @@ def torus_vector(q: int) -> SEvenVector:
     """The vector (2, -2, 2, -2, ...) of length q - 1 for the torus knot 1/q."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"torus knot needs odd q >= 3, got {q}")
-    return SEvenVector._unchecked((2, -2) * (q // 2))
+    return SEvenVector._unchecked((2, -2) * (q // 2), b"\x03\x01" * (q // 2))

@@ -48,6 +48,15 @@ def test_find_seams_torus_27():
     assert seams.segments == ((1, 8), (9, 9), (10, 17), (18, 18), (19, 26))
 
 
+def test_seam_set_segments_are_built_once():
+    # the segments are kept beside the fields, which alone make the value
+    seams = two_base_seams()
+    assert seams.segments is seams.segments
+    fresh = SeamSet(seams.vector, seams.parsings, seams.cuts)
+    assert fresh == seams and hash(fresh) == hash(seams) and repr(fresh) == repr(seams)
+    assert "_segments" not in repr(seams)
+
+
 def test_find_seams_single_parsing():
     v = V((2, 2, 0, 2, 2, 0, 2, 2))
     ps = find_parsings(v, V((2, 2)))

@@ -13,9 +13,11 @@ Independent oracles used here:
   the package reads its knot off continuants.
 """
 
+import copy
 import fractions
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -41,9 +43,12 @@ from twobridge import (
     expand,
     knot_classes,
     knot_from_vector,
+    is_strictly_greater,
+    smaller_knots,
     torus_vector,
     vector_from_knot,
 )
+from twobridge.cli import main
 from twobridge.vectors import _check_entries, _class_representative, _pack, _packs_valid, _unpack
 
 
@@ -105,7 +110,7 @@ def test_packed_check_matches_entry_loop():
     for t in cases:
         want = _value_error(_check_entries, t)
         assert _value_error(SEvenVector, t) == want, t
-        assert _packs_valid(t) == (want is None), t
+        assert (_packs_valid(t) is not None) == (want is None), t
         # only False, which is the integer 0, stands in for an entry
         ints = tuple(0 if x is False else x for x in t)
         assert (want is None) == (ints in valid and all(type(x) in (int, bool) for x in t)), t
@@ -215,6 +220,90 @@ def test_unchecked_results_are_valid():
         terms = [rng.choice((-1, 1)) * 2 * rng.randint(1, 5) for _ in range(2 * rng.randint(0, 8))]
         assert valid(expand(terms))
     assert all(valid(torus_vector(q)) for q in range(3, 100, 2))
+
+
+# ---------------------------------------------------------------- packed form
+
+def _tiled(b):
+    return b + [2] + [-x for x in b[::-1]] + [-2] + [-x for x in b]
+
+
+def _orbit_max(e):
+    neg = tuple(-x for x in e)
+    return max(e, neg, e[::-1], neg[::-1])
+
+
+# the class representative of the 1538-entry vector of the CI smoke lines,
+# which is kept as the representative, and the 170-entry vector it is
+# assembled over, negated: it starts negative, so its representative is
+# built anew
+BASE = [2 if i * i % 7 < 4 else -2 for i in range(170)]
+LONG = _orbit_max(tuple(_tiled(_tiled(BASE))))
+NEGATIVE_FIRST = tuple(-x for x in BASE)
+
+
+def _count_packs(monkeypatch):
+    """The entry tuples handed to ``vectors._pack`` from now on, in call order."""
+    import twobridge.vectors
+
+    real, calls = twobridge.vectors._pack, []
+
+    def counting(entries):
+        calls.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(twobridge.vectors, "_pack", counting)
+    return calls
+
+
+def test_each_vector_is_packed_once(monkeypatch, capsys):
+    # a vector is packed where it is checked; every later read, the class
+    # representative built anew included, takes the bytes it carries
+    for entries in (LONG, NEGATIVE_FIRST):
+        v = SEvenVector(entries)
+        assert (canonical_vector(v).representative is v) == (entries is LONG)
+        vector_from_knot(knot_from_vector(v))  # fills the cache of connector runs
+    calls = _count_packs(monkeypatch)
+    assert main(["compare", ",".join(map(str, LONG)), ",".join(map(str, NEGATIVE_FIRST))]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "relation: greater"
+    assert calls == [LONG, NEGATIVE_FIRST]
+    for entries in (LONG, NEGATIVE_FIRST):
+        calls.clear()
+        smaller_knots(SEvenVector(entries))
+        assert calls == [entries]
+        v = SEvenVector(entries)
+        k, cr = knot_from_vector(v), crossing_number(v)
+        calls.clear()
+        assert crossing_number(vector_from_knot(k).representative) == cr
+        assert calls == []
+
+
+def test_carried_bytes_never_change_an_answer():
+    # checked, unchecked without bytes, and filled as the catalog fills
+    # its vectors: the same value, the same answers
+    def answers(v):
+        return (
+            knot_from_vector(v),
+            crossing_number(v),
+            canonical_vector(v),
+            v.orbit(),
+            smaller_knots(v),
+        )
+
+    for n in range(2, 11, 2):
+        for entries in oracle_vectors(n):
+            ways = (
+                SEvenVector(entries),
+                SEvenVector._unchecked(entries),
+                object.__new__(SEvenVector)._fill(entries),
+            )
+            assert ways[1] == ways[0] == ways[2] and len({hash(v) for v in ways}) == 1
+            assert answers(ways[1]) == answers(ways[0]) == answers(ways[2]), entries
+    v = SEvenVector((2, 0, 2, -2))
+    assert v._packed() == _pack(v.entries)
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert w == v and hash(w) == hash(v) == hash((v.entries,)) and w._packed() == v._packed()
+    assert repr(v) == "SEvenVector(entries=(2, 0, 2, -2))"
 
 
 # ---------------------------------------------------------------- bijection
