@@ -32,8 +32,11 @@ one ``attrgetter`` per class, and nothing is compiled.
 which skips the refusing ``__setattr__`` at about 40 ns a field, where
 ``object.__setattr__(self, name, value)`` took 150 to 200 ns.  It has one
 fixed-arity body per field count, since a loop over ``*fields`` measured
-slower than ``object.__setattr__``.  So a class on the catalog's path can
-be built unchecked as ``object.__new__(cls)._fill(...)``.
+slower than ``object.__setattr__``.  A public constructor checks at the
+boundary, on outside input; ``object.__new__(cls)._fill(...)`` is the one
+door for a value the library builds from parts it already holds, valid by
+construction and not checked again (``SEvenVector._from_packed`` takes
+it for a vector built from its packed bytes).
 """
 
 from operator import attrgetter

@@ -64,22 +64,6 @@ def _as_vector(text: str) -> SEvenVector:
     return vector_from_knot(canonical_fraction(Fraction.parse(text))).representative
 
 
-def _gather_seams(v: SEvenVector, bases: list[KnotClass]) -> SeamSet:
-    """Seams of v with respect to its parsings over the given base knots, each strictly below v."""
-    from .parsing import Parsing, _parsing_below
-    from .seams import find_seams
-    from .vectors import SEvenVector, vector_from_knot
-
-    packed, parsings = v._packed(), []
-    for knot in bases:
-        rep = vector_from_knot(knot).representative._packed()
-        found = _parsing_below(packed, rep)
-        if found is None:
-            raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
-        parsings.append(Parsing(SEvenVector._unchecked(v.entries[: len(rep)], packed[: len(rep)]), *found))
-    return find_seams(v, tuple(parsings))
-
-
 def _below(v: SEvenVector) -> list[KnotClass]:
     from .parsing import smaller_knots
 
@@ -215,6 +199,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_seams(args):
+    from .seams import _gather_seams
+
     vec = _as_vector(args.input)
     bases = _seam_bases(vec, args.wrt)
     seam = _gather_seams(vec, bases)
@@ -234,7 +220,7 @@ def _cmd_seams(args):
 
 
 def _cmd_negate(args):
-    from .seams import negate_segments
+    from .seams import _gather_seams, negate_segments
 
     vec = _as_vector(args.input)
     segments = tuple(sorted({int(t) for t in args.segments.split(",")}))
@@ -298,7 +284,7 @@ _SEAM_NEGATIONS = (
 
 def _seam_pipeline_cases():
     from .rationals import Fraction, canonical_fraction
-    from .seams import negate_segments
+    from .seams import _gather_seams, negate_segments
     from .vectors import crossing_number, knot_from_vector, torus_vector
 
     seam = _gather_seams(torus_vector(27), [canonical_fraction(Fraction(1, q)) for q in (3, 9)])

@@ -180,11 +180,12 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
                         h, k0 = g * w + d * y, a * u + b * z
                         found.append((q, _orbit_min(h, k0, q), e + t))
     found.sort()
-    # Both objects are filled straight through their slots (``Value._fill``),
-    # as is each entry in ``enumerate_knots``: that cut an in-process catalog
-    # pass at n = 16..18 by a median of 19 %, where filling through the
-    # ``_unchecked`` and constructor calls cut it by 9 % (eight alternating
-    # rounds, 2 CPUs, Python 3.11.7).
+    # Checks are made at the boundary, and these values are the library's own:
+    # both objects come through the one door, filled straight through their
+    # slots (``Value._fill``), as is each entry in ``enumerate_knots``.  That
+    # cut an in-process catalog pass at n = 16..18 by a median of 19 %, where
+    # building them through a classmethod and constructor calls cut it by
+    # 9 % (eight alternating rounds, 2 CPUs, Python 3.11.7).
     new = object.__new__
     for q, p, e in found:
         yield e, new(KnotClass)._fill(new(Fraction)._fill(p, q))

@@ -33,6 +33,14 @@ same path.  These layers pass the scan's result, the base length with
 the signs and connectors; a ``Parsing`` is built only where one is
 returned.
 
+Checks are made at the boundary: ``Parsing(...)`` and
+``TwoConnectorForm(...)`` check the arguments a caller gives.  What
+this module builds from parts it already holds is valid by construction
+and comes through one door, unchecked: the parsings the scan finds, the
+forms ``two_connector_decompose`` finds and their generators, filled as
+``object.__new__(cls)._fill(...)``, and every assembly, a vector built
+from its packed bytes by ``SEvenVector._from_packed``.
+
 A two-connector form, 2P+1 tiles over g with connectors m, n, m, n,
 ..., is a parsing over g with every sign +1, so the same scan finds it,
 and ``smaller_knots`` stops there: the knots below are those of the
@@ -56,7 +64,7 @@ from itertools import accumulate, cycle
 from ._value import Value
 from .rationals import KnotClass
 from .vectors import (
-    _RUNS, _ZERO, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _negate, _unpack,
+    _RUNS, _ZERO, SEvenVector, VectorClass, _class_representative, _connector_read, _knot_of_entries, _negate,
 )
 
 __all__ = [
@@ -86,10 +94,12 @@ def _tiles(b: bytes) -> tuple[tuple[bytes, bytes], tuple[bytes, bytes]]:
 class Parsing(Value):
     """One way of writing a vector as alternating b-tiles and connectors.
 
-    The constructor checks its arguments; the parsings the scan finds are
-    filled unchecked (``object.__new__(Parsing)._fill``), since the scan
-    only produces odd folds, signs +/-1 starting with +1, even connectors
-    and zero connectors between equal signs.
+    The constructor checks its arguments, at the boundary; the parsings
+    the scan finds, for ``find_parsings`` and the seams of
+    :mod:`twobridge.seams`, come through the one door unchecked
+    (``object.__new__(Parsing)._fill``), since the scan only produces odd
+    folds, signs +/-1 starting with +1, even connectors and zero
+    connectors between equal signs.
     """
 
     __slots__ = ("base", "signs", "connectors")
@@ -134,8 +144,7 @@ class Parsing(Value):
         return layout
 
     def assemble(self) -> SEvenVector:
-        b = b"".join(self._layout())
-        return SEvenVector._unchecked(_unpack(b), b)
+        return SEvenVector._from_packed(b"".join(self._layout()))
 
     def boundaries(self) -> tuple[int, ...]:
         """Interior block boundaries: cut-after-entry positions, 1-based."""
@@ -280,12 +289,20 @@ class TwoConnectorForm(Value):
 
 
 def assemble_two_connector(g: SEvenVector, m: int, n: int, count: int) -> SEvenVector:
-    """Assemble (g, m, g', n, g, ..., g) with count tiles: g, then count // 2 periods (m, g', n, g), g' = g reversed."""
+    """Assemble (g, m, g', n, g, ..., g) with count tiles: g, then count // 2 periods (m, g', n, g), g' = g reversed.
+
+    The assembly is valid by construction, so it is not checked again: a
+    zero connector joins an end of g to the same end of g', and a nonzero
+    run starts and ends nonzero.  The one exception is refused by name:
+    with g empty and count >= 3, a zero connector would put a 0 at an end.
+    """
     if count < 1 or count % 2 == 0:
         raise ValueError(f"tile count {count} must be odd and positive")
     b = g._packed()
+    if not b and count > 1 and 0 in (m, n):
+        raise ValueError("an empty generator needs nonzero connectors")
     period = _RUNS[m] + _tiles(b)[1][0] + _RUNS[n] + b
-    return SEvenVector(_unpack(b + period * (count // 2)))
+    return SEvenVector._from_packed(b + period * (count // 2))
 
 
 def _bases_and_form(e: bytes) -> tuple[list[bytes], TwoConnectorForm | None]:
@@ -300,12 +317,12 @@ def _bases_and_form(e: bytes) -> tuple[list[bytes], TwoConnectorForm | None]:
     n, nlen = _connector_read(e, mlen)  # a run has odd length, so e is never one run
     reps, rest = divmod(len(e), mlen + nlen)
     if not rest and e[: mlen + nlen] * reps == e:
-        return [], TwoConnectorForm(SEvenVector._unchecked(()), m, n, 2 * reps + 1)
+        return [], object.__new__(TwoConnectorForm)._fill(SEvenVector._from_packed(b""), m, n, 2 * reps + 1)
     bases = []
     for blen, signs, c in _prefix_parsings(e):
         if -1 not in signs and c[2:] == c[:-2]:
-            g = e[:blen]
-            return bases, TwoConnectorForm(SEvenVector._unchecked(_unpack(g), g), c[0], c[1], len(signs))
+            g = SEvenVector._from_packed(e[:blen])
+            return bases, object.__new__(TwoConnectorForm)._fill(g, c[0], c[1], len(signs))
         bases.append(e[:blen])
     return bases, None
 

@@ -191,11 +191,13 @@ class KnotClass(Value):
     constructor accepts any fraction of the class and normalizes it to
     that representative, as :class:`Fraction` normalizes sign and gcd.
     Requires q >= 3; q = 1 would be the unknot, which no fraction class
-    in this package represents.  ``KnotClass._unchecked`` skips that
-    normalization where the caller has already found the representative
-    (the knot of a vector, read off its continuants), and the catalog's
-    class search fills its knots the same way, through ``_fill``, over a
-    fraction it does not reduce either.
+    in this package represents.  The constructor checks at the boundary;
+    where the library already holds the representative (the knot of a
+    vector, read off its continuants, and the catalog's class search) it
+    fills the knot and its fraction through the one door,
+    ``object.__new__(cls)._fill(...)``, with nothing normalized or reduced.
+    The constructor fills the orbit minimum it finds the same way: it is
+    coprime to q, as the given p is, so no gcd is taken again.
     """
 
     __slots__ = ("canonical",)
@@ -206,12 +208,7 @@ class KnotClass(Value):
         if f.q < 3:
             raise InvalidFractionError(f"{f} does not identify a nontrivial 2-bridge knot")
         p = _orbit_min(f.p, pow(f.p, -1, f.q), f.q)
-        self._fill(f if p == f.p else Fraction(p, f.q))
-
-    @classmethod
-    def _unchecked(cls, canonical: Fraction) -> "KnotClass":
-        """A knot on a fraction the caller promises is its class representative; it is not re-normalized."""
-        return object.__new__(cls)._fill(canonical)
+        self._fill(f if p == f.p else object.__new__(Fraction)._fill(p, f.q))
 
     @property
     def sort_key(self) -> tuple[int, int]:

@@ -18,8 +18,9 @@ from __future__ import annotations
 from itertools import accumulate
 
 from ._value import Value
-from .parsing import Parsing, is_strictly_greater
-from .vectors import SEvenVector, canonical_vector, crossing_number, knot_from_vector
+from .parsing import Parsing, _parsing_below, is_strictly_greater
+from .rationals import KnotClass
+from .vectors import SEvenVector, canonical_vector, crossing_number, knot_from_vector, vector_from_knot
 
 __all__ = [
     "SeamSet",
@@ -83,6 +84,26 @@ def find_seams(v: SEvenVector, parsings: tuple[Parsing, ...]) -> SeamSet:
     common = set(ends[0]).intersection(*ends[1:])
     common.discard(len(packed))
     return SeamSet(v, tuple(parsings), tuple(sorted(common)))
+
+
+def _gather_seams(v: SEvenVector, bases: list[KnotClass]) -> SeamSet:
+    """Seams of v with respect to its parsings over the given base knots, each strictly below v.
+
+    The parsing over each knot is the one over v's prefix in the knot's
+    class (``parsing._parsing_below``), filled unchecked as
+    ``find_parsings`` fills the parsings the scan finds.  The ``seams``
+    and ``negate`` verbs and verify-paper's seam pipeline take their seams
+    from here.
+    """
+    packed, parsings = v._packed(), []
+    for knot in bases:
+        rep = vector_from_knot(knot).representative._packed()
+        found = _parsing_below(packed, rep)
+        if found is None:
+            raise ValueError(f"the vector has no parsings with respect to {knot.canonical}")
+        base = SEvenVector._from_packed(packed[: len(rep)])
+        parsings.append(object.__new__(Parsing)._fill(base, *map(tuple, found)))
+    return find_seams(v, tuple(parsings))
 
 
 def negate_segments(seams: SeamSet, segments: tuple[int, ...]) -> SEvenVector:

@@ -35,23 +35,25 @@ multiplies the same matrices half by half.  The least
 of +/-p and +/-p^-1 mod q, which names the knot, is
 ``rationals._orbit_min``, which ``KnotClass`` uses too.
 
-Vectors are checked where they enter, by ``SEvenVector(...)`` and ``parse``;
-:class:`VectorClass`, like ``KnotClass``, normalizes any vector to its class.
-``SEvenVector._unchecked`` skips the check where validity holds by
-construction: orbits and class representatives (negation and reversal keep
-it), ``expand`` of a checked ``EvenCF`` and ``torus_vector`` (evenly many
-odd-length runs, nonzero ends), a ``Parsing``'s assembly, checked or found
-by the scan (a zero connector joins equal-sign tiles, whose facing ends
-agree), and the ``two_connector_decompose`` generator and class-checked
-prefixes (even prefixes of a vector that end nonzero).
-``KnotClass._unchecked`` likewise skips normalization for a fraction that
-already is its knot's canonical one (``_knot_of_entries``, which fills
-that fraction unchecked too: its terms are coprime, since the product's
-determinant is +/-1).  Each is ``object.__new__(cls)._fill(...)``,
-which puts the fields straight into the slots (``_value.Value``).
-The catalog fills its objects the same way in its own loops, without
-these calls: ``enumeration._class_vectors`` each knot and its fraction,
-and ``enumerate_knots`` each entry, its ``VectorClass`` and its
+Vectors are checked at the boundary, where they enter, by ``SEvenVector(...)``
+and ``parse``; :class:`VectorClass`, like ``KnotClass``, normalizes any
+vector to its class.  What the library builds from parts it already holds
+is valid by construction and comes through one door, unchecked:
+``object.__new__(cls)._fill(...)``, which puts the fields straight into
+the slots (``_value.Value``).  A vector built from packed bytes takes
+that door as ``SEvenVector._from_packed(b)``, which fills the entries
+unpacked from b and keeps b: orbits and class representatives (negation
+and reversal keep validity), ``expand`` of a checked ``EvenCF`` and
+``torus_vector`` (evenly many odd-length runs, nonzero ends), a
+``Parsing``'s assembly, checked or found by the scan, and a two-connector
+assembly (a zero connector joins equal-sign tiles, whose facing ends
+agree), and the ``two_connector_decompose`` generator and the bases of
+seams (even prefixes of a vector that end nonzero).  A knot is filled
+the same way where its fraction already is its class's canonical one
+(``_knot_of_entries``, whose terms are coprime, since the product's
+determinant is +/-1).  The catalog fills its objects through the same
+door in its own loops: ``enumeration._class_vectors`` each knot and its
+fraction, and ``enumerate_knots`` each entry, its ``VectorClass`` and its
 ``SEvenVector``.  Its class representatives need no check, since the
 class search joins two valid half-vectors and puts a 0 at the junction
 only between equal nonzero entries.  All these values are slotted and
@@ -67,20 +69,18 @@ rule).  Negation swaps the codes 1 and 3 and keeps 2, one
 ``bytes.translate`` (``_negate``), and reversal is a slice; both act
 entry by entry, so each commutes with the code.  This module alone writes
 a byte value: the other layers take ``_pack``, ``_unpack``, ``_negate``,
-the zero code ``_ZERO`` and the packed connector runs ``_RUNS`` from it.
-Each vector is packed once, where it is checked or built, and carries
+the zero code ``_ZERO`` and the packed connector runs ``_RUNS`` from it,
+which are written as bytes, not packed from entry tuples.  Each vector
+is packed once, where it is checked, or is built as bytes, and carries
 its bytes in the private slot ``_b``, which ``SEvenVector._packed``
 reads; no other layer packs a vector.  A valid vector passes the check on
 its bytes (``_packs_valid``) and keeps them; the entry loop of
 ``_check_entries`` runs only on what they refuse, and it alone words the
-errors.  A tuple is unpacked only where one leaves the library:
-``expand``, an orbit, a ``VectorClass`` whose representative differs
-from its input, an assembly and the generator of a two-connector form,
-each a vector that keeps the bytes it came from (as ``torus_vector``
-keeps the bytes it writes), and the classes the upward walk of
-:mod:`twobridge.enumeration` reaches.  A vector only filled, as the
-catalog fills its classes, is packed on its first read, if any.  The
-bytes cost one byte per entry beside the tuple's eight.
+errors.  A tuple is unpacked only where one leaves the library: in
+``_from_packed``, for each vector built from bytes, and for the classes
+the upward walk of :mod:`twobridge.enumeration` reaches.  A vector only
+filled, as the catalog fills its classes, is packed on its first read,
+if any.  The bytes cost one byte per entry beside the tuple's eight.
 """
 
 from __future__ import annotations
@@ -185,15 +185,13 @@ class SEvenVector(Value):
         self.__post_init__()
 
     @classmethod
-    def _unchecked(cls, entries: tuple[int, ...], packed: bytes | None = None) -> "SEvenVector":
-        """A vector on an entry tuple the caller promises is valid; it is not re-checked.
+    def _from_packed(cls, b: bytes) -> "SEvenVector":
+        """The vector of packed bytes the library built valid, filled unchecked: the one door for them.
 
-        ``packed``, when given, is the caller's packed form of the entries,
-        stored as it is.
+        Its entries are unpacked from b, and it carries b.
         """
-        v = object.__new__(cls)._fill(entries)
-        if packed is not None:
-            _set_packed(v, packed)
+        v = object.__new__(cls)._fill(_unpack(b))
+        _set_packed(v, b)
         return v
 
     def __post_init__(self) -> None:
@@ -232,7 +230,7 @@ class SEvenVector(Value):
         """The distinct vectors among {v, -v, reverse(v), -reverse(v)}, in that order."""
         b = self._packed()
         neg = _negate(b)
-        return tuple(SEvenVector._unchecked(_unpack(x), x) for x in dict.fromkeys((b, neg, b[::-1], neg[::-1])))
+        return tuple(map(SEvenVector._from_packed, dict.fromkeys((b, neg, b[::-1], neg[::-1]))))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)
@@ -280,7 +278,7 @@ class VectorClass(Value):
     def __init__(self, representative: SEvenVector) -> None:
         rep = _class_representative(b := representative._packed())
         if rep is not b:
-            representative = SEvenVector._unchecked(_unpack(rep), rep)
+            representative = SEvenVector._from_packed(rep)
         self._fill(representative)
 
     def representatives(self) -> tuple[SEvenVector, ...]:
@@ -304,12 +302,7 @@ def connector_vector(c: int) -> tuple[int, ...]:
     The run has |c|/2 nonzero entries.  It is both the expansion of an
     even partial quotient and the vector form of a parsing connector.
     """
-    if c % 2:
-        raise ValueError(f"connector {c} is odd")
-    if c == 0:
-        return (0,)
-    s = 2 if c > 0 else -2
-    return (s,) + (0, s) * (abs(c) // 2 - 1)
+    return _unpack(_RUNS[c])
 
 
 def _connector_read(b: bytes, pos: int) -> tuple[int, int]:
@@ -329,10 +322,17 @@ def _connector_read(b: bytes, pos: int) -> tuple[int, int]:
 
 
 class _PackedRuns(dict):
-    """Packed connector runs by value (``_RUNS``), built on first use; the runs of |c| <= 64 are kept."""
+    """Packed connector runs by value (``_RUNS``), written as bytes on first use; the runs of |c| <= 64 are kept.
+
+    The run of c is the code of sign(c) |c|/2 times with ``_ZERO`` between,
+    or ``_ZERO`` alone for 0.
+    """
 
     def __missing__(self, c: int) -> bytes:
-        run = _pack(connector_vector(c))
+        if c % 2:
+            raise ValueError(f"connector {c} is odd")
+        zero, s = bytes((_ZERO,)), b"\x03" if c > 0 else b"\x01"
+        run = (s + zero) * (abs(c) // 2 - 1) + s if c else zero
         if abs(c) <= 64:
             self[c] = run
         return run
@@ -349,8 +349,7 @@ def expand(cf: EvenCF | Iterable[int]) -> SEvenVector:
     packed bytes, unpacked once.
     """
     terms = cf.terms if isinstance(cf, EvenCF) else EvenCF(0, cf).terms
-    b = b"".join(map(_RUNS.__getitem__, terms))
-    return SEvenVector._unchecked(_unpack(b), b)
+    return SEvenVector._from_packed(b"".join(map(_RUNS.__getitem__, terms)))
 
 
 def contract(v: SEvenVector) -> tuple[int, ...]:
@@ -423,7 +422,7 @@ def _knot_of_entries(b: bytes) -> KnotClass:
         mats = top + mats[-1:] if len(mats) % 2 else top
     k, k0, h, _ = mats[0]
     q = abs(k)
-    return KnotClass._unchecked(object.__new__(Fraction)._fill(_orbit_min(h, k0, q), q))
+    return object.__new__(KnotClass)._fill(object.__new__(Fraction)._fill(_orbit_min(h, k0, q), q))
 
 
 def vector_from_knot(k: KnotClass) -> VectorClass:
@@ -447,4 +446,4 @@ def torus_vector(q: int) -> SEvenVector:
     """The vector (2, -2, 2, -2, ...) of length q - 1 for the torus knot 1/q."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"torus knot needs odd q >= 3, got {q}")
-    return SEvenVector._unchecked((2, -2) * (q // 2), b"\x03\x01" * (q // 2))
+    return SEvenVector._from_packed(b"\x03\x01" * (q // 2))

@@ -178,6 +178,30 @@ def test_assemble_two_connector_matches_oracle_random():
         assemble_two_connector(V(()), 0, 2, 3)
 
 
+def test_assemble_two_connector_is_valid_by_construction():
+    # the assembly is built from its packed bytes without the entry check:
+    # every generator of at most 8 entries, the empty one included, with
+    # every small connector pair and tile count, rebuilds through the
+    # checking constructor to the same value and bytes
+    generators = [e for n in range(0, 9, 2) for e in oracle_vectors(n)]
+    sizes = range(-6, 7, 2)
+    refused = 0
+    for g, m, n, count in itertools.product(generators, sizes, sizes, (1, 3, 5)):
+        if not g and count >= 3 and 0 in (m, n):
+            with pytest.raises(ValueError, match="^an empty generator needs nonzero connectors$"):
+                assemble_two_connector(V(g), m, n, count)
+            refused += 1
+            continue
+        out = assemble_two_connector(V(g), m, n, count)
+        assert out.entries == oracle_assemble(g, (1,) * count, [n if i % 2 else m for i in range(count - 1)])
+        checked = V(out.entries)
+        assert checked == out and checked._packed() == out._packed(), (g, m, n, count)
+    assert refused == 2 * 13
+    for g, m, n, count in [((2, 2), 3, 2, 3), ((2, 2), 2, 2, 4), ((2, 2), 2, 2, 0), ((2, 2), 2, 2, -3)]:
+        with pytest.raises(ValueError):
+            assemble_two_connector(V(g), m, n, count)
+
+
 # ------------------------------------------------------------ find_parsings
 
 def test_find_parsings_worked_vector():

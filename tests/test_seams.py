@@ -12,12 +12,15 @@ from itertools import accumulate
 
 import pytest
 from conftest import connector_entries, oracle_vectors
+from test_vectors import BASE, _tiled
 
 from twobridge import (
+    Fraction,
     Parsing,
     SeamSet,
     SEvenVector,
     assemble_two_connector,
+    canonical_fraction,
     canonical_vector,
     crossing_number,
     find_parsings,
@@ -29,6 +32,8 @@ from twobridge import (
     smaller_knots,
     torus_vector,
 )
+from twobridge.cli import main
+from twobridge.seams import _gather_seams
 
 V = SEvenVector
 
@@ -113,6 +118,32 @@ def test_seam_set_json_shape():
     assert d["segments"] == [[1, 8], [9, 9], [10, 17], [18, 18], [19, 26]]
     assert len(d["parsings"]) == 2
     assert d["vector"] == list(torus_vector(27).entries)
+
+
+def test_gather_seams_fills_the_parsings_find_parsings_finds(capsys):
+    # the seams verbs take each base's parsing from the scan, filled
+    # unchecked: it is the one find_parsings gives over the same prefix, and
+    # the checking constructor accepts it
+    long = V(tuple(_tiled(_tiled(BASE))))
+    cases = [
+        (torus_vector(27), [canonical_fraction(Fraction(1, q)) for q in (3, 9)]),
+        (torus_vector(3003), [canonical_fraction(Fraction(1, 3))]),
+        (long, sorted(smaller_knots(long), key=lambda k: k.sort_key)),
+    ]
+    folds = []
+    for v, bases in cases:
+        seams = _gather_seams(v, bases)
+        assert seams.vector is v and seams == find_seams(v, seams.parsings)
+        for p in seams.parsings:
+            assert find_parsings(v, V(v.entries[: len(p.base)])) == (p,)
+            assert Parsing(p.base, p.signs, p.connectors) == p
+        folds.append([p.fold for p in seams.parsings])
+    assert folds[:2] == [[9, 3], [1001]] and len(folds[2]) == 2
+    with pytest.raises(ValueError, match="^the vector has no parsings with respect to 1/27$"):
+        _gather_seams(torus_vector(27), [canonical_fraction(Fraction(1, 27))])
+    assert main(["seams", "1/27", "--wrt", "1/27"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the vector has no parsings with respect to 1/27\n"
 
 
 # ---------------------------------------------------------------- negation

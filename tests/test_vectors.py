@@ -37,6 +37,7 @@ from twobridge import (
     VectorClass,
     canonical_fraction,
     canonical_vector,
+    connector_vector,
     contract,
     crossing_number,
     even_expansion,
@@ -49,7 +50,7 @@ from twobridge import (
     vector_from_knot,
 )
 from twobridge.cli import main
-from twobridge.vectors import _check_entries, _class_representative, _pack, _packs_valid, _unpack
+from twobridge.vectors import _RUNS, _check_entries, _class_representative, _pack, _packs_valid, _unpack
 
 
 # ---------------------------------------------------------------- validation
@@ -278,9 +279,25 @@ def test_each_vector_is_packed_once(monkeypatch, capsys):
         assert calls == []
 
 
+def test_connector_runs_are_written_as_bytes(monkeypatch):
+    # each run is written straight as bytes, kept for |c| <= 64 and written
+    # anew past that, and never goes through an entry tuple and _pack
+    for c in range(-200, 201, 2):
+        assert connector_vector(c) == _unpack(_RUNS[c]) == connector_entries(c), c
+    calls = _count_packs(monkeypatch)
+    for c in (66, -200, 66, -200):
+        assert _unpack(_RUNS[c]) == connector_entries(c)
+    assert expand(EvenCF.parse("0+[130,2]")).entries == connector_entries(130) + (2,)
+    assert calls == []
+    for c in (3, -1, 201):
+        for read in (connector_vector, _RUNS.__getitem__):
+            with pytest.raises(ValueError, match=f"^connector {c} is odd$"):
+                read(c)
+
+
 def test_carried_bytes_never_change_an_answer():
-    # checked, unchecked without bytes, and filled as the catalog fills
-    # its vectors: the same value, the same answers
+    # checked, built from its packed bytes through the one door, and filled
+    # as the catalog fills its vectors: the same value, the same answers
     def answers(v):
         return (
             knot_from_vector(v),
@@ -294,7 +311,7 @@ def test_carried_bytes_never_change_an_answer():
         for entries in oracle_vectors(n):
             ways = (
                 SEvenVector(entries),
-                SEvenVector._unchecked(entries),
+                SEvenVector._from_packed(_pack(entries)),
                 object.__new__(SEvenVector)._fill(entries),
             )
             assert ways[1] == ways[0] == ways[2] and len({hash(v) for v in ways}) == 1
