@@ -15,7 +15,8 @@ classes gave the twelve public value classes before:
 
 A slot whose name starts with ``_`` is no field but a private cache of
 something derived from the fields, set through its member descriptor
-where it is first known (``SEvenVector._b``, the packed entries).
+where it is first known (``SEvenVector._b``, the packed entries, and
+``Fraction._cf``, the even expansion).
 ``_fill``, ``==``, ``hash``, the repr and ``__reduce__`` see only the
 public slots, so a value equals, hashes, prints and pickles the same
 whether or not its cache is filled, and a copy, rebuilt through the

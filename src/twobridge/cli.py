@@ -49,19 +49,24 @@ _KNOWN_EK = {
 }
 
 
+def _is_fraction(text: str) -> bool:
+    """True for fraction syntax: no bracket, which a continued fraction has, and no comma, which a vector has."""
+    return "[" not in text and "," not in text
+
+
 def _as_vector(text: str) -> SEvenVector:
     """Read a knot's vector from vector, continued fraction or fraction syntax."""
     from .rationals import EvenCF, Fraction, InvalidFractionError, canonical_fraction
     from .vectors import SEvenVector, expand, vector_from_knot
 
+    if _is_fraction(text):
+        return vector_from_knot(canonical_fraction(Fraction.parse(text))).representative
     if "[" in text:  # before the comma test: a continued fraction has commas too
         cf = EvenCF.parse(text)
         if not cf.terms:
             raise InvalidFractionError(f"{cf.r}/1 does not identify a nontrivial 2-bridge knot")
         return expand(cf)
-    if "," in text:
-        return SEvenVector.parse(text)
-    return vector_from_knot(canonical_fraction(Fraction.parse(text))).representative
+    return SEvenVector.parse(text)
 
 
 def _below(v: SEvenVector) -> list[KnotClass]:
@@ -121,11 +126,15 @@ def _knot_fields(v: SEvenVector) -> list[tuple[str, object]]:
 
 
 def _cmd_convert(args):
-    from .rationals import even_expansion
-    from .vectors import canonical_vector, crossing_number, knot_from_vector
+    from .rationals import Fraction, canonical_fraction, even_expansion
+    from .vectors import canonical_vector, crossing_number, knot_from_vector, vector_from_knot
 
-    vec = canonical_vector(_as_vector(args.input)).representative
-    knot = knot_from_vector(vec)
+    if _is_fraction(args.input):  # the knot is at hand, and its fraction keeps the one expansion
+        knot = canonical_fraction(Fraction.parse(args.input))
+        vec = vector_from_knot(knot).representative
+    else:
+        vec = canonical_vector(_as_vector(args.input)).representative
+        knot = knot_from_vector(vec)
     cf, n = even_expansion(knot.canonical), crossing_number(vec)
     return _report([("fraction", knot), ("even-cf", cf), ("vector", vec), ("crossing-number", n)])
 

@@ -24,14 +24,18 @@ the prefixes its vector, as given, parses over.  One generator,
 ``enumeration``, ``smaller_knots`` and ``two_connector_decompose`` all
 read it, and the order test scans the one prefix its length allows.
 Only a prefix that the vector ends with, up to sign, can be a base: a
-border of the vector or of its negation.  Every layer below the public
-calls reads the packed entries of :mod:`twobridge.vectors`, where each
-border length costs one C comparison that copies nothing and each tile
-one slice, so ``smaller`` on a long vector takes time close to linear
-in its length; a window of one length, such as the walk's, takes the
-same path.  These layers pass the scan's result, the base length with
-the signs and connectors; a ``Parsing`` is built only where one is
-returned.
+border of the vector or of its negation.  A border of L > ``_SEED``
+entries starts, L entries from the end, with the vector's first
+``_SEED`` entries or their negation, so ``bytes.rfind`` of those two
+seeds finds the candidates and only they get the full test; shorter
+lengths are tested one by one.  Every layer below the public calls reads the packed entries
+of :mod:`twobridge.vectors`, where each candidate costs one C comparison
+that copies nothing and each tile one slice, and a scan whose first
+three tiles repeat to the end is closed by one more comparison, so
+``smaller`` on a long vector takes time close to linear in its length; a
+window of one length, such as the walk's, takes the same path.  These
+layers pass the scan's result, the base length with the signs and
+connectors; a ``Parsing`` is built only where one is returned.
 
 Checks are made at the boundary: ``Parsing(...)`` and
 ``TwoConnectorForm(...)`` check the arguments a caller gives.  What
@@ -79,6 +83,9 @@ __all__ = [
     "smaller_knots",
     "two_connector_decompose",
 ]
+
+
+_SEED = 8  # entries; a longer border is found by rfind of the first _SEED (see _prefix_parsings)
 
 
 def _tiles(b: bytes) -> tuple[tuple[bytes, bytes], tuple[bytes, bytes]]:
@@ -170,6 +177,14 @@ def _scan_parsing(ea: bytes, eb: bytes, min_fold: int = 1) -> tuple[list[int], l
     -b (b' or -b' at even places), at most one matches, because their
     first entries differ.  So each step has at most one way on.  An ea
     too short for min_fold tiles and their connectors is not scanned.
+
+    After three tiles one comparison asks whether the rest of ea is the
+    period just read (connector, tile, connector, tile) repeated; if so,
+    the signs and connectors repeat with it.  That is exact: the skipped
+    steps would read the same bytes at the same tile parity, and the one
+    test they would add, that a zero connector joins tiles of equal sign,
+    holds in any valid vector, since the entries facing it are s_i e and
+    s_{i+1} e for the same end e of b, and a 0 lies between equal entries.
     """
     la, lb = len(ea), len(eb)
     if lb == 0:
@@ -197,6 +212,13 @@ def _scan_parsing(ea: bytes, eb: bytes, min_fold: int = 1) -> tuple[list[int], l
         connectors.append((x - _ZERO) * (end - pos + 1))
         pos = end + lb
         here, there = there, here
+        if len(signs) == 3:
+            period = pos - lb  # connector, tile, connector, tile
+            if not (la - lb) % period and ea.startswith(memoryview(ea)[lb : la - period], pos):
+                k = (la - pos) // period
+                signs += signs[1:] * k
+                connectors *= k + 1
+                break
     return (signs, connectors) if len(signs) % 2 and len(signs) >= min_fold else None
 
 
@@ -222,15 +244,31 @@ def _prefix_parsings(ea: bytes, start: int = 2, stop: int | None = None) -> Iter
     lengths run from start to below stop, by default as far as three
     tiles fit; a prefix cut at a 0 lies in no class.  Tiles at odd places
     are b itself, not b', and the fold is odd, so the last tile is b or
-    -b: only a border of ea or of -ea is scanned.  ``endswith`` on a view
-    of the prefix compares in C, copies nothing and stops at the first
-    difference, so a length costs the same however long its prefix is.
-    Only the last hi entries are negated: no border in the window is
-    longer.
+    -b: only a border of ea or of -ea is scanned.  Lengths up to
+    ``_SEED`` are tried one by one.  A longer border of length L starts,
+    L entries from the end, with the first ``_SEED`` bytes of ea or of
+    -ea, so the candidates are where ``rfind`` finds those seeds in the
+    window; searching from the end gives the shortest first, and odd L
+    are dropped.  A random vector has almost none.  Each candidate gets
+    the full test: ``endswith`` on a view of the prefix compares in C,
+    copies nothing and stops at the first difference, so it costs the
+    same however long its prefix is.  Only the last hi entries are
+    negated: no border in the window is longer.
     """
-    hi = stop or (len(ea) - 2) // 3 + 1
+    n = len(ea)
+    hi = stop or (n - 2) // 3 + 1
     negated, view = _negate(ea[-hi:]), memoryview(ea)
-    for blen in range(start, hi, 2):
+    far = max(start, _SEED + 2)
+    lengths = list(range(start, min(hi, far), 2))
+    if hi > far:
+        for seed in (ea[:_SEED], _negate(ea[:_SEED])):
+            end = n - far + _SEED
+            while (i := ea.rfind(seed, n - hi + 1, end)) >= 0:
+                if (n - i - start) % 2 == 0:
+                    lengths.append(n - i)
+                end = i + _SEED - 1
+        lengths.sort()
+    for blen in lengths:
         if ea[blen - 1] != _ZERO and (ea.endswith(b := view[:blen]) or negated.endswith(b)):
             if found := _scan_parsing(ea, ea[:blen], 3):
                 yield blen, *found

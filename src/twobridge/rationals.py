@@ -12,6 +12,14 @@ quotient is even and nonzero, the number of terms is even, and r has the
 same parity as p.  That normal form is the bridge between fractions and
 the expanded even vectors of :mod:`twobridge.vectors`.
 
+A fraction is expanded once: :func:`even_expansion` keeps its result in
+the fraction's private slot ``_cf`` (``_value.Value``'s rule for a slot
+named with ``_``), so the caller that expands a knot's fraction and
+``vectors.vector_from_knot``, which expands it again, share one Euclid
+loop.  The cache holds the ``EvenCF``, with its tuple of terms, alive as
+long as the fraction lives; a fraction only filled, as the catalog fills
+its knots' fractions, holds nothing until it is first expanded.
+
 All arithmetic is exact integer arithmetic; nothing here ever touches
 floating point.
 """
@@ -63,9 +71,10 @@ class Fraction(Value):
     pair is divided by its gcd.  A denominator that is even after
     reduction is rejected; an even denominator corresponds to a 2-bridge
     link rather than a knot, and nothing in this package handles links.
+    Its fields are p and q; ``_cf`` caches its even expansion.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "_cf")
     p: int
     q: int
 
@@ -166,8 +175,13 @@ def even_expansion(f: Fraction) -> EvenCF:
     reciprocal is never an integer.  ``evaluate_terms(cf.terms, cf.r)``
     inverts this exactly.  That reciprocal exceeds 1 in size, so every
     term is even and nonzero: the result has its shape by construction
-    and is filled unchecked.
+    and is filled unchecked.  It is kept on f, and a second call on the
+    same fraction returns it.
     """
+    try:
+        return f._cf
+    except AttributeError:
+        pass
     p, q = f.p, f.q
     r0 = p // q
     r = r0 if (r0 - p) % 2 == 0 else r0 + 1
@@ -180,7 +194,11 @@ def even_expansion(f: Fraction) -> EvenCF:
             a, m = a + 1, m - n
         terms.append(a)
         n, d = m, n
-    return object.__new__(EvenCF)._fill(r, tuple(terms))
+    _set_cf(f, cf := object.__new__(EvenCF)._fill(r, tuple(terms)))
+    return cf
+
+
+_set_cf = Fraction._cf.__set__
 
 
 class KnotClass(Value):

@@ -426,7 +426,11 @@ def _knot_of_entries(b: bytes) -> KnotClass:
 
 
 def vector_from_knot(k: KnotClass) -> VectorClass:
-    """The vector class of a knot: expand the all-even form and canonicalize."""
+    """The vector class of a knot: expand the all-even form and canonicalize.
+
+    The form is the one ``even_expansion`` keeps on the knot's fraction,
+    so a caller that has expanded it already pays no second Euclid loop.
+    """
     return VectorClass(expand(even_expansion(k.canonical)))
 
 

@@ -20,6 +20,7 @@ import twobridge.bounds
 import twobridge.cli
 import twobridge.enumeration
 import twobridge.parsing
+import twobridge.rationals
 import twobridge.seams
 import twobridge.vectors
 from twobridge import Fraction, WitnessReport, bound_entry, torus_vector
@@ -67,6 +68,26 @@ def test_convert_json(capsys):
         "vector": [2, 2, 0, 2, 2, 0, 2, 2],
         "crossing_number": 12,
     }
+
+
+def test_convert_runs_one_euclid_loop(capsys, monkeypatch):
+    # a fraction's knot is kept, and even_expansion keeps its form on the
+    # knot's fraction, so the vector built from it runs no second loop;
+    # a vector or continued fraction is expanded once, from its knot
+    expand = twobridge.rationals.even_expansion
+    loops = []
+
+    def counted(f):
+        loops.append(not hasattr(f, "_cf"))
+        return expand(f)
+
+    monkeypatch.setattr(twobridge.rationals, "even_expansion", counted)
+    monkeypatch.setattr(twobridge.vectors, "even_expansion", counted)
+    want = run(capsys, "convert", "38/85")
+    for text in ("38/85", "47/85", "0+[2,4,4,2]", "2,2,0,2,2,0,2,2"):
+        loops.clear()
+        assert run(capsys, "convert", text) == want
+        assert loops.count(True) == 1, (text, loops)
 
 
 def test_cr_accepts_all_input_forms(capsys):

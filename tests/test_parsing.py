@@ -47,7 +47,7 @@ from twobridge import (
     vector_from_knot,
 )
 from twobridge import parsing
-from twobridge.parsing import _parsing_below, _prefix_parsings, _scan_parsing
+from twobridge.parsing import _SEED, _parsing_below, _prefix_parsings, _scan_parsing
 from twobridge.vectors import _pack
 
 V = SEvenVector
@@ -347,6 +347,64 @@ def test_scan_parsing_rejects_broken_assemblies():
         assert _scan_parsing(_pack(even), _pack(base)) is None, (even, base)
         cases["even"] += 1
     assert min(cases.values()) > 100, cases
+
+
+def test_scan_parsing_periodic_vectors_match_assembly():
+    # The scan closes a vector whose first three tiles repeat to its end
+    # with one comparison.  Torus 1/q over each representative of 1/d parses
+    # exactly when d divides q and the representative is a's prefix, with
+    # q/d plus tiles and connectors 2, -2, ...; two-connector assemblies,
+    # zero connectors included, parse with every sign +1, and at min_fold
+    # 1, 3 and 5 exactly when they have that many tiles.  The same periods
+    # with signs repeating parse as built, and so do near-periodic vectors,
+    # built with the last tile negated, one later connector changed, or
+    # one tile more or fewer, which at an even fold do not parse at all;
+    # with only its last entry negated, a vector parses over nothing.
+    for q in range(3, 80, 2):
+        a = torus_vector(q).entries
+        for d in range(3, q + 1, 2):
+            for rep in canonical_vector(torus_vector(d)).representatives():
+                got = _scan_parsing(_pack(a), _pack(rep.entries))
+                if q % d or rep.entries != a[: d - 1]:
+                    assert got is None, (q, rep)
+                else:
+                    assert got == ([1] * (q // d), [2, -2] * (q // d // 2)), (q, d)
+                    assert oracle_assemble(rep.entries, *got) == a
+    rng = random.Random(3034)
+    built = {"zero": 0, "signed": 0, "negated": 0, "changed": 0, "even": 0, "last entry": 0}
+    for _ in range(400):
+        g = random_vector(rng, rng.randrange(2, 14, 2)).entries
+        m, n = rng.choice((0, 2, -2, 4)), rng.choice((0, 2, -4, 6))
+        count = rng.choice((1, 3, 5, 7, 9, 15))
+        conns = [m, n] * (count // 2)
+        a = assemble_two_connector(V(g), m, n, count).entries
+        assert _scan_parsing(_pack(a), _pack(g)) == ([1] * count, conns), (g, m, n, count)
+        built["zero"] += 0 in conns
+        for min_fold in (1, 3, 5):
+            assert (_scan_parsing(_pack(a), _pack(g), min_fold) is None) == (count < min_fold)
+        if count < 5:
+            continue
+        s2 = rng.choice((1, -1)) if m else 1
+        s3 = rng.choice((1, -1)) if m and n else s2
+        signs = [1] + [s2, s3] * (count // 2)
+        variants = [
+            (signs, conns, "signed"),
+            (signs[:-1] + [-signs[-1]], conns, "negated"),
+            (signs, conns[:3] + [conns[3] + 2] + conns[4:], "changed"),
+            (signs + [signs[1]], conns + [m], "even"),
+            (signs[:-1], conns[:-1], "even"),
+        ]
+        for v_signs, v_conns, kind in variants:
+            if any(c == 0 and s != t for c, s, t in zip(v_conns, v_signs, v_signs[1:])):
+                continue  # a zero connector between unequal signs is no vector
+            v = oracle_assemble(g, v_signs, v_conns)
+            want = (v_signs, v_conns) if len(v_signs) % 2 else None
+            assert _scan_parsing(_pack(v), _pack(g)) == want, (g, v_signs, v_conns)
+            built[kind] += 1
+            if v[-2]:  # its last entry negated, the last tile matches neither sign
+                assert _scan_parsing(_pack(v[:-1] + (-v[-1],)), _pack(g)) is None, (g, v_signs, v_conns)
+                built["last entry"] += 1
+    assert min(built.values()) > 20, built
 
 
 # ------------------------------------------------------------- strict order
@@ -785,8 +843,8 @@ def test_parsing_below_replays_by_oracle_assembly():
         assert oracle_assemble(rep[: len(base_rep)], signs, connectors) == rep, (rep, base_rep)
 
 
-def scanned_lengths(monkeypatch, a):
-    """The base lengths _prefix_parsings scans on a, and the parsings it yields.
+def scanned_lengths(monkeypatch, a, start=2, stop=None):
+    """The base lengths _prefix_parsings scans on a in a window, and the parsings it yields.
 
     It scans a prefix only where a ends with that prefix up to sign, so
     the lengths scanned are its border lengths."""
@@ -798,13 +856,46 @@ def scanned_lengths(monkeypatch, a):
 
     with monkeypatch.context() as m:
         m.setattr(parsing, "_scan_parsing", scan)
-        found = list(_prefix_parsings(_pack(a)))
+        found = list(_prefix_parsings(_pack(a), start, stop))
     return scanned, found
+
+
+def signed(sign, entries):
+    return tuple(sign * x for x in entries)
+
+
+def seed_cases(rng, mid_lengths):
+    """Vectors that pin the seed search of _prefix_parsings.
+
+    A border of exactly _SEED - 2, _SEED, _SEED + 2 and _SEED + 4 entries,
+    of a and of -a, then the first _SEED entries of a, or their negation,
+    at an odd distance from the end: once where the prefix one longer is
+    an odd border, which is no base, and once where it is not.  Last,
+    borders of both signs at once: B = c, mid, +/-c and a = B, mid, +/-B
+    has borders of len(c) and len(B) entries, each of either sign."""
+    cases = []
+    for blen in (_SEED - 2, _SEED, _SEED + 2, _SEED + 4):
+        for sign in (1, -1):
+            b = random_vector(rng, blen).entries
+            cases.append(b + random_vector(rng, rng.choice(mid_lengths)).entries + signed(sign, b))
+    for inner, outer in itertools.product((1, -1), repeat=2):
+        c = random_vector(rng, _SEED + 4).entries
+        b = c + random_vector(rng, 2 * _SEED).entries + signed(inner, c)
+        cases.append(b + random_vector(rng, rng.choice(mid_lengths)).entries + signed(outer, b))
+    for sign in (1, -1):
+        a0 = random_vector(rng, 40).entries
+        while 0 in a0[_SEED - 1 : _SEED + 1]:
+            a0 = random_vector(rng, 40).entries
+        mid = random_vector(rng, rng.choice(mid_lengths)).entries + (2,)
+        for last in (a0[_SEED], -a0[_SEED]):
+            cases.append(a0 + mid + signed(sign, a0[:_SEED]) + (sign * last,))
+    return cases
 
 
 def test_prefix_parsings_long_vectors_match_border_oracle(monkeypatch):
     # 65,536 entries: a random vector, a 3-fold assembly b, 2, b', 4, b
-    # and the same with its last tile negated; the border lengths scanned
+    # and the same with its last tile negated, then the vectors of
+    # seed_cases grown past 65,480 entries; the border lengths scanned
     # and the prefixes parsed over are pinned against the entry-by-entry
     # oracle and the assembly
     rng = random.Random(65536)
@@ -814,8 +905,9 @@ def test_prefix_parsings_long_vectors_match_border_oracle(monkeypatch):
         (oracle_assemble(base, (1, 1, 1), (2, 4)), [len(base)]),
         (oracle_assemble(base, (1, 1, -1), (2, 4)), [len(base)]),
     ]
+    cases += [(a, []) for a in seed_cases(rng, [65480])]
     for a, parsed in cases:
-        assert len(a) == 65536
+        assert len(a) > 65480
         hi = (len(a) - 2) // 3 + 1
         borders = oracle_borders(a, 2, hi)
         assert set(parsed) <= set(borders)
@@ -828,9 +920,10 @@ def test_prefix_parsings_long_vectors_match_border_oracle(monkeypatch):
 
 def test_prefix_parsings_packed_and_tuple_windows_agree(monkeypatch):
     # one border path for every window: over random vectors, signed
-    # assemblies and periodic vectors (a border at every period), the
-    # widest window scans exactly the oracle's border lengths, and windows
-    # of one length each find the prefixes it finds
+    # assemblies, periodic vectors (a border at every period) and the
+    # vectors of seed_cases, the widest window scans exactly the oracle's
+    # border lengths, and windows of one length each find the prefixes it
+    # finds
     rng = random.Random(2028)
     vectors = [random_vector(rng, rng.randrange(60, 400, 2)).entries for _ in range(20)]
     for _ in range(60):
@@ -838,12 +931,45 @@ def test_prefix_parsings_packed_and_tuple_windows_agree(monkeypatch):
         vectors.append(random_assembly(rng, base, rng.choice((3, 5, 7, 9)), rng.choice((1, -1))))
     vectors += [torus_vector(q).entries for q in (61, 99, 301)]
     vectors += [(2, 2, 0, 2, -2) * 20 + (2, 2), (2, -2, -2) * 40, (2, 2), (2, -2, 2, -2)]
+    vectors += seed_cases(rng, range(40, 80, 2))
     for a in vectors:
         hi = (len(a) - 2) // 3 + 1
         scanned, wide = scanned_lengths(monkeypatch, a)
         assert scanned == oracle_borders(a, 2, hi), a
         narrow = [p for blen in range(2, hi, 2) for p in _prefix_parsings(_pack(a), blen, blen + 1)]
         assert wide == narrow, a
+
+
+def test_prefix_parsings_walk_windows_and_short_vectors_match_border_oracle(monkeypatch):
+    # the two windows the upward walk of enumeration reads on an assembly a
+    # over b, (2, len(b)) and from len(b) + 2 on, over bases shorter and
+    # longer than the seed; then every window of every valid vector of up
+    # to 12 entries, where the seed search covers lengths up to the whole
+    rng = random.Random(2034)
+    for _ in range(200):
+        b = random_vector(rng, rng.randrange(2, 3 * _SEED, 2)).entries
+        a = random_assembly(rng, b, rng.choice((3, 5, 7)), rng.choice((1, -1)))
+        hi = (len(a) - 2) // 3 + 1
+        for start, stop, top in ((2, len(b), len(b)), (len(b) + 2, None, hi)):
+            scanned, found = scanned_lengths(monkeypatch, a, start, stop)
+            assert scanned == oracle_borders(a, start, top), (a, start, stop)
+            for blen, signs, connectors in found:
+                assert oracle_assemble(a[:blen], signs, connectors) == a
+    scanned = []
+
+    def scan(ea, eb, min_fold=1):
+        scanned.append(len(eb))
+        return _scan_parsing(ea, eb, min_fold)
+
+    monkeypatch.setattr(parsing, "_scan_parsing", scan)
+    for n in range(2, 13, 2):
+        for a in oracle_vectors(n):
+            ea = _pack(a)
+            for start in range(2, n, 2):
+                for stop in range(start + 2, n + 1, 2):
+                    scanned.clear()
+                    list(_prefix_parsings(ea, start, stop))
+                    assert scanned == oracle_borders(a, start, stop), (a, start, stop)
 
 
 # ----------------------------------------------------- chain family facts

@@ -6,8 +6,10 @@ plus a direct orbit computation for the knot equivalence p' = +-p^(+-1)
 (mod q).  Frozen literals below were produced by that oracle.
 """
 
+import copy
 import fractions
 import math
+import pickle
 
 import pytest
 
@@ -20,7 +22,9 @@ from twobridge import (
     canonical_fraction,
     evaluate_terms,
     even_expansion,
+    vector_from_knot,
 )
+from twobridge.rationals import _set_cf
 
 
 def oracle_eval(terms, integer_part=0):
@@ -157,6 +161,41 @@ def test_even_expansion_roundtrip_exhaustive():
         assert all(t != 0 and t % 2 == 0 for t in cf.terms)
         assert cf.r % 2 == p % 2
         assert oracle_eval(cf.terms, cf.r) == fractions.Fraction(p, q)
+
+
+def test_even_expansion_is_kept_on_its_fraction():
+    # the expansion is cached in the private slot _cf: a second call
+    # returns the same object, and a fraction equals, hashes, prints,
+    # pickles and copies the same whether or not its cache is filled
+    for p, q in [(1, 3), (38, 85), (-7, 9), (2406985190, 11380320299)]:
+        filled, empty = Fraction(p, q), Fraction(p, q)
+        cf = even_expansion(filled)
+        assert even_expansion(filled) is cf and filled._cf is cf
+        assert not hasattr(empty, "_cf")
+        assert filled == empty and hash(filled) == hash(empty) == hash((filled.p, filled.q))
+        assert repr(filled) == repr(empty) == f"Fraction(p={filled.p}, q={q})"
+        for f in (filled, empty):
+            for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert pickle.dumps(filled) == pickle.dumps(empty)
+        assert even_expansion(empty) == cf
+
+
+def test_vector_from_knot_reads_the_cached_expansion():
+    # vector_from_knot expands the knot's own fraction, so it finds what the
+    # caller's even_expansion kept there; planting another form shows it is
+    # read, not recomputed.  KnotClass keeps the caller's fraction when its
+    # p is already least in the orbit, and builds one otherwise: both hit
+    kept, rebuilt = Fraction(2, 5), Fraction(3, 5)
+    assert KnotClass(kept).canonical is kept
+    assert KnotClass(rebuilt).canonical is not rebuilt
+    for f in (kept, rebuilt):
+        k = KnotClass(f)
+        cf = even_expansion(k.canonical)
+        assert k.canonical._cf is cf
+        assert vector_from_knot(k).representative.entries == (2, 2)
+        _set_cf(k.canonical, EvenCF(0, (2, 4, 4, 2)))
+        assert vector_from_knot(k).representative.entries == (2, 2, 0, 2, 2, 0, 2, 2)
 
 
 def test_even_cf_shape_enforced():
