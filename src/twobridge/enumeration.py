@@ -39,10 +39,27 @@ than estimated.  The assisted mode instead squeezes EK(n)
 between the divisor bound from :mod:`twobridge.bounds` and certified
 witnesses (torus knots, the lift of 1/9), and only falls back
 to the exact walk when the squeeze is not tight.
+
+``enumerate_knots`` and ``knot_classes`` pause the cyclic garbage
+collector while they build, and restore it before they return or raise;
+a collector the caller already disabled stays disabled.  Every class
+builds a few tracked objects: at n = 16..18 the collections they set off
+took about a fifth of an in-process catalog pass and freed nothing, and
+the pause takes about a tenth off the pass.  The pause leaves no cyclic
+garbage behind: each value is immutable and refers only to ints, tuples,
+bytes and values built before it, so reference counting frees everything
+the build drops.  One young collection still follows at the first
+allocation after the call, and traverses the new objects once.  The
+library starts no threads; a threaded caller sees no cyclic collection
+in any thread while the call runs, and a ``gc.disable()`` that another
+thread makes meanwhile is undone when the call restores the collector.
+The pause is only taken in plain functions, never in a generator, which
+would leave it in force in its consumer between yields.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
 from collections.abc import Iterator
 
@@ -195,8 +212,16 @@ def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
     """All 2-bridge knot classes with crossing number exactly n.
 
     Generation runs in one process; ``workers`` is accepted and ignored.
+    The cyclic garbage collector is paused for the call and then restored,
+    as in :func:`enumerate_knots`.
     """
-    return {knot for _, knot in _class_vectors(n)}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return {knot for _, knot in _class_vectors(n)}
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _assemblies(b: bytes, base_cr: int, n: int) -> Iterator[bytes]:
@@ -302,17 +327,31 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     normalized again and the classes are not sorted again: the entry, its
     ``VectorClass`` and its ``SEvenVector`` are filled without a check.
     ``workers`` is ignored, as in :func:`knot_classes`.
+
+    The cyclic garbage collector is paused while the catalog is built, and
+    enabled again on return or on an exception if it was enabled on entry;
+    it is never switched on here.  Nothing built refers back to anything
+    built after it, so the pause leaves no cyclic garbage (the module
+    docstring gives the reason).  A threaded caller gets no cyclic
+    collection in any thread during the call, and one young collection
+    follows at the first allocation after it.
     """
-    above = dict(_classes_with_smaller(n))
-    new = object.__new__
-    entries = []
-    for rep, knot in _class_vectors(n):
-        bases = above.get(rep)
-        below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
-        # rep is valid and is its class's representative, as the search built it
-        vector = new(VectorClass)._fill(new(SEvenVector)._fill(rep))
-        entries.append(new(CatalogEntry)._fill(knot, vector, below))
-    return KnotCatalog(n, tuple(entries))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        above = dict(_classes_with_smaller(n))
+        new = object.__new__
+        entries = []
+        for rep, knot in _class_vectors(n):
+            bases = above.get(rep)
+            below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
+            # rep is valid and is its class's representative, as the search built it
+            vector = new(VectorClass)._fill(new(SEvenVector)._fill(rep))
+            entries.append(new(CatalogEntry)._fill(knot, vector, below))
+        return KnotCatalog(n, tuple(entries))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Witness knots with exactly two strictly-smaller knots, one or two per

@@ -416,6 +416,75 @@ def test_exact_ek_memory_stays_flat():
     assert peak < 1 << 20, f"peak {peak} bytes"
 
 
+LISTINGS = (enumerate_knots, knot_classes)
+
+
+def class_vectors_then(monkeypatch, after):
+    """Make _class_vectors record gc.isenabled() at each class it yields
+    and call after(n) once its classes run out; returns the record."""
+    class_vectors = enumeration._class_vectors
+    seen = []
+
+    def spy(n):
+        for item in class_vectors(n):
+            seen.append(gc.isenabled())
+            yield item
+        after(n)
+
+    monkeypatch.setattr(enumeration, "_class_vectors", spy)
+    return seen
+
+
+@pytest.mark.parametrize("listing", LISTINGS)
+def test_listing_pauses_the_collector(monkeypatch, listing):
+    seen = class_vectors_then(monkeypatch, lambda n: None)
+    try:
+        gc.enable()
+        listing(12)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+        # a caller's pause stays in force: the call never switches it on
+        gc.disable()
+        listing(12)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("listing", LISTINGS)
+def test_failed_listing_restores_the_collector(monkeypatch, listing):
+    def fail(n):
+        raise RuntimeError(f"class search broke after the classes at n = {n}")
+
+    seen = class_vectors_then(monkeypatch, fail)
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            with pytest.raises(RuntimeError, match="class search broke"):
+                listing(12)
+            assert gc.isenabled() is enabled
+        assert seen
+    finally:
+        gc.enable()
+
+
+def test_catalog_build_leaves_no_cyclic_garbage():
+    # why the pause is safe: the build makes no reference cycles, so with
+    # the collector off throughout, a full collection afterwards finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(3, 17):
+            enumerate_knots(n)
+            knot_classes(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_ek_lift_inequality():
     # anything counted below an n-crossing knot also sits below its lift,
     # together with the lifted knot itself
