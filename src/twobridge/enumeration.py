@@ -41,20 +41,27 @@ witnesses (torus knots, the lift of 1/9), and only falls back
 to the exact walk when the squeeze is not tight.
 
 ``enumerate_knots`` and ``knot_classes`` pause the cyclic garbage
-collector while they build, and restore it before they return or raise;
-a collector the caller already disabled stays disabled.  Every class
-builds a few tracked objects: at n = 16..18 the collections they set off
-took about a fifth of an in-process catalog pass and freed nothing, and
-the pause takes about a tenth off the pass.  The pause leaves no cyclic
-garbage behind: each value is immutable and refers only to ints, tuples,
-bytes and values built before it, so reference counting frees everything
-the build drops.  One young collection still follows at the first
-allocation after the call, and traverses the new objects once.  The
-library starts no threads; a threaded caller sees no cyclic collection
-in any thread while the call runs, and a ``gc.disable()`` that another
-thread makes meanwhile is undone when the call restores the collector.
-The pause is only taken in plain functions, never in a generator, which
-would leave it in force in its consumer between yields.
+collector for the whole call, and restore it before they return or
+raise; a collector the caller already disabled stays disabled.  Every
+class builds a few tracked objects: at n = 16..18 the collections they
+set off took about a fifth of an in-process catalog pass and freed
+nothing, and the pause takes about a tenth off the pass
+(``knot_classes`` over n = 16..19: about 15 %).  The pause leaves no
+cyclic garbage behind: each value is immutable and refers only to ints,
+tuples, bytes and values built before it, so reference counting frees
+everything the build drops.  One young collection still follows at the
+first allocation after the call, and traverses the new objects once.
+The library starts no threads.  A threaded caller sees no cyclic
+collection in any thread for as long as the call runs, which grows four-
+to fivefold per two crossings (``enumerate_knots(22)`` takes about 1 s
+in process, ``twobridge enumerate 22 --budget 22`` about 2 s): cyclic
+garbage that other threads make meanwhile waits until the call returns,
+and a ``gc.disable()`` that another thread makes meanwhile is undone
+then.  A thread that did nothing but make two-list cycles during
+``enumerate_knots(22)`` (2 s beside it) raised the peak resident set by
+370 MiB, against 104 MiB without the pause.  The pause is taken in one
+plain function, never in a generator, which would leave it in force in
+its consumer between yields.
 """
 
 from __future__ import annotations
@@ -208,20 +215,36 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
         yield e, new(KnotClass)._fill(new(Fraction)._fill(p, q))
 
 
-def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
-    """All 2-bridge knot classes with crossing number exactly n.
+def _collector_paused(build, n: int):
+    """``build(n)`` with the cyclic garbage collector paused for as long
+    as it runs.
 
-    Generation runs in one process; ``workers`` is accepted and ignored.
-    The cyclic garbage collector is paused for the call and then restored,
-    as in :func:`enumerate_knots`.
+    The collector is enabled again on return or on an exception if it was
+    enabled on entry, and never switched on here.  A plain function, not a
+    generator: a paused generator would leave the collector off in its
+    consumer between yields.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return {knot for _, knot in _class_vectors(n)}
+        return build(n)
     finally:
         if enabled:
             gc.enable()
+
+
+def _knot_class_set(n: int) -> set[KnotClass]:
+    return {knot for _, knot in _class_vectors(n)}
+
+
+def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
+    """All 2-bridge knot classes with crossing number exactly n.
+
+    Generation runs in one process; ``workers`` is accepted and ignored.
+    The cyclic garbage collector is paused for the whole call and then
+    restored, as in :func:`enumerate_knots`.
+    """
+    return _collector_paused(_knot_class_set, n)
 
 
 def _assemblies(b: bytes, base_cr: int, n: int) -> Iterator[bytes]:
@@ -328,30 +351,29 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     ``VectorClass`` and its ``SEvenVector`` are filled without a check.
     ``workers`` is ignored, as in :func:`knot_classes`.
 
-    The cyclic garbage collector is paused while the catalog is built, and
+    The cyclic garbage collector is paused for the whole call, and
     enabled again on return or on an exception if it was enabled on entry;
     it is never switched on here.  Nothing built refers back to anything
     built after it, so the pause leaves no cyclic garbage (the module
     docstring gives the reason).  A threaded caller gets no cyclic
-    collection in any thread during the call, and one young collection
-    follows at the first allocation after it.
+    collection in any thread while the call runs, about 1 s at n = 22 and
+    four to five times longer per two crossings more, and one young
+    collection follows at the first allocation after it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        above = dict(_classes_with_smaller(n))
-        new = object.__new__
-        entries = []
-        for rep, knot in _class_vectors(n):
-            bases = above.get(rep)
-            below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
-            # rep is valid and is its class's representative, as the search built it
-            vector = new(VectorClass)._fill(new(SEvenVector)._fill(rep))
-            entries.append(new(CatalogEntry)._fill(knot, vector, below))
-        return KnotCatalog(n, tuple(entries))
-    finally:
-        if enabled:
-            gc.enable()
+    return _collector_paused(_catalog, n)
+
+
+def _catalog(n: int) -> KnotCatalog:
+    above = dict(_classes_with_smaller(n))
+    new = object.__new__
+    entries = []
+    for rep, knot in _class_vectors(n):
+        bases = above.get(rep)
+        below = tuple(sorted(map(_knot_of_entries, bases), key=lambda k: k.sort_key)) if bases else ()
+        # rep is valid and is its class's representative, as the search built it
+        vector = new(VectorClass)._fill(new(SEvenVector)._fill(rep))
+        entries.append(new(CatalogEntry)._fill(knot, vector, below))
+    return KnotCatalog(n, tuple(entries))
 
 
 # Witness knots with exactly two strictly-smaller knots, one or two per
