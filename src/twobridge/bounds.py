@@ -173,6 +173,10 @@ def ek_exact_at_bound(m: int) -> bool:
     The least odd n with at least m + 2 divisors is also the least with
     at least m + 3 exactly when it has more than m + 2, so one search
     decides the case: n has exactly m + 2 divisors.
+
+    Nothing in the library calls it (``ek --assisted`` squeezes between
+    the bounds without it); it stays public as the test of where the
+    paper's divisor bound is tight.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")

@@ -232,7 +232,10 @@ def _cmd_negate(args):
     from .seams import _gather_seams, negate_segments
 
     vec = _as_vector(args.input)
-    segments = tuple(sorted({int(t) for t in args.segments.split(",")}))
+    try:
+        segments = tuple(sorted({int(t) for t in args.segments.split(",")}))
+    except ValueError:
+        raise ValueError(f"--segments takes comma separated segment numbers, got {args.segments!r}") from None
     bases = _seam_bases(vec, args.wrt)
     seam = _gather_seams(vec, bases)
     out = negate_segments(seam, segments)

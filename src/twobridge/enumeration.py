@@ -49,8 +49,22 @@ nothing, and the pause takes about a tenth off the pass
 (``knot_classes`` over n = 16..19: about 15 %).  The pause leaves no
 cyclic garbage behind: each value is immutable and refers only to ints,
 tuples, bytes and values built before it, so reference counting frees
-everything the build drops.  One young collection still follows at the
-first allocation after the call, and traverses the new objects once.
+everything the build drops.  Nor does any young or middle collection
+walk what the call built: before the collector comes back on, the build
+is handed to the oldest generation by ``gc.freeze()`` then
+``gc.unfreeze()``, two list splices that also zero the young count
+(after ``enumerate_knots(18)``, a young collection that walked the
+catalog took about 7 ms of the first read of ``.ek``, and now 0.5 ms
+is left).  That happens only when the build returned, the collector was
+enabled on entry, nothing is frozen, no other Python thread runs, and
+the interpreter is not a free-threaded build (untested there); in any
+other case nothing moves, and one young collection walks the build at
+the first allocation after the call.  CPython 3.12.1 starts with
+objects frozen (375 even under ``-S -I``), so there it never moves.
+What the caller pays: whatever its young and middle generations held
+on entry moves to the oldest generation with the build, so cyclic
+garbage among it waits for a full collection, and a caller that froze
+objects pays a count of them (``gc.get_freeze_count()``) per call.
 The library starts no threads.  A threaded caller sees no cyclic
 collection in any thread for as long as the call runs, which grows four-
 to fivefold per two crossings (``enumerate_knots(22)`` takes about 1 s
@@ -66,7 +80,9 @@ its consumer between yields.
 
 from __future__ import annotations
 
+import _thread
 import gc
+import sys
 from bisect import bisect_right
 from collections.abc import Iterator
 
@@ -215,19 +231,38 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
         yield e, new(KnotClass)._fill(new(Fraction)._fill(p, q))
 
 
+_GIL_BUILD = "t" not in getattr(sys, "abiflags", "")
+
+
 def _collector_paused(build, n: int):
     """``build(n)`` with the cyclic garbage collector paused for as long
-    as it runs.
+    as it runs, and what it built handed to the oldest generation.
 
     The collector is enabled again on return or on an exception if it was
     enabled on entry, and never switched on here.  A plain function, not a
     generator: a paused generator would leave the collector off in its
     consumer between yields.
+
+    Once ``build(n)`` has returned, and before the collector comes back
+    on, what it built is handed to the oldest generation: ``gc.freeze()``
+    then ``gc.unfreeze()``, two list splices that also zero the young
+    count, so no young or middle collection walks the build.  That needs
+    all of: the collector enabled on entry; nothing frozen, since
+    ``unfreeze`` would thaw what the caller or the interpreter froze; no
+    other Python thread at entry or at the end, since the first young
+    collection after the call must still free their cyclic garbage; and
+    an interpreter that is not free-threaded (abiflags "t"), where
+    ``freeze`` walks the whole heap.  Otherwise, and on an exception,
+    nothing moves.
     """
-    enabled = gc.isenabled()
+    enabled, alone = gc.isenabled(), not _thread._count()
     gc.disable()
     try:
-        return build(n)
+        built = build(n)
+        if enabled and alone and not _thread._count() and _GIL_BUILD and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        return built
     finally:
         if enabled:
             gc.enable()
@@ -242,7 +277,8 @@ def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
 
     Generation runs in one process; ``workers`` is accepted and ignored.
     The cyclic garbage collector is paused for the whole call and then
-    restored, as in :func:`enumerate_knots`.
+    restored, and the set handed to the oldest generation, as in
+    :func:`enumerate_knots`.
     """
     return _collector_paused(_knot_class_set, n)
 
@@ -355,10 +391,14 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     enabled again on return or on an exception if it was enabled on entry;
     it is never switched on here.  Nothing built refers back to anything
     built after it, so the pause leaves no cyclic garbage (the module
-    docstring gives the reason).  A threaded caller gets no cyclic
-    collection in any thread while the call runs, about 1 s at n = 22 and
-    four to five times longer per two crossings more, and one young
-    collection follows at the first allocation after it.
+    docstring gives the reason).  Once built, the catalog is handed to
+    the oldest generation, so no young collection walks it, unless the
+    collector was off, something is frozen (as at start-up on CPython
+    3.12) or another thread runs; the module docstring gives the rule and
+    what a caller pays.  A threaded caller gets no cyclic collection in
+    any thread while the call runs, about 1 s at n = 22 and four to five
+    times longer per two crossings more, and one young collection walks
+    the catalog at the first allocation after it.
     """
     return _collector_paused(_catalog, n)
 

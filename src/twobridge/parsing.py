@@ -233,7 +233,11 @@ def find_parsings(a: SEvenVector, b: SEvenVector) -> tuple[Parsing, ...]:
 
 
 def parses_with_respect_to(a: SEvenVector, b: SEvenVector, min_fold: int = 3) -> bool:
-    """True when the parsing of a with respect to b exists and has fold >= min_fold."""
+    """True when the parsing of a with respect to b exists and has fold >= min_fold.
+
+    Nothing in the library calls it; it stays public as the order test for
+    one given pair, where ``smaller_knots`` lists every knot below a.
+    """
     return bool(b.entries) and _scan_parsing(a._packed(), b._packed(), min_fold) is not None
 
 
@@ -407,6 +411,11 @@ def minimal_upper_bound(vectors: Sequence[SEvenVector]) -> SEvenVector:
     family g with fixed connectors; the bound is the assembly over the
     least common multiple of their tile counts.  A single input is its
     own bound.
+
+    Nothing in the library calls it; it stays public as the
+    Ohtsuki-Riley-Sakuma construction of a knot above several
+    incomparable ones, where a search of the knots above four
+    incomparable knots can start.
     """
     if not vectors:
         raise ValueError("need at least one vector")

@@ -620,6 +620,10 @@ def test_exit_value_error(capsys):
     assert err.startswith("error: ")
     code, _, err = run(capsys, "negate", "1/27", "--segments", "9")
     assert code == 1
+    for segments in (",", "a", "1,,2", "", "1.5"):
+        assert run(capsys, "negate", "1/27", "--segments", segments) == (
+            1, "", f"error: --segments takes comma separated segment numbers, got {segments!r}\n"
+        )
     code, _, err = run(capsys, "lift", "2,2", "--target", "5")
     assert code == 1
     code, _, err = run(capsys, "seams", "2,2")

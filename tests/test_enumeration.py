@@ -16,11 +16,20 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
 
 import pytest
-from conftest import ernst_sumners_count, oracle_assemble, oracle_knot, oracle_vectors
+from conftest import (
+    ernst_sumners_count,
+    oracle_assemble,
+    oracle_conway_alexander,
+    oracle_knot,
+    oracle_poly_remainder,
+    oracle_vectors,
+)
 
 from twobridge import (
     BudgetExceededError,
@@ -317,6 +326,30 @@ def test_walk_bases_match_map_walk():
         assert all(len(bases) == len(got[rep]) for rep, bases in walked), f"n = {n}"
 
 
+def test_walk_bases_divide_alexander():
+    # an epimorphism J -> K makes Delta_K divide Delta_J: checked for every
+    # base the walk reaches each class from at n = 19..24, past the catalogs
+    # test_smaller_knots_divide_alexander covers, with both knots read by
+    # oracle_knot (each packed byte x is the entry 2x - 4) and both
+    # polynomials from the continuant oracle
+    delta_of_base = {}
+    counts = []
+    for n in range(19, 25):
+        classes = pairs = 0
+        for rep, bases in _classes_with_smaller(n):
+            delta = oracle_conway_alexander(*oracle_knot(rep))
+            for b in bases:
+                if b not in delta_of_base:
+                    delta_of_base[b] = oracle_conway_alexander(*oracle_knot(tuple(2 * x - 4 for x in b)))
+                assert not any(oracle_poly_remainder(delta, delta_of_base[b])), (rep, _unpack(b))
+            classes += 1
+            pairs += len(bases)
+        counts.append((n, classes, pairs))
+    assert counts == [
+        (19, 376, 376), (20, 568, 568), (21, 902, 903), (22, 1429, 1430), (23, 2412, 2413), (24, 4161, 4161),
+    ]
+
+
 def test_catalog_bytes_frozen():
     for n, want in CATALOG_SHA256.items():
         data = json.dumps(enumerate_knots(n).to_json_dict(), indent=2, sort_keys=True)
@@ -483,6 +516,93 @@ def test_catalog_build_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Builds one listing at n = 14 in a fresh interpreter, so that no
+# gc.unfreeze() there can thaw what this process froze (CPython 3.12 starts
+# with objects frozen), and prints the young count and threshold right after
+# the call, the freeze count before and after it, and the generations
+# collected from the call through a short read of what it built.  A case
+# may freeze, disable the collector or start a thread before the call, or
+# fail the build, end that thread or start it once the classes at n = 14
+# are out.
+PROMOTION_CHILD = """
+import gc, json, sys, threading
+from twobridge import enumeration
+
+name, case = sys.argv[1:]
+listing = getattr(enumeration, name)
+release = threading.Event()
+waiter = threading.Thread(target=release.wait)
+gc.unfreeze()  # nothing frozen to begin with, on every version
+if case == "frozen":
+    gc.freeze()
+elif case == "disabled":
+    gc.disable()
+elif case in ("thread", "thread-ends"):
+    waiter.start()
+class_vectors = enumeration._class_vectors
+
+
+def then(n):
+    yield from class_vectors(n)
+    if n == 14 and case == "raises":
+        raise RuntimeError("class search broke")
+    if n == 14 and case == "thread-ends":
+        release.set()
+        waiter.join()
+    if n == 14 and case == "thread-starts":
+        waiter.start()
+
+
+enumeration._class_vectors = then
+frozen = gc.get_freeze_count()
+collected = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collected.append(info["generation"]))
+try:
+    built = listing(14)
+    young = gc.get_count()[0]
+except RuntimeError:
+    built, young = None, gc.get_count()[0]
+if name == "enumerate_knots" and built is not None:
+    built.ek
+elif built is not None:
+    max(k.canonical.q for k in built)
+gc.callbacks.clear()
+release.set()
+print(json.dumps([young, gc.get_threshold()[0], frozen, gc.get_freeze_count(), collected]))
+"""
+
+
+def promotion_child(listing, case):
+    proc = subprocess.run([sys.executable, "-c", PROMOTION_CHILD, listing.__name__, case],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("listing", LISTINGS)
+def test_listing_hands_its_build_to_the_oldest_generation(listing):
+    # enabled, alone and nothing frozen: the young count is zeroed once the
+    # build is promoted, and reading the build sets off no collection
+    young, threshold, frozen, frozen_after, collected = promotion_child(listing, "alone")
+    assert young < threshold
+    assert (frozen, frozen_after, collected) == (0, 0, [])
+
+
+@pytest.mark.parametrize("case", ["frozen", "thread", "thread-ends", "thread-starts", "disabled", "raises"])
+@pytest.mark.parametrize("listing", LISTINGS)
+def test_listing_promotes_nothing_unless_safe(listing, case):
+    # a caller's frozen objects stay frozen; a thread that ran beside the
+    # build leaves its cyclic garbage young; a caller's gc.disable() and a
+    # failed build move nothing.  So the build stays young: the young count
+    # still holds it, or a collection has walked it since (unwinding a
+    # failed build allocates)
+    young, threshold, frozen, frozen_after, collected = promotion_child(listing, case)
+    assert young > threshold or collected
+    assert not collected or case != "disabled"
+    assert frozen_after == frozen
+    assert (frozen > 0) is (case == "frozen")
 
 
 def test_ek_lift_inequality():
