@@ -49,22 +49,33 @@ nothing, and the pause takes about a tenth off the pass
 (``knot_classes`` over n = 16..19: about 15 %).  The pause leaves no
 cyclic garbage behind: each value is immutable and refers only to ints,
 tuples, bytes and values built before it, so reference counting frees
-everything the build drops.  Nor does any young or middle collection
-walk what the call built: before the collector comes back on, the build
-is handed to the oldest generation by ``gc.freeze()`` then
-``gc.unfreeze()``, two list splices that also zero the young count
-(after ``enumerate_knots(18)``, a young collection that walked the
-catalog took about 7 ms of the first read of ``.ek``, and now 0.5 ms
-is left).  That happens only when the build returned, the collector was
-enabled on entry, nothing is frozen, no other Python thread runs, and
-the interpreter is not a free-threaded build (untested there); in any
-other case nothing moves, and one young collection walks the build at
-the first allocation after the call.  CPython 3.12.1 starts with
-objects frozen (375 even under ``-S -I``), so there it never moves.
-What the caller pays: whatever its young and middle generations held
-on entry moves to the oldest generation with the build, so cyclic
-garbage among it waits for a full collection, and a caller that froze
-objects pays a count of them (``gc.get_freeze_count()``) per call.
+everything the build drops.  A build that alone takes the young count
+over its threshold sets off a young (or middle) collection after the
+call, which walks the build and frees nothing: after
+``enumerate_knots(18)`` it took about 7 ms of the first read of ``.ek``.
+So the call runs that collection on entry instead (``gc.collect(1)``,
+over what the caller's young and middle generations hold), hands the
+build to the oldest generation with ``gc.freeze()`` then
+``gc.unfreeze()`` once it has returned, and puts back the generation
+counts that ``freeze`` zeroes by collecting the then empty young and
+middle generations; 0.5 ms of that read is left.  A build that turns out
+smaller is remembered, and not tried again.  The collector's schedule
+runs on as it would have, and where a full collection may be due the
+build stays young, so that the collector's own rule decides it.
+``_collector_paused`` gives the other conditions (the collector enabled,
+nothing frozen, no other Python thread, a GIL build of CPython before
+3.14); where one fails nothing moves.  CPython 3.12.1 keeps 375 objects
+frozen from start-up (even under ``-S -I``) and freezes them again at
+each full collection, so there the build never moves.  What the caller
+pays: what its young and middle generations hold at entry is collected
+then and the survivors go to the oldest generation, so those that later
+become cyclic garbage wait for a full collection, which still comes by
+the collector's own rule (at most
+``(threshold1 + 2) * (threshold2 + 1)`` calls, 132 by default, promote
+between two full collections); a
+``gc.callbacks`` hook sees up to ``threshold1 + threshold2 + 2`` short
+collections per call (22 by default); and a caller that froze objects
+pays a count of them (``gc.get_freeze_count()``) per call.
 The library starts no threads.  A threaded caller sees no cyclic
 collection in any thread for as long as the call runs, which grows four-
 to fivefold per two crossings (``enumerate_knots(22)`` takes about 1 s
@@ -231,7 +242,9 @@ def _class_vectors(n: int) -> Iterator[tuple[tuple[int, ...], KnotClass]]:
         yield e, new(KnotClass)._fill(new(Fraction)._fill(p, q))
 
 
-_GIL_BUILD = "t" not in getattr(sys, "abiflags", "")
+# The (build, n) pairs whose build alone kept the young count under its
+# threshold: such a build sets off no collection to stand in for.
+_small: set = set()
 
 
 def _collector_paused(build, n: int):
@@ -243,25 +256,54 @@ def _collector_paused(build, n: int):
     generator: a paused generator would leave the collector off in its
     consumer between yields.
 
-    Once ``build(n)`` has returned, and before the collector comes back
-    on, what it built is handed to the oldest generation: ``gc.freeze()``
-    then ``gc.unfreeze()``, two list splices that also zero the young
-    count, so no young or middle collection walks the build.  That needs
-    all of: the collector enabled on entry; nothing frozen, since
-    ``unfreeze`` would thaw what the caller or the interpreter froze; no
-    other Python thread at entry or at the end, since the first young
-    collection after the call must still free their cyclic garbage; and
-    an interpreter that is not free-threaded (abiflags "t"), where
-    ``freeze`` walks the whole heap.  Otherwise, and on an exception,
-    nothing moves.
+    The handoff stands in for the young (or middle) collection that a
+    build of more objects than the young threshold sets off, without
+    walking the build.  ``gc.collect(1)`` on entry frees what the caller's
+    young and middle generations hold; once ``build(n)`` has returned,
+    ``gc.freeze()`` then ``gc.unfreeze()`` move the build, and nothing
+    else, to the oldest generation; and since ``freeze`` zeroes every
+    generation count, collections of the then empty young and middle
+    generations put back the counts that collection would have left.  So
+    the collector's schedule, full collections included, runs on as it
+    would have.  All of this needs: a build that alone takes the young
+    count over its threshold (a ``(build, n)`` whose build did not is
+    remembered, and not tried again); the collector enabled, with a young
+    threshold above 0; no full collection due (the oldest count not over
+    its threshold), since only the collector's own rule may decide one;
+    nothing frozen, since ``unfreeze`` would thaw what the caller or the
+    interpreter froze; no other Python thread at entry or at the end,
+    since the first young collection after the call must still free their
+    cyclic garbage (threads started outside ``threading`` and ``_thread``
+    are not seen); a GIL build, since ``freeze`` walks the whole heap
+    without one; and CPython before 3.14, the versions it was tested on.
+    Otherwise, and on an exception, nothing moves.
     """
-    enabled, alone = gc.isenabled(), not _thread._count()
+    enabled = gc.isenabled()
+    threshold = gc.get_threshold()
+    _, middle, old = gc.get_count()
+    promote = (enabled and threshold[0] and old <= threshold[2] and (build, n) not in _small
+               and not _thread._count() and sys.version_info < (3, 14)
+               and (not hasattr(sys, "_is_gil_enabled") or sys._is_gil_enabled())
+               and not gc.get_freeze_count())
+    if promote:
+        gc.collect(1)
     gc.disable()
     try:
+        young = gc.get_count()[0]
         built = build(n)
-        if enabled and alone and not _thread._count() and _GIL_BUILD and not gc.get_freeze_count():
+        if gc.get_count()[0] - young <= threshold[0]:
+            _small.add((build, n))
+        elif promote and not _thread._count() and not gc.get_freeze_count():
             gc.freeze()
             gc.unfreeze()
+            # freeze zeroed the counts: collect the empty young and middle
+            # generations until they read as the build's collection leaves them
+            if middle > threshold[1]:
+                middle, old = -1, old + 1
+            for _ in range(old):
+                gc.collect(1)
+            for _ in range(middle + 1):
+                gc.collect(0)
         return built
     finally:
         if enabled:
@@ -277,8 +319,8 @@ def knot_classes(n: int, workers: int = 1) -> set[KnotClass]:
 
     Generation runs in one process; ``workers`` is accepted and ignored.
     The cyclic garbage collector is paused for the whole call and then
-    restored, and the set handed to the oldest generation, as in
-    :func:`enumerate_knots`.
+    restored, and the set handed to the oldest generation by the same
+    rule as in :func:`enumerate_knots`.
     """
     return _collector_paused(_knot_class_set, n)
 
@@ -391,12 +433,11 @@ def enumerate_knots(n: int, workers: int = 1) -> KnotCatalog:
     enabled again on return or on an exception if it was enabled on entry;
     it is never switched on here.  Nothing built refers back to anything
     built after it, so the pause leaves no cyclic garbage (the module
-    docstring gives the reason).  Once built, the catalog is handed to
-    the oldest generation, so no young collection walks it, unless the
-    collector was off, something is frozen (as at start-up on CPython
-    3.12) or another thread runs; the module docstring gives the rule and
-    what a caller pays.  A threaded caller gets no cyclic collection in
-    any thread while the call runs, about 1 s at n = 22 and four to five
+    docstring gives the reason).  Where the build outgrows the young
+    generation, the catalog goes to the oldest generation unwalked, and
+    the collection it would set off runs on entry instead; the module docstring gives the rule and what a
+    caller pays.  A threaded caller gets no cyclic collection in any
+    thread while the call runs, about 1 s at n = 22 and four to five
     times longer per two crossings more, and one young collection walks
     the catalog at the first allocation after it.
     """

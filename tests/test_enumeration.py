@@ -520,12 +520,14 @@ def test_catalog_build_leaves_no_cyclic_garbage():
 
 # Builds one listing at n = 14 in a fresh interpreter, so that no
 # gc.unfreeze() there can thaw what this process froze (CPython 3.12 starts
-# with objects frozen), and prints the young count and threshold right after
-# the call, the freeze count before and after it, and the generations
-# collected from the call through a short read of what it built.  A case
-# may freeze, disable the collector or start a thread before the call, or
-# fail the build, end that thread or start it once the classes at n = 14
-# are out.
+# with objects frozen).  Before the call, a full collection and empty ones
+# set the middle count to 3 (or 10, or 11) and the oldest to 2.  Prints the
+# counts right after the call, the young threshold, the freeze count before
+# and after it, the generations collected during the call and during a
+# short read of what it built, and how many times the call froze the heap.
+# A case may freeze, disable the collector, start a thread or bring the
+# oldest count over its threshold before the call, or fail the build, end
+# that thread or start it once the classes at n = 14 are out.
 PROMOTION_CHILD = """
 import gc, json, sys, threading
 from twobridge import enumeration
@@ -534,7 +536,12 @@ name, case = sys.argv[1:]
 listing = getattr(enumeration, name)
 release = threading.Event()
 waiter = threading.Thread(target=release.wait)
+gc.collect()  # before unfreezing: a full collection refreezes objects on 3.12
 gc.unfreeze()  # nothing frozen to begin with, on every version
+for _ in range(gc.get_threshold()[2] + 1 if case == "full-due" else 2):
+    gc.collect(1)
+for _ in range({"middle-at": 10, "middle-over": 11}.get(case, 3)):
+    gc.collect(0)
 if case == "frozen":
     gc.freeze()
 elif case == "disabled":
@@ -557,20 +564,24 @@ def then(n):
 
 enumeration._class_vectors = then
 frozen = gc.get_freeze_count()
-collected = []
-gc.callbacks.append(lambda phase, info: phase == "start" and collected.append(info["generation"]))
+freeze, promoted = gc.freeze, []
+gc.freeze = lambda: promoted.append(freeze())
+during, read, built = [], [], None
+gc.callbacks.append(lambda phase, info: phase == "start"
+                    and (during if built is None else read).append(info["generation"]))
 try:
     built = listing(14)
-    young = gc.get_count()[0]
+    counts = gc.get_count()
 except RuntimeError:
-    built, young = None, gc.get_count()[0]
+    counts = gc.get_count()
 if name == "enumerate_knots" and built is not None:
     built.ek
 elif built is not None:
     max(k.canonical.q for k in built)
 gc.callbacks.clear()
 release.set()
-print(json.dumps([young, gc.get_threshold()[0], frozen, gc.get_freeze_count(), collected]))
+print(json.dumps([counts, gc.get_threshold()[0], frozen, gc.get_freeze_count(), during, read,
+                  len(promoted)]))
 """
 
 
@@ -581,28 +592,113 @@ def promotion_child(listing, case):
     return json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize("case, middle_old", [("alone", (4, 2)), ("middle-at", (11, 2)),
+                                               ("middle-over", (0, 3))])
 @pytest.mark.parametrize("listing", LISTINGS)
-def test_listing_hands_its_build_to_the_oldest_generation(listing):
-    # enabled, alone and nothing frozen: the young count is zeroed once the
-    # build is promoted, and reading the build sets off no collection
-    young, threshold, frozen, frozen_after, collected = promotion_child(listing, "alone")
-    assert young < threshold
-    assert (frozen, frozen_after, collected) == (0, 0, [])
+def test_listing_hands_its_build_to_the_oldest_generation(listing, case, middle_old):
+    # enabled, alone, nothing frozen and no full collection due: the build
+    # is promoted once, the young count is zeroed, the middle and oldest
+    # counts read as the collection the build sets off would leave them
+    # (a middle one once the middle count is over its threshold of 10),
+    # and reading the build sets off no collection
+    counts, threshold, frozen, frozen_after, _, read, promoted = promotion_child(listing, case)
+    young, middle, old = counts
+    assert promoted == 1 and young < threshold
+    assert (middle, old) == middle_old
+    assert (frozen, frozen_after, read) == (0, 0, [])
 
 
-@pytest.mark.parametrize("case", ["frozen", "thread", "thread-ends", "thread-starts", "disabled", "raises"])
+@pytest.mark.parametrize("case", ["frozen", "thread", "thread-ends", "thread-starts", "disabled", "raises",
+                                  "full-due"])
 @pytest.mark.parametrize("listing", LISTINGS)
 def test_listing_promotes_nothing_unless_safe(listing, case):
     # a caller's frozen objects stay frozen; a thread that ran beside the
     # build leaves its cyclic garbage young; a caller's gc.disable() and a
-    # failed build move nothing.  So the build stays young: the young count
-    # still holds it, or a collection has walked it since (unwinding a
-    # failed build allocates)
-    young, threshold, frozen, frozen_after, collected = promotion_child(listing, case)
-    assert young > threshold or collected
-    assert not collected or case != "disabled"
+    # failed build move nothing; and where a full collection may be due the
+    # collector's own rule decides it.  So the build stays young: the young
+    # count still holds it, or a collection has walked it since (unwinding
+    # a failed build allocates)
+    counts, threshold, frozen, frozen_after, during, read, promoted = promotion_child(listing, case)
+    assert promoted == 0
+    assert counts[0] > threshold or during or read
+    assert not (during or read) or case != "disabled"
     assert frozen_after == frozen
     assert (frozen > 0) is (case == "frozen")
+
+
+@pytest.mark.parametrize("listing", LISTINGS)
+def test_small_builds_are_not_promoted_again(listing):
+    # a build that stays under the young threshold sets off no collection,
+    # so there is nothing to stand in for: once one has shown that, later
+    # calls at that n make no collection on entry and freeze nothing
+    code = ("import gc\nfrom twobridge import enumeration\ngc.unfreeze()\n"
+            "seen = []\nfreeze = gc.freeze\ngc.freeze = lambda: seen.append(freeze())\n"
+            f"enumeration.{listing.__name__}(6)\nfrozen = len(seen)\n"
+            "gc.callbacks.append(lambda phase, info: seen.append(phase))\n"
+            f"for _ in range(3):\n    enumeration.{listing.__name__}(6)\nprint(frozen, len(seen))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+# Loops enumerate_knots(12), whose build is promoted, a given number of
+# times, making a two-list cycle on every pass that is dropped before the
+# call ("before") or held across it and dropped after ("across"), and never
+# calls gc.collect() after a full collection at the start.  Prints how many
+# of the first 100 cycles are still alive, how many of all are, and how
+# many calls promoted their build.
+CYCLES_CHILD = """
+import gc, sys, weakref
+from twobridge import enumerate_knots
+
+class Cycle(list):
+    pass
+
+held, loops = sys.argv[1] == "across", int(sys.argv[2])
+gc.collect()  # before unfreezing: a full collection refreezes objects on 3.12
+gc.unfreeze()  # nothing frozen to begin with, on every version
+gc.set_threshold(700, 10, 10)  # the defaults before CPython 3.13, which raised 700 to 2000
+promoted = []
+freeze = gc.freeze
+gc.freeze = lambda: promoted.append(freeze())
+refs = []
+for _ in range(loops):
+    a = Cycle()
+    a.append(Cycle([a]))
+    refs.append(weakref.ref(a))
+    if not held:
+        del a
+    enumerate_knots(12)
+    if held:
+        del a
+print(sum(r() is not None for r in refs[:100]), sum(r() is not None for r in refs), len(promoted))
+"""
+
+
+def cycles_child(when, loops):
+    proc = subprocess.run([sys.executable, "-c", CYCLES_CHILD, when, str(loops)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return map(int, proc.stdout.split())
+
+
+def test_promotion_first_frees_the_callers_cycles():
+    # cycles the caller dropped before a promoted call are freed by the
+    # collection on entry, not handed to the oldest generation with the build
+    _, alive, promoted = cycles_child("before", 100)
+    assert promoted == 100
+    assert alive == 0
+
+
+def test_promotion_leaves_cycles_held_across_it_to_the_collector():
+    # cycles held across a promoted call reach the oldest generation, to
+    # wait for a full collection.  The promotion keeps the generation
+    # counts, so after (threshold1 + 2) * (threshold2 + 1) promoted calls a
+    # full collection is due, and builds stay young until the collector's
+    # own rule calls one: the cycles left waiting stay bounded
+    _, alive, promoted = cycles_child("across", 1000)
+    assert 50 <= promoted <= 12 * 11
+    assert alive < 500
 
 
 def test_ek_lift_inequality():
