@@ -18,17 +18,19 @@ usage error, 3 invalid fraction or continued fraction, 4 enumeration
 budget exceeded.
 
 Each verb is a fresh process that compiles every module it imports, so
-each handler imports the library names it uses when it runs, and ``main``
-builds the parser of the one verb it is given: ``cr`` and ``convert``
-load only ``rationals`` and ``vectors``, ``cm`` only ``bounds``, and
-``verify-paper`` every layer.  Annotations that name library classes
-are never evaluated, so those classes are not imported for them.
+each handler imports the library names it uses when it runs: ``cr`` and
+``convert`` load only ``rationals`` and ``vectors``, ``cm`` only
+``bounds``, and ``verify-paper`` every layer.  Annotations that name
+library classes are never evaluated, so those classes are not imported
+for them.  ``main`` reads argv itself where argparse's reading of it is
+fixed (see ``_read``), and imports argparse, which loads ``gettext`` and
+``locale``, only for the rest: help, usage errors, ``--``,
+``--opt=value``, abbreviated options, and ``--exact`` with
+``--assisted``.  It then builds the parser of the one verb it is given.
 """
 
 from __future__ import annotations
 
-import argparse
-import re
 import sys
 
 __all__ = ["build_parser", "main"]
@@ -351,20 +353,6 @@ def _cmd_verify(args):
     return "\n".join(lines), {"checks": results, "passed": passed}, 0 if passed else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads an argument that starts with a minus and a digit as a value.
-
-    Plain argparse reads ``-2,2`` or ``-1/3`` as an unknown option, since
-    it only knows negative numbers.  No option of this CLI starts with a
-    digit, so a vector or fraction with a negative first entry needs no
-    ``--`` in front.  Subparsers inherit this class.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-
 # The flags every verb takes, after -h: (option, keywords).
 _COMMON_FLAGS = (
     ("--json", dict(action="store_true", help="emit JSON instead of text")),
@@ -374,75 +362,168 @@ _COMMON_FLAGS = (
     ("--config", dict(default=None, metavar="FILE", help="JSON file with defaults for these flags")),
 )
 
+_INT_POSITIONALS = ("m", "n", "q")
+
+
+def _verb(handler, summary, *positionals, flags=(), exclusive=(), **defaults):
+    """A row of _VERBS: handler, summary, positionals, flags, exclusive flags and set_defaults values.
+
+    ``handler`` names the function that runs the verb; it is looked up when
+    a verb is read, so a replaced handler is the one called.  Positionals in
+    _INT_POSITIONALS are integers.  Flags, taken after _COMMON_FLAGS, and
+    the mutually exclusive flags are (option, keywords) pairs for
+    add_argument.
+    """
+    return handler, summary, positionals, flags, exclusive, defaults
+
+
+_WRT = ("--wrt", dict(action="append", metavar="BASE", help="base knot; repeatable (default: every smaller knot)"))
+
+# Every verb, declared once: _read and _parser both read this table.
+_VERBS = {
+    "convert": _verb("_cmd_convert", "fraction, continued fraction, and vector forms of a knot", "input"),
+    "cr": _verb("_cmd_cr", "crossing number of a knot or vector", "input"),
+    "smaller": _verb("_cmd_smaller", "knots strictly below a knot or vector", "input"),
+    "compare": _verb("_cmd_compare", "order relation between two knots", "a", "b"),
+    "cm": _verb(
+        "_cmd_cm", "least odd number with at least m nontrivial proper divisors", "m",
+        flags=[("--table", dict(action="store_true", help="print all values up to m"))],
+    ),
+    "ek": _verb(
+        "_cmd_ek", "largest number of knots below any knot with n crossings", "n", mode="exact",
+        exclusive=[
+            ("--exact", dict(dest="mode", action="store_const", const="exact")),
+            ("--assisted", dict(dest="mode", action="store_const", const="assisted")),
+        ],
+    ),
+    "enumerate": _verb("_cmd_enumerate", "catalog of all 2-bridge knots with n crossings", "n"),
+    "seams": _verb("_cmd_seams", "common cut positions over all parsings of a vector", "input", flags=[_WRT]),
+    "negate": _verb(
+        "_cmd_negate", "negate seam segments and re-verify the order", "input",
+        flags=[("--segments", dict(required=True, help="comma separated 1-based segment numbers")), _WRT],
+    ),
+    "lift": _verb(
+        "_cmd_lift", "vector with a chosen crossing number strictly above a given one", "input",
+        flags=[("--target", dict(type=int, required=True, help="crossing number of the lifted vector"))],
+    ),
+    "torus": _verb("_cmd_torus", "the (2,q) torus knot, its vector, and the knots below it", "q"),
+    "verify-paper": _verb(
+        "_cmd_verify", "check the built-in reference tables and constructions",
+        default_budget=VERIFY_DEFAULT_BUDGET,
+    ),
+}
+
+
+def _is_value(token: str) -> bool:
+    r"""True if argparse reads ``token`` as a value: no leading minus, or _Parser's rule ``^-\.?\d``.
+
+    ``str.isdecimal`` holds for the same characters as ``\d`` in a str pattern.
+    """
+    if not token.startswith("-"):
+        return True
+    return (token[2:3] if token[1:2] == "." else token[1:2]).isdecimal()
+
+
+def _read(argv: list[str]):
+    """The attributes ``build_parser().parse_args(argv)`` gives, or None where argparse must read ``argv``.
+
+    Reads an argv whose meaning under argparse is fixed: a verb, then in
+    any order that verb's exact option strings, the one value after each
+    option that takes one, and its positionals, as many as it declares,
+    every required option present.  A value or positional reads as in
+    _is_value.  Everything else is None: help, ``--``, ``--opt=value``,
+    abbreviations, unknown options, a missing or unreadable value, and
+    two flags of one mutually exclusive group, whose conflict rule
+    argparse decides.
+    """
+    row = _VERBS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    handler, _, positionals, flags, exclusive, defaults = row
+    declared = (*_COMMON_FLAGS, *flags, *exclusive)
+    options = {option: (keywords.get("dest", option[2:]), keywords) for option, keywords in declared}
+    attrs = {"verb": argv[0]}
+    for dest, keywords in options.values():
+        attrs[dest] = False if keywords.get("action") == "store_true" else keywords.get("default")
+    attrs.update(defaults, handler=globals()[handler])
+    found, seen = [], set()
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token not in options:
+                if not _is_value(token):
+                    return None
+                found.append(token)
+                continue
+            seen.add(token)
+            dest, keywords = options[token]
+            action = keywords.get("action")
+            if action == "store_true":
+                attrs[dest] = True
+            elif action == "store_const":
+                attrs[dest] = keywords["const"]
+            else:
+                value = next(tokens, "-")  # a missing value: "-" is refused below as argparse refuses it
+                if not _is_value(value):
+                    return None
+                value = int(value) if keywords.get("type") is int else value
+                attrs[dest] = [*(attrs[dest] or ()), value] if action == "append" else value
+        if len(found) != len(positionals) or len(seen.intersection(dict(exclusive))) > 1:
+            return None
+        if any(keywords.get("required") and option not in seen for option, keywords in flags):
+            return None
+        attrs.update((name, int(text) if name in _INT_POSITIONALS else text) for name, text in zip(positionals, found))
+    except ValueError:  # int() refused a value: argparse words that error
+        return None
+    return type(sys.implementation)(**attrs)  # types.SimpleNamespace, without importing types
+
 
 def _parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every verb, or of the verb named ``only`` alone.
 
-    Every verb is declared here once.  The one-verb parser lists every
-    verb in its usage line as the full one does, so both print the same
-    help and usage errors; a name that is no verb gets the full parser.
+    The one-verb parser lists every verb in its usage line as the full one
+    does, so both print the same help and usage errors; a name that is no
+    verb gets the full parser.  argparse is imported here, not at start-up:
+    main builds a parser only for an argv that _read does not read.
     """
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        """Reads an argument that starts with a minus and a digit as a value.
+
+        Plain argparse reads ``-2,2`` or ``-1/3`` as an unknown option, since
+        it only knows negative numbers.  No option of this CLI starts with a
+        digit, so a vector or fraction with a negative first entry needs no
+        ``--`` in front.  Subparsers inherit this class.
+        """
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     parser = _Parser(
         prog="twobridge",
         description="Exact arithmetic for the partial order on 2-bridge knots.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    names = []
-
-    def verb(name, handler, summary, *positionals, flags=(), exclusive=(), **defaults):
-        """A verb with the common flags, its positionals (m, n and q are integers), its flags and its handler."""
-        names.append(name)
-        if only not in (None, name):
-            return
+    verbs = _VERBS
+    if only in _VERBS:
+        sub.metavar = "{" + ",".join(_VERBS) + "}"
+        verbs = {only: _VERBS[only]}
+    for name, (handler, summary, positionals, flags, exclusive, defaults) in verbs.items():
         p = sub.add_parser(name, help=summary)
         for option, keywords in _COMMON_FLAGS:
             p.add_argument(option, **keywords)
         for arg in positionals:
-            p.add_argument(arg, type=int if arg in ("m", "n", "q") else None)
+            p.add_argument(arg, type=int if arg in _INT_POSITIONALS else None)
         for option, keywords in flags:
             p.add_argument(option, **keywords)
         if exclusive:
             group = p.add_mutually_exclusive_group()
             for option, keywords in exclusive:
                 group.add_argument(option, **keywords)
-        p.set_defaults(handler=handler, **defaults)
-
-    wrt = ("--wrt", dict(action="append", metavar="BASE", help="base knot; repeatable (default: every smaller knot)"))
-    verb("convert", _cmd_convert, "fraction, continued fraction, and vector forms of a knot", "input")
-    verb("cr", _cmd_cr, "crossing number of a knot or vector", "input")
-    verb("smaller", _cmd_smaller, "knots strictly below a knot or vector", "input")
-    verb("compare", _cmd_compare, "order relation between two knots", "a", "b")
-    verb(
-        "cm", _cmd_cm, "least odd number with at least m nontrivial proper divisors", "m",
-        flags=[("--table", dict(action="store_true", help="print all values up to m"))],
-    )
-    verb(
-        "ek", _cmd_ek, "largest number of knots below any knot with n crossings", "n", mode="exact",
-        exclusive=[
-            ("--exact", dict(dest="mode", action="store_const", const="exact")),
-            ("--assisted", dict(dest="mode", action="store_const", const="assisted")),
-        ],
-    )
-    verb("enumerate", _cmd_enumerate, "catalog of all 2-bridge knots with n crossings", "n")
-    verb("seams", _cmd_seams, "common cut positions over all parsings of a vector", "input", flags=[wrt])
-    verb(
-        "negate", _cmd_negate, "negate seam segments and re-verify the order", "input",
-        flags=[("--segments", dict(required=True, help="comma separated 1-based segment numbers")), wrt],
-    )
-    verb(
-        "lift", _cmd_lift, "vector with a chosen crossing number strictly above a given one", "input",
-        flags=[("--target", dict(type=int, required=True, help="crossing number of the lifted vector"))],
-    )
-    verb("torus", _cmd_torus, "the (2,q) torus knot, its vector, and the knots below it", "q")
-    verb(
-        "verify-paper", _cmd_verify, "check the built-in reference tables and constructions",
-        default_budget=VERIFY_DEFAULT_BUDGET,
-    )
-
-    if only is not None:
-        if not sub.choices:
-            return _parser()
-        sub.metavar = "{" + ",".join(names) + "}"
+        p.set_defaults(handler=globals()[handler], **defaults)
     return parser
 
 
@@ -484,7 +565,7 @@ def _budget_error() -> type[Exception]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv) or _parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = _load_config(args.config)
         args.json = args.json or config.get("json", False)

@@ -237,10 +237,15 @@ class SEvenVector(Value):
 
     @classmethod
     def parse(cls, text: str) -> "SEvenVector":
-        text = text.strip()
-        if not text:
+        """Parse comma-separated integer entries; text that is no such list is a ValueError naming it."""
+        body = text.strip()
+        if not body:
             return cls(())
-        return cls(tuple(int(t) for t in text.split(",")))
+        try:
+            entries = tuple(int(t) for t in body.split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse vector from {text!r}") from None
+        return cls(entries)
 
 
 _set_packed = SEvenVector._b.__set__

@@ -8,6 +8,7 @@ process-boundary effects are covered end to end.
 import argparse
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -547,6 +548,96 @@ def test_integer_positionals_refuse_other_text(capsys, argv):
     assert f"invalid int value: '{argv[1]}'" in capsys.readouterr().err
 
 
+# main reads argv with cli._read and builds a parser only where that
+# returns None.  These cases pin _read to the full parser of the running
+# Python's argparse: it returns None or what parse_args returns.
+
+# The argvs of the CLI smoke step of the CI workflow, its file arguments
+# written out and the long vectors it builds stood in for by a short one.
+CI_ARGVS = [
+    ["verify-paper"], ["verify-paper", "--budget", "24"], ["cm", "120"], ["ek", "18"], ["ek", "24", "--budget", "24"],
+    ["enumerate", "18", "--json"], ["enumerate", "18"], ["enumerate", "19", "--budget", "19"],
+    ["cm", "2000", "--table"], ["cm", "2000"], ["convert", "-2,-2,0,-2,-2,0,-2,-2"], ["compare", "1/3003", "1/3"],
+    ["smaller", "1/3003"], ["smaller", ",".join(["2,-2,-2"] * 9)], ["seams", "1/3003", "--wrt", "1/3"],
+    ["seams", NEG27, "--wrt", "1/3", "--wrt", "1/9"], ["compare", "-2,-2,0,-2,-2,0,-2,-2", "2,2"],
+    ["cm", "5", "--out", "missing/cm.txt"], ["seams", "1/27", "--wrt", "1/27"], ["negate", "1/27", "--segments", "3,5"],
+    ["lift", "2,2", "--target", "12", "--json"], ["ek", "9", "--config", "budget.json"], ["cr", "0+[]"],
+    ["verify-paper", "--budget", "2"], ["torus", "99999999999999999999999"],
+]
+
+# Value and positional tokens for generated argvs: ones that read as
+# integers, ones that read as text, and ones that argparse reads in
+# other ways or refuses.
+INT_TOKENS = ["9", "-5", "١٢", "-١٢", "+7", " 8 ", "1_0"]
+TEXT_TOKENS = ["1/3", "2,2", "-1/3", "-2,2", "-.5", "0+[2,4,4,2]", "a b"]
+ODD_TOKENS = ["²", "-²", "-", "", "--", "-x", "-h", "--help", "--json", "--js", "--json=1", "--budget=3",
+              "-.", "-.x", "-5x", "-1 x", "1.5", "--exact", "--wrt"]
+
+
+def _generated_argvs(verb, p, rng, count):
+    """Argvs of one verb, from the actions of its parser p.
+
+    Each holds the verb's positionals, sometimes one more or one fewer,
+    and each option up to twice, with a value where it takes one; groups
+    are shuffled.  In four argvs of ten the values may be odd tokens.
+    """
+    positionals = [action for action in p._actions if not action.option_strings]
+    options = [action for action in p._actions if action.option_strings and action.dest != "help"]
+    for _ in range(count):
+        odd = ODD_TOKENS if rng.random() < 0.4 else []
+
+        def value(action):
+            return rng.choice((INT_TOKENS if action.type is int else TEXT_TOKENS) + odd)
+
+        groups = [[value(action)] for action in positionals]
+        if positionals and rng.random() < 0.1:
+            groups.append([value(positionals[-1])])
+        for action in options:
+            for _ in range(rng.choice((0, 1, 1, 2) if action.required else (0, 0, 0, 1, 2))):
+                groups.append([rng.choice(action.option_strings)] + [value(action)] * (action.nargs != 0))
+        if groups and rng.random() < 0.1:
+            groups[-1] = groups[-1][:-1]  # an option's value, a flag or a positional left out
+        rng.shuffle(groups)
+        yield [verb, *(token for group in groups for token in group)]
+    if verb == "ek":
+        yield from ([verb, "9", *modes] for modes in (["--exact", "--assisted"], ["--assisted", "--exact"]))
+
+
+def _parse_vars(capsys, parser, argv):
+    """The attributes the full parser reads from argv, or None where it ends the process."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+def test_reader_matches_the_full_parser(capsys):
+    parser = build_parser()
+    read = twobridge.cli._read
+    # every argv the benchmark and the CI smoke step run is read without
+    # argparse, and so are values that _Parser's negative-number rule, or
+    # no leading minus, makes values
+    bench = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    values = [["compare", "-.5", "-١٢"], ["cm", "١٢"], ["cr", "a b"], ["cr", ""], ["lift", "-2,2", "--target", "-9"]]
+    for argv in [c["argv"] for c in bench["cli_light"] + bench["cli_heavy"]] + CI_ARGVS + values:
+        args = read(argv)
+        assert args is not None, argv
+        assert vars(args) == _parse_vars(capsys, parser, argv), argv
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    outcomes = {"read": 0, "to argparse": 0}
+    for verb, p in sub.choices.items():
+        rng = random.Random(verb)
+        for argv in _generated_argvs(verb, p, rng, 300):
+            args = read(argv)
+            outcomes["to argparse" if args is None else "read"] += 1
+            if args is not None:
+                assert vars(args) == _parse_vars(capsys, parser, argv), argv
+    # both outcomes are common, so neither side of the comparison is vacuous
+    assert min(outcomes.values()) > 500, outcomes
+
+
 def test_verify_default_budget(capsys, monkeypatch):
     monkeypatch.setattr(twobridge.cli, "_cmd_verify", lambda args: (str(args.budget), {}, 0))
     assert run(capsys, "verify-paper") == (0, "14\n", "")
@@ -638,6 +729,14 @@ def test_exit_value_error(capsys):
         assert run(capsys, *argv) == (1, "", "error: m must be nonnegative, got -1\n")
     code, _, err = run(capsys, "torus", "4")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [("smaller", "2,2,,2"), ("cr", "2,x"), ("convert", "2,2,"), ("compare", "1/3", ",2")])
+def test_unreadable_vector_names_its_text(capsys, argv):
+    # the vector's text, not the message of int() on one entry
+    assert run(capsys, *argv) == (1, "", f"error: cannot parse vector from {argv[-1]!r}\n")
+    # an entry that reads but is no -2, 0 or 2 keeps the entry check's wording
+    assert run(capsys, "cr", "2,3") == (1, "", "error: entry 3 at index 1 not in {-2, 0, 2}\n")
 
 
 @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
@@ -779,19 +878,27 @@ def test_cli_import_loads_no_process_pool():
 
 def test_cli_start_up_loads_no_dataclasses_or_json():
     # Every verb is a fresh process, so what the CLI imports is paid on
-    # every call.  -S keeps site hooks from importing either module first.
+    # every call.  -S keeps site hooks from importing these modules first.
+    # argparse, and gettext and locale with it, load only for help and
+    # usage errors: after them, cr --help still prints its usage.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import twobridge.cli\n"
-        "twobridge.cli.main(['cr', '2,2'])\n"
-        "print(sorted(m for m in ('dataclasses', 'json') if m in sys.modules))\n"
+        "for argv in (['cr', '2,2'], ['cm', '40'], ['ek', '9'], ['verify-paper', '--budget', '9']):\n"
+        "    twobridge.cli.main(argv)\n"
+        "modules = ('dataclasses', 'json', 'argparse', 'gettext', 'locale')\n"
+        "print('loaded:', sorted(m for m in modules if m in sys.modules))\n"
         "twobridge.cli.main(['cr', '2,2', '--json'])\n"
+        "twobridge.cli.main(['cr', '--help'])\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == '4\n[]\n{\n  "crossing_number": 4,\n  "vector": [\n    2,\n    2\n  ]\n}\n'
+    verbs, loaded, rest = proc.stdout.partition("loaded: []\n")
+    assert loaded, proc.stdout
+    assert verbs.startswith("4\n") and verbs.endswith("verify: OK\n")
+    assert rest.startswith('{\n  "crossing_number": 4,\n  "vector": [\n    2,\n    2\n  ]\n}\nusage: twobridge cr [-h]')
 
 
 # Runs a ``[project.scripts]`` target as a console-script wrapper does:
