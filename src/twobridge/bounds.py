@@ -19,6 +19,12 @@ a >= b >= c >= ...  This is Ramanujan's argument for highly composite
 numbers (Proc. London Math. Soc. 1915).  One search over those exponent
 vectors answers both questions; nothing is tabulated or kept between
 calls.
+
+The same bounds squeeze EK(n) for ``epimorphism_number(n,
+mode="assisted")``: the ceiling ``most_divisors_up_to(n)`` against the
+torus knot 1/n and the lift of 1/9 (``_assisted_ek``).  The squeeze needs
+no knot, so this module imports nothing but ``_value``, and ``ek N
+--assisted`` loads no other layer where the squeeze settles.
 """
 
 from __future__ import annotations
@@ -181,6 +187,36 @@ def ek_exact_at_bound(m: int) -> bool:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     return _exponent_search(m + 2)[1] == m + 2
+
+
+def _assisted_lower_bound(n: int, upper: int) -> int:
+    """The certified lower bound on EK(n) when it reaches ``upper``, else a value below it.
+
+    The torus knot 1/n has one knot below it per nontrivial proper
+    divisor of n; counting them stops early, with some value below the
+    divisor-bound ceiling ``upper``, once the count cannot reach it.
+    For n >= 27 the 3-fold lift of 1/9 to n crossings lies above 1/9,
+    and 1/9 lies above 1/3, so EK(n) >= 2 (the test suite checks that
+    lift at n = 27..59).
+    """
+    best = nontrivial_proper_divisor_count(n, upper) if n % 2 and n >= 3 else 0
+    return max(best, 2) if n >= 27 else best
+
+
+def _assisted_ek(n: int) -> int | None:
+    """EK(n) where the divisor bounds alone settle it, else None.
+
+    The squeeze of ``epimorphism_number(n, mode="assisted")``: EK(n) is
+    at most ``most_divisors_up_to(n)``, the divisor-bound ceiling, and
+    is that ceiling when it is 0 or when ``_assisted_lower_bound``
+    reaches it.
+    """
+    if n < 3:
+        raise ValueError(f"no 2-bridge knots below 3 crossings, got n = {n}")
+    upper = most_divisors_up_to(n)
+    if upper == 0 or _assisted_lower_bound(n, upper) == upper:
+        return upper
+    return None
 
 
 class CmEntry(Value):

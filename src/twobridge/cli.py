@@ -20,13 +20,17 @@ budget exceeded.
 Each verb is a fresh process that compiles every module it imports, so
 each handler imports the library names it uses when it runs: ``cr`` and
 ``convert`` load only ``rationals`` and ``vectors``, ``cm`` only
-``bounds``, and ``verify-paper`` every layer.  Annotations that name
+``bounds``, ``ek --assisted`` only ``bounds`` where the divisor bounds
+settle EK(n), and ``verify-paper`` every layer.  Annotations that name
 library classes are never evaluated, so those classes are not imported
-for them.  ``main`` reads argv itself where argparse's reading of it is
-fixed (see ``_read``), and imports argparse, which loads ``gettext`` and
-``locale``, only for the rest: help, usage errors, ``--``,
-``--opt=value``, abbreviated options, and ``--exact`` with
-``--assisted``.  It then builds the parser of the one verb it is given.
+for them.  Code that few runs need lives outside this module, which
+every verb compiles: verify-paper's checks in :mod:`twobridge._paper`,
+and the argparse parser in :mod:`twobridge._argparser`.  ``main`` reads
+argv itself where argparse's reading of it is fixed (see ``_read``), and
+imports argparse, which loads ``gettext``, ``locale`` and ``re``, only
+for the rest: help, usage errors, ``--``, ``--opt=value``, abbreviated
+options, and ``--exact`` with ``--assisted``.  It then builds the parser
+of the one verb it is given.
 """
 
 from __future__ import annotations
@@ -36,20 +40,6 @@ import sys
 __all__ = ["build_parser", "main"]
 
 VERIFY_DEFAULT_BUDGET = 14
-
-# Reference tables used by the verify-paper verb.  The same values are
-# frozen independently in the test suite.
-_KNOWN_CM = {
-    0: 3, 1: 9, 2: 15, 3: 45, 4: 45, 5: 105, 6: 105, 7: 225,
-    8: 315, 9: 315, 10: 315, 11: 945, 12: 945, 13: 945, 14: 945,
-}
-_KNOWN_EK = {
-    3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0,
-    9: 1, 10: 1, 11: 1, 12: 1, 13: 1, 14: 1,
-    15: 2, 16: 2, 17: 2, 18: 1,
-    19: 1, 20: 1, 21: 2, 22: 2, 23: 2, 24: 1,
-}
-
 
 def _is_fraction(text: str) -> bool:
     """True for fraction syntax: no bracket, which a continued fraction has, and no comma, which a vector has."""
@@ -185,9 +175,15 @@ def _cmd_cm(args):
 
 
 def _cmd_ek(args):
-    from .enumeration import epimorphism_number
+    value = None
+    if args.mode == "assisted":  # the bounds alone settle most n, with no layer of knots loaded
+        from .bounds import _assisted_ek
 
-    value = epimorphism_number(args.n, mode=args.mode, budget=args.budget)
+        value = _assisted_ek(args.n)
+    if value is None:  # what epimorphism_number does once the squeeze is open
+        from .enumeration import epimorphism_number
+
+        value = epimorphism_number(args.n, mode="exact", budget=args.budget)
     return str(value), {"n": args.n, "mode": args.mode, "ek": value}, 0
 
 
@@ -262,95 +258,10 @@ def _cmd_torus(args):
     return _report(fields + [("count", len(below))], map(str, below), smaller=below)
 
 
-# Each verify-paper check is a lazy sequence of (label, got, want) cases:
-# it fails at its first case with got != want and computes nothing after it.
-
-
-def _witness_cases(reports):
-    for r in reports:
-        yield f"{r.fraction} crossing number", r.crossing_number, r.n
-        yield f"{r.fraction} has >= 2 below", r.smaller_count >= 2, True
-
-
-def _worked_example_cases():
-    from .parsing import two_connector_decompose
-    from .rationals import Fraction, canonical_fraction, even_expansion
-    from .vectors import crossing_number, vector_from_knot
-
-    knot = canonical_fraction(Fraction(38, 85))
-    yield "canonical form", str(knot), "38/85"
-    yield "even continued fraction", str(even_expansion(knot.canonical)), "0+[2,4,4,2]"
-    vec = vector_from_knot(knot).representative
-    yield "vector", vec.entries, (2, 2, 0, 2, 2, 0, 2, 2)
-    yield "crossing number", crossing_number(vec), 12
-    form = two_connector_decompose(vec)
-    yield "two-connector form", form and (form.generator.entries, form.count), ((2, 2), 3)
-    yield "knots below", [str(k) for k in _below(vec)], ["2/5"]
-
-
-_SEAM_NEGATIONS = (
-    ((5,), "17/315", 28),
-    ((4,), "35/621", 29),
-    ((3, 5), "577/5499", 30),
-    ((2, 4), "1189/10395", 31),
-)
-
-
-def _seam_pipeline_cases():
-    from .rationals import Fraction, canonical_fraction
-    from .seams import _gather_seams, negate_segments
-    from .vectors import crossing_number, knot_from_vector, torus_vector
-
-    seam = _gather_seams(torus_vector(27), [canonical_fraction(Fraction(1, q)) for q in (3, 9)])
-    yield "cuts", seam.cuts, (8, 9, 17, 18)
-    for segments, fraction, cr in _SEAM_NEGATIONS:
-        out = negate_segments(seam, segments)
-        yield f"negating {list(segments)}", str(knot_from_vector(out)), fraction
-        yield f"crossing number after negating {list(segments)}", crossing_number(out), cr
-
-
-def _torus_certificate_cases():
-    from .enumeration import epimorphism_number
-    from .vectors import torus_vector
-
-    for q, below in ((27, ["1/3", "1/9"]), (45, ["1/3", "1/5", "1/9", "1/15"])):
-        yield f"knots below the (2,{q}) torus knot", [str(k) for k in _below(torus_vector(q))], below
-    for n, ek in ((45, 4), (105, 6)):
-        yield f"assisted ek({n})", epimorphism_number(n, mode="assisted"), ek
-
-
-def _checks(budget: int):
-    """(name, cases, OK detail) per check, each row made after the one before has run."""
-    from .bounds import least_odd_with_divisors
-    from .enumeration import epimorphism_number, verify_witness_table
-
-    cm_cases = ((f"m={m}", least_odd_with_divisors(m), want) for m, want in sorted(_KNOWN_CM.items()))
-    yield "cm-table", cm_cases, f"{len(_KNOWN_CM)} values"
-    # the window always holds n = 3, so a budget below 3 is refused, not passed vacuously
-    top = max(3, min(budget, max(_KNOWN_EK)))
-    ek_cases = (
-        (f"n={n}", epimorphism_number(n, mode="exact", budget=budget), _KNOWN_EK[n])
-        for n in range(3, top + 1)
-    )
-    yield "ek-window", ek_cases, f"n=3..{top}"
-    reports = verify_witness_table()
-    yield "witnesses", _witness_cases(reports), f"{len(reports)} rows"
-    yield "worked-example", _worked_example_cases(), "38/85"
-    yield "seam-pipeline", _seam_pipeline_cases(), f"{len(_SEAM_NEGATIONS)} negations"
-    yield "torus-certificates", _torus_certificate_cases(), "2 orders, 2 assisted values"
-
-
 def _cmd_verify(args):
-    results = []
-    for name, cases, detail in _checks(args.budget):
-        failed = next((case for case in cases if case[1] != case[2]), None)
-        if failed:
-            detail = "{}: got {}, want {}".format(*failed)
-        results.append({"name": name, "passed": not failed, "detail": detail})
-    passed = all(r["passed"] for r in results)
-    lines = [f"{r['name']}: {'OK' if r['passed'] else 'FAIL'} ({r['detail']})" for r in results]
-    lines.append(f"verify: {'OK' if passed else 'FAIL'}")
-    return "\n".join(lines), {"checks": results, "passed": passed}, 0 if passed else 1
+    from ._paper import verify
+
+    return verify(args.budget)
 
 
 # The flags every verb takes, after -h: (option, keywords).
@@ -379,7 +290,7 @@ def _verb(handler, summary, *positionals, flags=(), exclusive=(), **defaults):
 
 _WRT = ("--wrt", dict(action="append", metavar="BASE", help="base knot; repeatable (default: every smaller knot)"))
 
-# Every verb, declared once: _read and _parser both read this table.
+# Every verb, declared once: _read and _argparser.parser both read this table.
 _VERBS = {
     "convert": _verb("_cmd_convert", "fraction, continued fraction, and vector forms of a knot", "input"),
     "cr": _verb("_cmd_cr", "crossing number of a knot or vector", "input"),
@@ -415,7 +326,7 @@ _VERBS = {
 
 
 def _is_value(token: str) -> bool:
-    r"""True if argparse reads ``token`` as a value: no leading minus, or _Parser's rule ``^-\.?\d``.
+    r"""True if argparse reads ``token`` as a value: no leading minus, or _argparser._Parser's rule ``^-\.?\d``.
 
     ``str.isdecimal`` holds for the same characters as ``\d`` in a str pattern.
     """
@@ -478,57 +389,11 @@ def _read(argv: list[str]):
     return type(sys.implementation)(**attrs)  # types.SimpleNamespace, without importing types
 
 
-def _parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of the verb named ``only`` alone.
-
-    The one-verb parser lists every verb in its usage line as the full one
-    does, so both print the same help and usage errors; a name that is no
-    verb gets the full parser.  argparse is imported here, not at start-up:
-    main builds a parser only for an argv that _read does not read.
-    """
-    import argparse
-    import re
-
-    class _Parser(argparse.ArgumentParser):
-        """Reads an argument that starts with a minus and a digit as a value.
-
-        Plain argparse reads ``-2,2`` or ``-1/3`` as an unknown option, since
-        it only knows negative numbers.  No option of this CLI starts with a
-        digit, so a vector or fraction with a negative first entry needs no
-        ``--`` in front.  Subparsers inherit this class.
-        """
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    parser = _Parser(
-        prog="twobridge",
-        description="Exact arithmetic for the partial order on 2-bridge knots.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = _VERBS
-    if only in _VERBS:
-        sub.metavar = "{" + ",".join(_VERBS) + "}"
-        verbs = {only: _VERBS[only]}
-    for name, (handler, summary, positionals, flags, exclusive, defaults) in verbs.items():
-        p = sub.add_parser(name, help=summary)
-        for option, keywords in _COMMON_FLAGS:
-            p.add_argument(option, **keywords)
-        for arg in positionals:
-            p.add_argument(arg, type=int if arg in _INT_POSITIONALS else None)
-        for option, keywords in flags:
-            p.add_argument(option, **keywords)
-        if exclusive:
-            group = p.add_mutually_exclusive_group()
-            for option, keywords in exclusive:
-                group.add_argument(option, **keywords)
-        p.set_defaults(handler=globals()[handler], **defaults)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
-    return _parser()
+    """The argparse parser of every verb (see :mod:`twobridge._argparser`)."""
+    from ._argparser import parser
+
+    return parser()
 
 
 def _load_config(path: str | None) -> dict:
@@ -565,7 +430,11 @@ def _budget_error() -> type[Exception]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv) or _parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        from ._argparser import parser
+
+        args = parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = _load_config(args.config)
         args.json = args.json or config.get("json", False)

@@ -36,9 +36,11 @@ suite checks both against a prefix scan of every class.
 
 Exact values are budgeted: past the budget EK(n) is refused rather
 than estimated.  The assisted mode instead squeezes EK(n)
-between the divisor bound from :mod:`twobridge.bounds` and certified
-witnesses (torus knots, the lift of 1/9), and only falls back
-to the exact walk when the squeeze is not tight.
+between the divisor bound and certified witnesses (torus knots, the
+lift of 1/9), which :mod:`twobridge.bounds` does on its own
+(``bounds._assisted_ek``), and only falls back to the exact walk when
+the squeeze is not tight.  Only that squeeze imports ``bounds``, so
+neither the catalog nor exact EK loads it.
 
 ``enumerate_knots`` and ``knot_classes`` pause the cyclic garbage
 collector for the whole call, and restore it before they return or
@@ -98,7 +100,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 
 from ._value import Value
-from .bounds import most_divisors_up_to, nontrivial_proper_divisor_count
 from .parsing import _prefix_parsings, _tiles, smaller_knots
 from .rationals import Fraction, KnotClass, _orbit_min, canonical_fraction
 from .vectors import (
@@ -525,19 +526,6 @@ def verify_witness_table() -> tuple[WitnessReport, ...]:
     return tuple(reports)
 
 
-def _assisted_lower_bound(n: int, upper: int) -> int:
-    """The certified lower bound on EK(n) when it reaches ``upper``, else a value below it.
-
-    The torus knot 1/n has one knot below it per nontrivial proper
-    divisor of n; counting them stops early, with some value below the
-    divisor-bound ceiling ``upper``, once the count cannot reach it.
-    For n >= 27 the 3-fold lift of 1/9 to n crossings lies above 1/9,
-    and 1/9 lies above 1/3, so EK(n) >= 2.
-    """
-    best = nontrivial_proper_divisor_count(n, upper) if n % 2 and n >= 3 else 0
-    return max(best, 2) if n >= 27 else best
-
-
 def epimorphism_number(
     n: int,
     mode: str = "exact",
@@ -559,11 +547,11 @@ def epimorphism_number(
         raise ValueError(f"unknown mode {mode!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     if mode == "assisted":
-        upper = most_divisors_up_to(n)
-        if upper == 0:
-            return 0
-        if _assisted_lower_bound(n, upper) == upper:
-            return upper
+        from .bounds import _assisted_ek  # only the assisted squeeze reads the bounds
+
+        value = _assisted_ek(n)
+        if value is not None:
+            return value
     if n > budget:
         raise BudgetExceededError(n, budget)
     return max((len(bases) for _, bases in _classes_with_smaller(n)), default=0)

@@ -27,7 +27,6 @@ floating point.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Sequence
 
 from ._value import Value
@@ -61,9 +60,6 @@ class CFDivisionError(ZeroDivisionError):
         self.position = position
 
 
-_FRACTION_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
-
-
 class Fraction(Value):
     """A reduced rational with positive odd denominator.
 
@@ -95,13 +91,23 @@ class Fraction(Value):
 
     @classmethod
     def parse(cls, text: str) -> "Fraction":
-        """Parse ``"p/q"`` (or a bare integer) with an optional leading minus."""
-        m = _FRACTION_RE.match(text.strip())
-        if not m:
-            raise InvalidFractionError(f"cannot parse fraction from {text!r}")
-        p = int(m.group(1))
-        q = int(m.group(2)) if m.group(2) is not None else 1
-        return cls(p, q)
+        r"""Parse ``"p/q"`` (or a bare integer) with an optional leading minus.
+
+        Reads, after ``strip()``, the strings that ``^(-?\d+)(?:/(-?\d+))?$``
+        matches, without ``re``: ``str.isdecimal`` holds for the characters
+        of ``\d``, Unicode category Nd.  A part with more digits than
+        ``int`` reads (``sys.get_int_max_str_digits()``) is as unreadable
+        as any other.
+        """
+        p, slash, q = text.strip().partition("/")
+        if p.removeprefix("-").isdecimal() and (not slash or q.removeprefix("-").isdecimal()):
+            try:
+                p, q = int(p), int(q) if slash else 1
+            except ValueError:  # past int()'s digit limit
+                pass
+            else:
+                return cls(p, q)
+        raise InvalidFractionError(f"cannot parse fraction from {text!r}")
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"

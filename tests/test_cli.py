@@ -6,6 +6,7 @@ process-boundary effects are covered end to end.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -638,6 +639,17 @@ def test_reader_matches_the_full_parser(capsys):
     assert min(outcomes.values()) > 500, outcomes
 
 
+def test_bench_expected_bytes(capsys):
+    # every argv of the benchmark's CLI pool, run in process, exits with
+    # the code and prints the stdout bytes recorded in bench/expected.json
+    bench = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    cases = bench["cli_light"] + bench["cli_heavy"]
+    assert len(cases) == 90
+    for case in cases:
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (case["rc"], case["stdout_sha256"]), case["argv"]
+
+
 def test_verify_default_budget(capsys, monkeypatch):
     monkeypatch.setattr(twobridge.cli, "_cmd_verify", lambda args: (str(args.budget), {}, 0))
     assert run(capsys, "verify-paper") == (0, "14\n", "")
@@ -673,6 +685,20 @@ def test_exit_invalid_fraction(capsys):
         for r in ("0", "3", "-1"):
             want = f"error: invalid-fraction: {r}/1 does not identify a nontrivial 2-bridge knot\n"
             assert run(capsys, *(a.format(f"{r}+[]") for a in argv)) == (3, "", want), (argv, r)
+
+
+def test_exit_invalid_fraction_past_the_int_digit_limit(capsys):
+    # a part with more digits than int() reads is an unreadable fraction,
+    # not int's own limit error; an integer positional is still refused by
+    # argparse, with exit 2
+    ones = "1" * 5001
+    for argv in (["convert", f"1/{ones}"], ["cr", f"{ones}/3"]):
+        want = f"error: invalid-fraction: cannot parse fraction from {argv[1]!r}\n"
+        assert run(capsys, *argv) == (3, "", want), argv[0]
+    with pytest.raises(SystemExit) as info:
+        main(["cm", ones])
+    assert info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_exit_budget(capsys):
@@ -880,7 +906,8 @@ def test_cli_start_up_loads_no_dataclasses_or_json():
     # Every verb is a fresh process, so what the CLI imports is paid on
     # every call.  -S keeps site hooks from importing these modules first.
     # argparse, and gettext and locale with it, load only for help and
-    # usage errors: after them, cr --help still prints its usage.
+    # usage errors, and no verb loads re: after them, cr --help still
+    # prints its usage.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
@@ -888,7 +915,7 @@ def test_cli_start_up_loads_no_dataclasses_or_json():
         "import twobridge.cli\n"
         "for argv in (['cr', '2,2'], ['cm', '40'], ['ek', '9'], ['verify-paper', '--budget', '9']):\n"
         "    twobridge.cli.main(argv)\n"
-        "modules = ('dataclasses', 'json', 'argparse', 'gettext', 'locale')\n"
+        "modules = ('dataclasses', 'json', 'argparse', 'gettext', 'locale', 're')\n"
         "print('loaded:', sorted(m for m in modules if m in sys.modules))\n"
         "twobridge.cli.main(['cr', '2,2', '--json'])\n"
         "twobridge.cli.main(['cr', '--help'])\n"

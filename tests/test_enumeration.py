@@ -54,7 +54,8 @@ from twobridge import (
     verify_witness_table,
 )
 from twobridge import enumeration
-from twobridge.enumeration import _assemblies, _assisted_lower_bound, _class_vectors, _classes_with_smaller
+from twobridge.bounds import _assisted_lower_bound
+from twobridge.enumeration import _assemblies, _class_vectors, _classes_with_smaller
 from twobridge.vectors import _class_representative, _pack, _unpack
 
 # EK(n) for n = 3..18: zero through 8 crossings, one from 9 through 14,

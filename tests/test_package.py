@@ -146,15 +146,15 @@ def test_root_lookup_loads_the_layers_up_to_the_name():
         ("Fraction", {"_value", "rationals"}),
         ("SEvenVector", {"vectors"}),
         ("smaller_knots", {"parsing"}),
-        ("enumerate_knots", {"enumeration", "bounds"}),
+        ("enumerate_knots", {"enumeration"}),
     ]
     loaded, want = set(), ""
     for _, modules in steps:
         loaded |= modules
         want += f"{sorted(loaded)}\n"
     assert _child(LOOKUP, *(name for name, _ in steps)) == want
-    every = f"{sorted(loaded | {'seams'})}\n"
-    assert _child(LOOKUP, "find_seams") == every
+    assert _child(LOOKUP, "find_seams") == f"{sorted(loaded | {'seams'})}\n"
+    every = f"{sorted(loaded | {'seams', 'bounds'})}\n"
     assert _child(LOOKUP, "least_odd_with_divisors") == every
     assert _child(LOOKUP, "no_such_name") == every
     assert _child(LOOKUP, "__wrapped__") == "[]\n"
@@ -176,7 +176,7 @@ def test_dir_reads_the_bound_all(monkeypatch):
 LIGHT = {"_value", "cli", "rationals", "vectors"}
 ORDER = LIGHT | {"parsing"}
 SEAMS = ORDER | {"seams"}
-COUNTS = ORDER | {"bounds", "enumeration"}
+COUNTS = ORDER | {"enumeration"}
 FOOTPRINTS = [
     (["cr", "2,2"], LIGHT),
     (["convert", "1/3"], LIGHT),
@@ -188,12 +188,15 @@ FOOTPRINTS = [
     (["lift", "2,2", "--target", "12"], SEAMS),
     (["cm", "40"], {"_value", "bounds", "cli"}),
     (["ek", "9"], COUNTS),
+    (["ek", "45", "--assisted"], {"_value", "bounds", "cli"}),  # settled by the divisor bounds alone
     (["enumerate", "9"], COUNTS),
-    (["verify-paper", "--budget", "9"], COUNTS | {"seams"}),
+    (["verify-paper", "--budget", "9"], COUNTS | {"bounds", "seams", "_paper"}),
 ]
 
 
-@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
+@pytest.mark.parametrize(
+    "argv, modules", FOOTPRINTS, ids=[argv[0] + " --assisted" * ("--assisted" in argv) for argv, _ in FOOTPRINTS]
+)
 def test_each_verb_loads_only_its_layers(argv, modules):
     assert _child(FOOTPRINT, *argv) == f"{sorted(modules)}\n"
 

@@ -10,6 +10,8 @@ import copy
 import fractions
 import math
 import pickle
+import random
+import re
 
 import pytest
 
@@ -121,6 +123,42 @@ def test_fraction_normalizes():
 def test_fraction_rejects_bad_input(text):
     with pytest.raises(InvalidFractionError):
         Fraction.parse(text)
+
+
+# The fraction syntax as a regular expression, applied after strip(): the
+# reference that Fraction.parse, which reads without re, must agree with.
+FRACTION_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+
+# Characters for generated fraction text: ASCII and other Unicode decimal
+# digits (Arabic-Indic, Devanagari, fullwidth), digits that are not
+# decimal (superscript two, Roman numeral one), and the signs, separators
+# and spaces that int() alone would accept or that split a part.
+PARSE_ALPHABET = "0179١٢٣०५１²Ⅰ-/+_ .\t\n　ax"
+
+
+def _raw_parse(text):
+    """(p, q) as Fraction.parse reads them, before the constructor normalizes; None if unreadable."""
+    try:
+        return Fraction.parse.__func__(lambda p, q: (p, q), text)
+    except InvalidFractionError:
+        return None
+
+
+def test_fraction_parse_matches_the_pattern():
+    rng = random.Random(1809)
+    texts = ["١٢/٣", "_", "1_0/3", "+1/3", "1/+3", "1 /3", "1/ 3", " 1/3 ", "--1", "1/--3", "-", "-/3",
+             "1/", "/3", "1//3", "/", "", " ", "1/3/5", "-0/-0", "²/3", "1\n", "1\n/3"]
+    for _ in range(20000):
+        body = "".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randrange(7)))
+        texts.append(rng.choice(("", " ", "\t")) + body + rng.choice(("", " ", "\n")))
+    accepted = 0
+    for text in texts:
+        m = FRACTION_RE.match(text.strip())
+        want = (int(m[1]), int(m[2]) if m[2] is not None else 1) if m else None
+        assert _raw_parse(text) == want, repr(text)
+        accepted += m is not None
+    # both sides of the comparison are common
+    assert 1000 < accepted < len(texts) - 1000, accepted
 
 
 def test_canonical_fraction_rejects_unknot_and_links():
