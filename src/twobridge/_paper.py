@@ -1,13 +1,16 @@
 """The checks of the ``verify-paper`` verb: the paper's reference tables and constructions.
 
-Only ``verify-paper`` runs this code, so it lives apart from :mod:`twobridge.cli`,
-which every verb compiles.  Each check imports the library names it uses
-when it runs, so a name replaced in its home module is the one called.
+Only ``verify-paper`` runs this code: its handler, in
+:mod:`twobridge._verbs.verify`, imports it, and no other verb compiles
+it.  It lists the knots below a vector with ``_verbs._shared._below``,
+as ``smaller`` and ``torus`` do.  Each check imports the library names it
+uses when it runs, so a name replaced in its home module is the one
+called.
 """
 
 from __future__ import annotations
 
-from .cli import _below
+from ._verbs._shared import _below
 
 # Reference tables.  The same values are frozen independently in the
 # test suite.

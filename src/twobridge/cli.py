@@ -1,4 +1,4 @@
-"""Command line interface.
+"""Command line interface: the dispatcher of the verbs.
 
 Verbs operate on knots given as fractions ("17/315"), even continued
 fractions ("0+[2,4,4,2]"), or vectors ("2,2,0,2,2,0,2,2"); vectors are
@@ -18,19 +18,27 @@ usage error, 3 invalid fraction or continued fraction, 4 enumeration
 budget exceeded.
 
 Each verb is a fresh process that compiles every module it imports, so
-each handler imports the library names it uses when it runs: ``cr`` and
-``convert`` load only ``rationals`` and ``vectors``, ``cm`` only
-``bounds``, ``ek --assisted`` only ``bounds`` where the divisor bounds
-settle EK(n), and ``verify-paper`` every layer.  Annotations that name
-library classes are never evaluated, so those classes are not imported
-for them.  Code that few runs need lives outside this module, which
-every verb compiles: verify-paper's checks in :mod:`twobridge._paper`,
-and the argparse parser in :mod:`twobridge._argparser`.  ``main`` reads
-argv itself where argparse's reading of it is fixed (see ``_read``), and
-imports argparse, which loads ``gettext``, ``locale`` and ``re``, only
-for the rest: help, usage errors, ``--``, ``--opt=value``, abbreviated
-options, and ``--exact`` with ``--assisted``.  It then builds the parser
-of the one verb it is given.
+this module holds only what every verb runs: the table of verbs
+(``_VERBS``), the argv reader (``_read``), config loading, ``main`` with
+its error mapping, and the input reader most verbs run (``_as_vector``).
+Each verb's handler, ``_cmd_<name>`` (``_cmd_verify`` for
+``verify-paper``), is in its own module ``twobridge._verbs.<name>``,
+imported only when that verb runs and reachable here by its name
+(``__getattr__``).  A handler imports the library names it uses when it
+runs: ``cr`` and ``convert`` load only ``rationals`` and ``vectors``,
+``cm`` only ``bounds``, ``ek --assisted`` only ``bounds`` where the
+divisor bounds settle EK(n), and ``verify-paper`` every layer, with its
+checks in :mod:`twobridge._paper`.
+An error exit loads nothing more: ``main`` matches a library exception
+class only once its layer is loaded (``_raised``).  Annotations that
+name library classes are never evaluated, so those classes are not
+imported for them.  ``main`` reads argv itself where argparse's reading
+of it is fixed (see ``_read``), and imports the parser of
+:mod:`twobridge._argparser`, and with it argparse, which loads
+``gettext``, ``locale`` and ``re``, only for the rest: help, usage
+errors, ``--``, ``--opt=value``, abbreviated options, and ``--exact``
+with ``--assisted``.  It then builds the parser of the one verb it is
+given.
 """
 
 from __future__ import annotations
@@ -61,209 +69,6 @@ def _as_vector(text: str) -> SEvenVector:
     return SEvenVector.parse(text)
 
 
-def _below(v: SEvenVector) -> list[KnotClass]:
-    from .parsing import smaller_knots
-
-    return sorted(smaller_knots(v), key=lambda k: k.sort_key)
-
-
-def _seam_bases(v: SEvenVector, wrt: list[str] | None) -> list[KnotClass]:
-    from .vectors import knot_from_vector
-
-    if wrt:
-        return sorted({knot_from_vector(_as_vector(t)) for t in wrt}, key=lambda k: k.sort_key)
-    bases = _below(v)
-    if not bases:
-        raise ValueError("no knots lie strictly below this vector; pass --wrt explicitly")
-    return bases
-
-
-def _render(value) -> tuple[str, object]:
-    """The text and JSON forms of one report value."""
-    from .rationals import EvenCF, KnotClass
-    from .vectors import SEvenVector
-
-    if isinstance(value, SEvenVector):
-        value = value.entries
-    if isinstance(value, (KnotClass, EvenCF)):
-        return str(value), str(value)
-    if isinstance(value, (tuple, list)):
-        if value and isinstance(value[0], KnotClass):
-            return " ".join(map(str, value)), [str(k) for k in value]
-        return ",".join(map(str, value)), list(value)
-    return str(value), value
-
-
-def _report(fields, tail=(), **json_only):
-    """The handler result for (name, value) fields, text-only tail lines and JSON-only keywords."""
-    lines, payload = [], {}
-    for name, value in fields:
-        text, payload[name.replace("-", "_")] = _render(value)
-        lines.append(f"{name}: {text}")
-    payload.update((key, _render(value)[1]) for key, value in json_only.items())
-    return "\n".join([*lines, *tail]), payload, 0
-
-
-def _knot_fields(v: SEvenVector) -> list[tuple[str, object]]:
-    from .vectors import crossing_number, knot_from_vector
-
-    knot, n = knot_from_vector(v), crossing_number(v)
-    return [("vector", v), ("fraction", knot), ("crossing-number", n)]
-
-
-# Each handler takes the parsed arguments, with args.budget resolved by
-# main (None stands for the library's DEFAULT_BUDGET), and returns
-# (text, json_payload, exit_code).  It imports the library names it uses
-# when it runs.
-
-
-def _cmd_convert(args):
-    from .rationals import Fraction, canonical_fraction, even_expansion
-    from .vectors import canonical_vector, crossing_number, knot_from_vector, vector_from_knot
-
-    if _is_fraction(args.input):  # the knot is at hand, and its fraction keeps the one expansion
-        knot = canonical_fraction(Fraction.parse(args.input))
-        vec = vector_from_knot(knot).representative
-    else:
-        vec = canonical_vector(_as_vector(args.input)).representative
-        knot = knot_from_vector(vec)
-    cf, n = even_expansion(knot.canonical), crossing_number(vec)
-    return _report([("fraction", knot), ("even-cf", cf), ("vector", vec), ("crossing-number", n)])
-
-
-def _cmd_cr(args):
-    from .vectors import crossing_number
-
-    vec = _as_vector(args.input)
-    n = crossing_number(vec)
-    return str(n), {"vector": list(vec.entries), "crossing_number": n}, 0
-
-
-def _cmd_smaller(args):
-    vec = _as_vector(args.input)
-    below = _below(vec)
-    return _report([("count", len(below))], map(str, below), vector=vec, smaller=below)
-
-
-def _cmd_compare(args):
-    from .parsing import is_strictly_greater
-    from .vectors import canonical_vector, knot_from_vector
-
-    va = canonical_vector(_as_vector(args.a))
-    vb = canonical_vector(_as_vector(args.b))
-    ka = knot_from_vector(va.representative)
-    kb = knot_from_vector(vb.representative)
-    above = is_strictly_greater(va, vb)
-    below = is_strictly_greater(vb, va)
-    relation = "equal" if va == vb else "greater" if above else "less" if below else "incomparable"
-    fields = [("a", ka), ("b", kb), ("relation", relation)]
-    return _report(fields, a_above_b=above, b_above_a=below)
-
-
-def _cmd_cm(args):
-    from .bounds import bound_entry, bound_table
-
-    if args.table:
-        rows = bound_table(args.m)
-        text = "\n".join(f"{e.m} {e.value}" for e in rows)
-        payload = {"table": [e.to_json_dict() for e in rows]}
-    else:
-        entry = bound_entry(args.m)
-        text = str(entry.value)
-        payload = entry.to_json_dict()
-    return text, payload, 0
-
-
-def _cmd_ek(args):
-    value = None
-    if args.mode == "assisted":  # the bounds alone settle most n, with no layer of knots loaded
-        from .bounds import _assisted_ek
-
-        value = _assisted_ek(args.n)
-    if value is None:  # what epimorphism_number does once the squeeze is open
-        from .enumeration import epimorphism_number
-
-        value = epimorphism_number(args.n, mode="exact", budget=args.budget)
-    return str(value), {"n": args.n, "mode": args.mode, "ek": value}, 0
-
-
-def _cmd_enumerate(args):
-    from .enumeration import DEFAULT_BUDGET, BudgetExceededError, enumerate_knots
-
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    if args.n > budget:
-        raise BudgetExceededError(args.n, budget)
-    catalog = enumerate_knots(args.n)
-    if args.json:  # a catalog is large: build only the form that is printed
-        return "", catalog.to_json_dict(), 0
-    lines = [f"n: {catalog.crossing_number}", f"count: {len(catalog.entries)}", f"ek: {catalog.ek}"]
-    for entry in catalog.entries:
-        below = ";".join(str(k.canonical) for k in entry.smaller) or "-"
-        lines.append(
-            f"knot={entry.knot.canonical} vector={entry.vector} smaller={below}"
-        )
-    return "\n".join(lines), None, 0
-
-
-def _cmd_seams(args):
-    from .seams import _gather_seams
-
-    vec = _as_vector(args.input)
-    bases = _seam_bases(vec, args.wrt)
-    seam = _gather_seams(vec, bases)
-    segs = " ".join(f"{i}={lo}..{hi}" for i, (lo, hi) in enumerate(seam.segments, 1))
-    text = "\n".join(
-        [
-            f"vector: {vec}",
-            f"bases: {' '.join(map(str, bases))}",
-            f"parsings: {len(seam.parsings)}",
-            f"cuts: {','.join(str(c) for c in seam.cuts) or '-'}",
-            f"segments: {segs}",
-        ]
-    )
-    payload = seam.to_json_dict()
-    payload["bases"] = [str(k.canonical) for k in bases]
-    return text, payload, 0
-
-
-def _cmd_negate(args):
-    from .seams import _gather_seams, negate_segments
-
-    vec = _as_vector(args.input)
-    try:
-        segments = tuple(sorted({int(t) for t in args.segments.split(",")}))
-    except ValueError:
-        raise ValueError(f"--segments takes comma separated segment numbers, got {args.segments!r}") from None
-    bases = _seam_bases(vec, args.wrt)
-    seam = _gather_seams(vec, bases)
-    out = negate_segments(seam, segments)
-    fields = _knot_fields(out) + [("negated-segments", segments), ("still-above", bases)]
-    return _report(fields, cuts=seam.cuts)
-
-
-def _cmd_lift(args):
-    from .seams import lift_construction
-
-    base = _as_vector(args.input)
-    return _report(_knot_fields(lift_construction(base, args.target)), base=base)
-
-
-def _cmd_torus(args):
-    from .vectors import crossing_number, knot_from_vector, torus_vector
-
-    vec = torus_vector(args.q)
-    knot = knot_from_vector(vec)
-    below = _below(vec)
-    fields = [("fraction", knot), ("vector", vec), ("crossing-number", crossing_number(vec))]
-    return _report(fields + [("count", len(below))], map(str, below), smaller=below)
-
-
-def _cmd_verify(args):
-    from ._paper import verify
-
-    return verify(args.budget)
-
-
 # The flags every verb takes, after -h: (option, keywords).
 _COMMON_FLAGS = (
     ("--json", dict(action="store_true", help="emit JSON instead of text")),
@@ -279,11 +84,12 @@ _INT_POSITIONALS = ("m", "n", "q")
 def _verb(handler, summary, *positionals, flags=(), exclusive=(), **defaults):
     """A row of _VERBS: handler, summary, positionals, flags, exclusive flags and set_defaults values.
 
-    ``handler`` names the function that runs the verb; it is looked up when
-    a verb is read, so a replaced handler is the one called.  Positionals in
-    _INT_POSITIONALS are integers.  Flags, taken after _COMMON_FLAGS, and
-    the mutually exclusive flags are (option, keywords) pairs for
-    add_argument.
+    ``handler`` names the function that runs the verb, ``_cmd_<name>`` in
+    the module ``twobridge._verbs.<name>`` (see ``__getattr__``); it is
+    looked up when a verb is read, so a handler replaced on this module is
+    the one called.  Positionals in _INT_POSITIONALS are integers.  Flags,
+    taken after _COMMON_FLAGS, and the mutually exclusive flags are
+    (option, keywords) pairs for add_argument.
     """
     return handler, summary, positionals, flags, exclusive, defaults
 
@@ -356,7 +162,7 @@ def _read(argv: list[str]):
     attrs = {"verb": argv[0]}
     for dest, keywords in options.values():
         attrs[dest] = False if keywords.get("action") == "store_true" else keywords.get("default")
-    attrs.update(defaults, handler=globals()[handler])
+    attrs.update(defaults, handler=globals().get(handler) or __getattr__(handler))
     found, seen = [], set()
     tokens = iter(argv[1:])
     try:
@@ -412,20 +218,26 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-# The library's exception classes, imported only when an exception
-# reaches main: except clauses are evaluated in order, on demand.
+def __getattr__(name: str):
+    """A verb's handler, ``_cmd_<name>``, from its own module ``twobridge._verbs.<name>`` (PEP 562).
+
+    Only the verb that runs imports its handler's module, so every verb
+    compiles this dispatcher and its own handler, and no other handler.
+    """
+    if not any(row[0] == name for row in _VERBS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}._verbs.{name[5:]}", fromlist=[name]), name)
 
 
-def _fraction_errors() -> tuple[type[Exception], ...]:
-    from .rationals import CFDivisionError, InvalidFractionError
+def _raised(layer: str, *names: str) -> tuple[type[Exception], ...]:
+    """The exception classes ``names`` of a library layer, or none while the layer is not loaded.
 
-    return InvalidFractionError, CFDivisionError
-
-
-def _budget_error() -> type[Exception]:
-    from .enumeration import BudgetExceededError
-
-    return BudgetExceededError
+    A class whose module was never imported cannot have been raised, so an
+    error exit loads no layer that its verb did not run.  except clauses
+    are evaluated in order, only when an exception reaches them.
+    """
+    module = sys.modules.get(f"{__package__}.{layer}")
+    return tuple(getattr(module, name) for name in names) if module else ()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -456,10 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"error: resource-exhausted: {detail}", file=sys.stderr)
         return 1
-    except _fraction_errors() as exc:
+    except _raised("rationals", "InvalidFractionError", "CFDivisionError") as exc:
         print(f"error: invalid-fraction: {exc}", file=sys.stderr)
         return 3
-    except _budget_error() as exc:
+    except _raised("enumeration", "BudgetExceededError") as exc:
         print(f"error: budget-exceeded: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

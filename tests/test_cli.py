@@ -563,7 +563,7 @@ CI_ARGVS = [
     ["seams", NEG27, "--wrt", "1/3", "--wrt", "1/9"], ["compare", "-2,-2,0,-2,-2,0,-2,-2", "2,2"],
     ["cm", "5", "--out", "missing/cm.txt"], ["seams", "1/27", "--wrt", "1/27"], ["negate", "1/27", "--segments", "3,5"],
     ["lift", "2,2", "--target", "12", "--json"], ["ek", "9", "--config", "budget.json"], ["cr", "0+[]"],
-    ["verify-paper", "--budget", "2"], ["torus", "99999999999999999999999"],
+    ["verify-paper", "--budget", "2"], ["torus", "99999999999999999999999"], ["cr", "2,3"], ["cm", "-1"],
 ]
 
 # Value and positional tokens for generated argvs: ones that read as

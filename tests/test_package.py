@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import twobridge
+import twobridge.cli
 from twobridge import bounds, enumeration, parsing, rationals, seams, vectors
 
 MODULES = (bounds, enumeration, parsing, rationals, seams, vectors)
@@ -101,15 +102,17 @@ def test_star_import_binds_every_name():
 
 # A python -S child (no site hook imports anything first) with src put
 # on sys.path by hand: it imports the package, runs main on its argv if
-# it has one, and prints the twobridge submodules it has loaded.
+# it has one and prints the exit code, and prints the twobridge
+# submodules it has loaded.
 FOOTPRINT = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import twobridge
 if sys.argv[2:]:
     import twobridge.cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert twobridge.cli.main(sys.argv[2:]) == 0
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = twobridge.cli.main(sys.argv[2:])
+    print("exit", code)
 print(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("twobridge.")))
 """
 
@@ -172,33 +175,59 @@ def test_dir_reads_the_bound_all(monkeypatch):
     assert dir(twobridge) == names
 
 
-# Each verb loads the layers it runs and no others.
-LIGHT = {"_value", "cli", "rationals", "vectors"}
+# Each verb loads the layers it runs and its own handler's module in
+# _verbs, and no other verb's: (argv, exit code, handler module, layers
+# and helpers).  An error exit loads what the same verb loads when it
+# succeeds.
+LIGHT = {"_value", "rationals", "vectors"}
 ORDER = LIGHT | {"parsing"}
 SEAMS = ORDER | {"seams"}
 COUNTS = ORDER | {"enumeration"}
+SHARED = "_verbs._shared"
 FOOTPRINTS = [
-    (["cr", "2,2"], LIGHT),
-    (["convert", "1/3"], LIGHT),
-    (["smaller", "1/45"], ORDER),
-    (["compare", "1/9", "1/3"], ORDER),
-    (["torus", "9"], ORDER),
-    (["seams", "1/27"], SEAMS),
-    (["negate", "1/27", "--segments", "3"], SEAMS),
-    (["lift", "2,2", "--target", "12"], SEAMS),
-    (["cm", "40"], {"_value", "bounds", "cli"}),
-    (["ek", "9"], COUNTS),
-    (["ek", "45", "--assisted"], {"_value", "bounds", "cli"}),  # settled by the divisor bounds alone
-    (["enumerate", "9"], COUNTS),
-    (["verify-paper", "--budget", "9"], COUNTS | {"bounds", "seams", "_paper"}),
+    (["cr", "2,2"], 0, "cr", LIGHT),
+    (["cr", "2,3"], 1, "cr", LIGHT),
+    (["convert", "1/3"], 0, "convert", LIGHT | {SHARED}),
+    (["smaller", "1/45"], 0, "smaller", ORDER | {SHARED}),
+    (["compare", "1/9", "1/3"], 0, "compare", ORDER | {SHARED}),
+    (["torus", "9"], 0, "torus", ORDER | {SHARED}),
+    (["seams", "1/27"], 0, "seams", SEAMS | {SHARED}),
+    (["negate", "1/27", "--segments", "3"], 0, "negate", SEAMS | {SHARED}),
+    (["lift", "2,2", "--target", "12"], 0, "lift", SEAMS | {SHARED}),
+    (["cm", "40"], 0, "cm", {"_value", "bounds"}),
+    (["cm", "-1"], 1, "cm", {"_value", "bounds"}),
+    (["ek", "9"], 0, "ek", COUNTS),
+    (["ek", "45", "--assisted"], 0, "ek", {"_value", "bounds"}),  # settled by the divisor bounds alone
+    (["enumerate", "9"], 0, "enumerate", COUNTS),
+    (["verify-paper", "--budget", "9"], 0, "verify", COUNTS | {"bounds", "seams", "_paper", SHARED}),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, modules", FOOTPRINTS, ids=[argv[0] + " --assisted" * ("--assisted" in argv) for argv, _ in FOOTPRINTS]
+    "argv, code, handler, modules",
+    FOOTPRINTS,
+    ids=[argv[0] + " --assisted" * ("--assisted" in argv) + f" exit {code}" * bool(code) for argv, code, *_ in FOOTPRINTS],
 )
-def test_each_verb_loads_only_its_layers(argv, modules):
-    assert _child(FOOTPRINT, *argv) == f"{sorted(modules)}\n"
+def test_each_verb_loads_only_its_layers(argv, code, handler, modules):
+    loaded = {"cli", "_verbs", f"_verbs.{handler}", *modules}
+    assert _child(FOOTPRINT, *argv) == f"exit {code}\n{sorted(loaded)}\n"
+
+
+def test_footprints_name_each_verbs_own_handler_module():
+    # every verb has a footprint row, which names the module of the
+    # handler its _VERBS row declares, and no two verbs share one
+    handlers = {argv[0]: handler for argv, _, handler, _ in FOOTPRINTS}
+    assert sorted(handlers) == sorted(twobridge.cli._VERBS)
+    assert len(set(handlers.values())) == len(handlers)
+    assert all(twobridge.cli._VERBS[verb][0] == f"_cmd_{handler}" for verb, handler in handlers.items())
+
+
+def test_cli_import_loads_no_handler_module():
+    code = (
+        "import sys\nsys.path.insert(0, sys.argv[1])\nimport twobridge.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('twobridge.')))\n"
+    )
+    assert _child(code) == "['twobridge.cli']\n"
 
 
 def test_cli_start_up_loads_no_typing_or_pathlib():
