@@ -18,10 +18,9 @@ loads the layers before it, and an unknown name and the first
 ``dir(twobridge)`` load every layer.  ``from twobridge import *`` binds
 every name, and submodules stay reachable as attributes.  Each CLI verb is a
 fresh process, and without written bytecode every module it imports is
-compiled again, so the root imports only what a name asks for.
+compiled again, so the root imports only what a name asks for.  Layers
+are loaded with ``__import__``, so ``-X importtime`` reports each one.
 """
-
-from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     root, public = globals(), set()
     for layer in _LAYERS:
-        module = import_module(f".{layer}", __name__)
+        module = __import__(f"{__name__}.{layer}", fromlist=["__all__"])
         public.update(module.__all__)
         root.update({n: getattr(module, n) for n in module.__all__})
         if name in root:

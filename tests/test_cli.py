@@ -6,6 +6,7 @@ process-boundary effects are covered end to end.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -928,6 +929,93 @@ def test_cli_start_up_loads_no_dataclasses_or_json():
     assert rest.startswith('{\n  "crossing_number": 4,\n  "vector": [\n    2,\n    2\n  ]\n}\nusage: twobridge cr [-h]')
 
 
+# -------------------------------------------------------------- exit path
+
+# A child that starts the CLI as python -m twobridge does, through
+# cli.run() on sys.argv, with cli.main wrapped to read the freeze count
+# as main returns or raises.  It prints the exit code, whether main left
+# the count at its start value, and whether run raised it.
+RUN_CHILD = """
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+import twobridge.cli
+start, after_main = gc.get_freeze_count(), []
+main = twobridge.cli.main
+
+
+def watched():
+    try:
+        return main()
+    finally:
+        after_main.append(gc.get_freeze_count())
+
+
+twobridge.cli.main = watched
+sys.argv = ["twobridge", *sys.argv[2:]]
+try:
+    code = twobridge.cli.run()
+except SystemExit as exc:
+    code = exc.code
+print("exit", code, "main froze", after_main != [start], "run froze", gc.get_freeze_count() > start)
+"""
+
+
+FREEZE_ARGVS = [(["cr", "2,2"], 0), (["ek", "12"], 0), (["cr", "--bogus"], 2)]
+
+
+@pytest.mark.parametrize("argv, code", FREEZE_ARGVS, ids=[" ".join(argv) for argv, _ in FREEZE_ARGVS])
+def test_run_freezes_the_heap_once_main_returns(argv, code):
+    # In a child only: a freeze here would outlive the test.  Python 3.12
+    # starts with objects frozen, so the count is compared with its value
+    # at start.  ek builds a catalog, whose handoff to the oldest
+    # generation freezes and unfreezes; cr --bogus leaves main through
+    # argparse's SystemExit.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", RUN_CHILD, str(src), *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"exit {code} main froze False run froze True"
+
+
+def test_main_never_freezes(capsys):
+    start = gc.get_freeze_count()
+    assert run(capsys, "cr", "2,2") == (0, "4\n", "")
+    assert gc.get_freeze_count() == start
+
+
+# Argvs run through python -m twobridge and through main in process, with
+# the exit code both give: a light and a heavy verb, exits 1, 3 and 4
+# (rows of CI_ARGVS), a usage error, help, and --out, whose FILE is
+# OUT_FILE.
+OUT_FILE = "FILE"
+PARITY_ARGVS = [
+    (["cr", "2,2"], 0), (["ek", "12"], 0), (["cr", "2,3"], 1), (["cm", "-1"], 1), (["cr", "0+[]"], 3),
+    (["verify-paper", "--budget", "2"], 4), (["cr", "--bogus"], 2), (["cr", "--help"], 0),
+    (["cr", "2,2", "--out", OUT_FILE], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", PARITY_ARGVS, ids=[" ".join(argv) for argv, _ in PARITY_ARGVS])
+def test_fresh_process_matches_main(tmp_path, capsys, argv, code):
+    # the exit code, stdout, stderr and written file of a fresh process
+    # started through cli.run() are those of main in process
+
+    def in_process(args):
+        try:
+            return run(capsys, *args)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    def outcome(runner, name):
+        target = tmp_path / name
+        got = runner([str(target) if arg == OUT_FILE else arg for arg in argv])
+        return (*got, target.read_text() if target.exists() else None)
+
+    fresh = outcome(lambda args: run_proc(*args), "fresh.txt")
+    assert fresh == outcome(in_process, "main.txt")
+    assert fresh[0] == code
+
+
 # Runs a ``[project.scripts]`` target as a console-script wrapper does:
 # load ``module:attr``, set ``argv[0]`` to the script name, exit with
 # the target's return value.  argv: script name, target, script args.
@@ -955,6 +1043,7 @@ def test_console_script_help():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["twobridge"] == "twobridge.cli:run"  # the exit path python -m twobridge takes
     proc = subprocess.run(
         [sys.executable, "-c", CONSOLE_SCRIPT_WRAPPER,
          "twobridge", scripts["twobridge"], "--help"],

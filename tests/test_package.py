@@ -168,11 +168,26 @@ def test_dir_reads_the_bound_all(monkeypatch):
     names = dir(twobridge)
     assert set(twobridge.__all__) <= set(names)
 
-    def no_import(*args):
-        raise AssertionError("dir() imported a layer again")
+    def no_lookup(name):
+        raise AssertionError(f"dir() looked {name!r} up again")
 
-    monkeypatch.setattr(twobridge, "import_module", no_import)
+    monkeypatch.setattr(twobridge, "__getattr__", no_lookup)
     assert dir(twobridge) == names
+
+
+def test_root_lookup_imports_show_under_importtime():
+    # The root loads its layers with __import__, so -X importtime reports
+    # what the catalog and order-query set-up snippets import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import twobridge; twobridge.enumerate_knots"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    reported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"twobridge.rationals", "twobridge.enumeration"} <= reported, proc.stderr
 
 
 # Each verb loads the layers it runs and its own handler's module in
