@@ -40,17 +40,13 @@ errors, ``--``, ``--opt=value``, abbreviated options, and ``--exact``
 with ``--assisted``.  It then builds the parser of the one verb it is
 given.
 
-Every way of starting the CLI (``python -m twobridge``, ``python -m
-twobridge.cli`` and the console script) calls ``sys.exit(run())``.
-``run`` calls ``main``, and once ``main`` has returned or raised it
-freezes the heap (``gc.freeze()``), so the full collections of
-interpreter finalization skip every object the verb left alive.
-``main`` never freezes: tests and library callers run it in process.
+Every way of starting the CLI calls ``sys.exit(run())``: ``run`` calls
+``main``, then freezes the heap (``gc.freeze()``) so that interpreter
+finalization does not walk it.  ``main`` itself never freezes.
 """
 
 from __future__ import annotations
 
-import gc
 import sys
 
 __all__ = ["build_parser", "main", "run"]
@@ -295,8 +291,6 @@ def run() -> int:
     script all call ``sys.exit(run())``.  ``gc.freeze()`` moves every live
     object into the permanent generation, so the full collections of
     interpreter finalization skip them instead of walking the whole heap.
-    atexit handlers, the flushing of stdout and stderr and the closing of
-    the ``--out`` file run as before.
 
     - The heap is frozen only after ``main`` returns or raises, argparse's
       ``SystemExit`` included: ``enumeration._collector_paused`` hands a
@@ -309,6 +303,8 @@ def run() -> int:
       would skip atexit hooks and file flushes.
     - No option, flag or environment variable turns this on or off.
     """
+    import gc  # here, not at the top: callers of main never need it
+
     try:
         return main()
     finally:
